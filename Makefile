@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-serve bench-compare bench-gate cover fuzz experiments examples chaos-smoke resume-smoke shard-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
+.PHONY: all build vet test test-short bench bench-json bench-compare bench-gate cover fuzz experiments examples chaos-smoke resume-smoke shard-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
 
 # bench-gate regression thresholds, overridable per invocation:
 # allocs/op is nearly deterministic so the gate is tight; ns/op varies
@@ -18,8 +18,12 @@ build:
 vet:
 	$(GO) vet ./...
 
+# bench/ is its own module, so ./... never compiles it; vet and test it
+# here too, or an internal API change breaks the benchmark silently.
 test:
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 test-short:
 	$(GO) test -short ./...
@@ -30,9 +34,9 @@ bench:
 # bench-json reruns the admission-control and predictor benchmarks and
 # writes results/bench_new.txt plus the machine-readable comparison
 # against the committed pre-optimization baseline (results/bench_seed.txt)
-# into BENCH_admission.json. The bench-serve prerequisite refreshes the
-# end-to-end serving sweep in BENCH_serve.json alongside it.
-bench-json: bench-serve
+# into BENCH_admission.json. End-to-end serving numbers come from the repo
+# benchmark instead: `sh bench/run.sh`, see bench/README.md.
+bench-json:
 	$(GO) test -run xxx -bench 'Admission|PredictorScaling|PolicyLibraRiskFullScale|PolicyLibraFullScale|ShardedLibraRisk|ServeAdmit' \
 		-benchmem -count 5 . | tee results/bench_new.txt
 	$(GO) run ./cmd/benchjson -old results/bench_seed.txt -new results/bench_new.txt \
@@ -50,40 +54,6 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_admission.json -new results/bench_gate.txt \
 		-max-ns-ratio $(BENCH_MAX_NS_RATIO) -max-alloc-ratio $(BENCH_MAX_ALLOC_RATIO)
 
-# bench-serve sweeps the live serving path on the real binaries:
-# GOMAXPROCS ∈ {1,4,8} × -serve-shards ∈ {1,4,8} × durable off/on, 2000
-# virtual-time requests per cell through admitload, writing every cell's
-# throughput and latency percentiles to BENCH_serve.json. On a
-# single-core host the shard axis measures coordination overhead only;
-# the speedup needs real cores.
-bench-serve:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/admissiond ./cmd/admissiond; \
-	$(GO) build -o $$tmp/admitload ./cmd/admitload; \
-	out=BENCH_serve.json; \
-	printf '{\n  "benchmark": "serve_admit_sweep",\n  "jobs": 2000,\n  "nodes": 64,\n  "runs": [' > $$out; \
-	first=1; \
-	for g in 1 4 8; do for k in 1 4 8; do for d in 0 1; do \
-		dargs=""; dj=false; \
-		if [ $$d -eq 1 ]; then rm -rf $$tmp/wal; dargs="-durable $$tmp/wal"; dj=true; fi; \
-		GOMAXPROCS=$$g $$tmp/admissiond -addr 127.0.0.1:0 -nodes 64 -time-scale 0 \
-			-queue-depth 1024 -serve-shards $$k $$dargs > $$tmp/daemon.out 2>&1 & pid=$$!; \
-		for i in $$(seq 100); do grep -q 'listening on' $$tmp/daemon.out 2>/dev/null && break; sleep 0.1; done; \
-		url=$$(sed -n 's/^admissiond: listening on //p' $$tmp/daemon.out); \
-		[ -n "$$url" ] || { echo "bench-serve: daemon never listened (g=$$g k=$$k durable=$$dj)"; cat $$tmp/daemon.out; exit 1; }; \
-		$$tmp/admitload -url $$url -jobs 2000 -concurrency 8 -virtual -adf 0.05 \
-			-out $$tmp/run.json >/dev/null; \
-		kill -TERM $$pid; wait $$pid || true; \
-		[ $$first -eq 1 ] || printf ',' >> $$out; first=0; \
-		printf '\n    {"gomaxprocs": %s, "shards": %s, "durable": %s, "summary": ' $$g $$k $$dj >> $$out; \
-		tr -d '\n' < $$tmp/run.json | sed 's/  */ /g' >> $$out; \
-		printf '}' >> $$out; \
-		echo "bench-serve: gomaxprocs=$$g shards=$$k durable=$$dj done"; \
-	done; done; done; \
-	printf '\n  ]\n}\n' >> $$out; \
-	echo "wrote BENCH_serve.json"
-
 # bench-compare renders the same old/new pair with benchstat when it is
 # installed (no network installs here; `go install
 # golang.org/x/perf/cmd/benchstat@latest` on a connected machine).
@@ -98,6 +68,7 @@ cover:
 
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/swf/
+	$(GO) test -run xxx -fuzz 'FuzzValidateAdmit$$' -fuzztime 10s ./internal/serve/
 
 experiments:
 	$(GO) run ./cmd/experiments -csv results -svg results | tee results/experiments_full.txt

@@ -716,23 +716,7 @@ func runSimulation(ctx context.Context, o Options, jobs []workload.Job) (*metric
 		}
 	}
 	if fc := o.faultConfig(lastArrival); fc.Enabled() {
-		var surface fault.Cluster
-		if ts != nil {
-			tc := ts
-			surface = fault.Cluster{
-				Nodes: tc.Len(),
-				Down:  func(e *sim.Engine, id int, down bool) { tc.SetNodeDown(e, id, down) },
-				Speed: tc.SetNodeSpeed,
-			}
-		} else {
-			sc := ss
-			surface = fault.Cluster{
-				Nodes: sc.Len(),
-				Down:  func(e *sim.Engine, id int, down bool) { sc.SetNodeDown(e, id, down) },
-				Speed: sc.SetNodeSpeed,
-			}
-		}
-		inj, err := fault.New(fc, surface)
+		inj, err := fault.New(fc, fault.ClusterOf(ts, ss))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -745,34 +729,18 @@ func runSimulation(ctx context.Context, o Options, jobs []workload.Job) (*metric
 	}
 	// Sharded execution for time-shared policies; space-shared policies
 	// stay sequential (every completion there is a dispatch decision).
-	shardCount := 0
-	if o.Shards > 1 && ts != nil {
-		shardCount = o.Shards
-		if shardCount > ts.Len() {
-			shardCount = ts.Len()
-		}
+	pool, detach, err := core.AttachShards(ts, o.Shards, nil, pol, mon)
+	if err != nil {
+		return nil, mon, err
 	}
-	if shardCount > 1 {
-		engines := make([]*sim.Engine, shardCount)
-		for i := range engines {
-			engines[i] = sim.NewEngine()
-		}
-		if err := ts.AttachShards(engines); err != nil {
-			return nil, mon, err
-		}
-		pool := sim.NewShardPool(shardCount)
-		defer pool.Close()
-		if ap, ok := pol.(core.AdmitParallel); ok {
-			ap.SetAdmitPool(pool)
-		}
-		if mon != nil {
-			mon.PendingExtra = ts.ShardsPending
-		}
+	defer detach()
+	if pool != nil {
 		var drv core.ArrivalDriver
-		if err := core.RunSimulationSharded(ctx, e, ts, pool, pol, rec, jobs, o.InaccuracyPct, &drv); err != nil {
-			return nil, mon, err
-		}
-	} else if err := core.RunSimulationContext(ctx, e, pol, rec, jobs, o.InaccuracyPct); err != nil {
+		err = core.RunSimulationSharded(ctx, e, ts, pool, pol, rec, jobs, o.InaccuracyPct, &drv)
+	} else {
+		err = core.RunSimulationContext(ctx, e, pol, rec, jobs, o.InaccuracyPct)
+	}
+	if err != nil {
 		return nil, mon, err
 	}
 	if chk != nil {

@@ -53,15 +53,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	reqTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request admission deadline")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant sustained admissions/sec (0 with no burst = unlimited)")
 	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant burst credit (bucket depth)")
-	admitWorkers := fs.Int("admit-workers", 0, "shard-pool workers for the admission node scan (0/1 = serial)")
 	serveShards := fs.Int("serve-shards", 0, "shard engines for the serving cluster: completion advancement and the admit scan fan out across this many workers (0/1 = sequential)")
 	auditPath := fs.String("audit", "", "stream admission decisions to this JSONL file")
 	ckptPath := fs.String("checkpoint", "", "write the drain checkpoint to this file")
 	resume := fs.Bool("resume", false, "replay the checkpoint or WAL at startup when one exists")
 	durableDir := fs.String("durable", "", "write-ahead log directory: fsync every op before its response (crash-consistent mode)")
 	walSegBytes := fs.Int64("wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 4MiB)")
-	walSyncBytes := fs.Int64("wal-sync-bytes", 0, "unsynced WAL bytes that force a commit (0 = default 256KiB, negative = unbounded)")
-	walGroupWait := fs.Duration("wal-group-wait", 0, "group-commit window: wait this long for more ops to share an fsync")
 	spans := fs.Bool("spans", false, "trace every request through the serving pipeline: /debug/spans, per-stage /metrics histograms (analyze with servetrace)")
 	spanBuffer := fs.Int("span-buffer", 0, "finished spans kept in the /debug/spans ring (0 = default 4096)")
 	tenantLabels := fs.Int("tenant-labels", 0, "distinct tenants given their own /metrics series before folding into \"other\" (0 = default 32)")
@@ -80,14 +77,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		RequestTimeout:  *reqTimeout,
 		QuotaRate:       *quotaRate,
 		QuotaBurst:      *quotaBurst,
-		AdmitWorkers:    *admitWorkers,
 		Shards:          *serveShards,
 		CheckpointPath:  *ckptPath,
 		Resume:          *resume,
 		WALDir:          *durableDir,
 		WALSegmentBytes: *walSegBytes,
-		WALSyncBytes:    *walSyncBytes,
-		WALGroupWait:    *walGroupWait,
 		Spans:           *spans,
 		SpanBuffer:      *spanBuffer,
 		TenantLabels:    *tenantLabels,

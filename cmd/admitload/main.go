@@ -339,8 +339,7 @@ func parseKills(s string) ([]chaosKill, error) {
 
 // loadSummary is the machine-readable run summary behind -out: status
 // counts, the accept/reject split, wall-clock throughput and latency
-// percentiles. The bench-serve sweep collects one per configuration
-// into BENCH_serve.json.
+// percentiles.
 type loadSummary struct {
 	Requests      int                      `json:"requests"`
 	Statuses      map[string]int           `json:"statuses"`

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"slices"
+	"time"
 
 	"clustersched/internal/sim"
 )
@@ -43,6 +46,15 @@ type shardRuntime struct {
 	deferred [][]deferredDone
 	// merged is the coordinator's scratch for the barrier-time sort.
 	merged []deferredDone
+	// busy/errs are AdvanceShards' per-phase scratch and (t, pr) the limit
+	// of the phase in flight, read by runShard (the bound-once method
+	// value of run) — fields rather than closure captures so a phase
+	// allocates nothing.
+	busy     []bool
+	errs     []error
+	t        float64
+	pr       sim.Priority
+	runShard func(w int)
 }
 
 // AttachShards installs K shard engines on the cluster, partitioning nodes
@@ -67,7 +79,10 @@ func (c *TimeShared) AttachShards(engines []*sim.Engine) error {
 		engines:  slices.Clone(engines),
 		index:    make(map[*sim.Engine]int, k),
 		deferred: make([][]deferredDone, k),
+		busy:     make([]bool, k),
+		errs:     make([]error, k),
 	}
+	sr.runShard = sr.run
 	for i, e := range engines {
 		if e == nil {
 			return fmt.Errorf("cluster: shard engine %d is nil", i)
@@ -167,6 +182,143 @@ func (c *TimeShared) EndShardPhase(e *sim.Engine) {
 		merged[i].sl = nil
 	}
 	sr.merged = merged[:0]
+}
+
+// throughHorizon is the priority that turns a (T, priority) phase limit
+// into "everything at or before T": it sorts above every real priority.
+const throughHorizon = sim.Priority(math.MaxInt)
+
+// ctxCheckBarrierMask mirrors the engine's ctxCheckMask at barrier
+// granularity: the cancellation poll runs every 64 barriers.
+const ctxCheckBarrierMask = 63
+
+// AdvanceShards is the barrier loop of sharded execution, shared by the
+// batch driver (T = +Inf) and the serving apply path (T = the op's
+// virtual time): it fires every event at or before T across the global
+// engine and the shard engines, in exactly the sequential engine's order.
+//
+// Peek the next global event's (time, priority) key, run every shard up
+// to (strictly below) that key in parallel on pool, apply the parked
+// slice completions, then process the global event — so every admit
+// decision, fault and monitor sample sees exactly the cluster state the
+// sequential engine would have shown it. Once no global event remains
+// within T the shards drain through T inclusive. See DESIGN.md "Sharded
+// execution".
+//
+// pool.Workers() must equal the shard count. onPhase, when non-nil, is
+// called after every phase that ran with its wall time. The global
+// engine's horizon is left at T; its clock is only moved by the events
+// it fires.
+func (c *TimeShared) AdvanceShards(ctx context.Context, global *sim.Engine, pool *sim.ShardPool, T float64, onPhase func(time.Duration)) error {
+	sr := c.shards
+	if sr == nil {
+		return fmt.Errorf("cluster: AdvanceShards without attached shard engines")
+	}
+	if pool == nil || pool.Workers() != len(sr.engines) {
+		return fmt.Errorf("cluster: shard pool size does not match %d shards", len(sr.engines))
+	}
+	global.SetHorizon(T)
+	done := ctx.Done()
+	for barrier := uint64(0); ; barrier++ {
+		if done != nil && barrier&ctxCheckBarrierMask == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("cluster: sharded advance canceled at t=%.6g after %d barriers: %w",
+					global.Now(), barrier, context.Cause(ctx))
+			default:
+			}
+		}
+		t, pr, ok := global.PeekNext()
+		if !ok || t > T {
+			break
+		}
+		if _, err := c.shardPhase(global, pool, t, pr, onPhase); err != nil {
+			return err
+		}
+		// Step every consecutive global event sharing this exact (t, pr)
+		// key behind the one phase. A handler can only schedule strictly
+		// later work — node updates carry a forward-progress floor and
+		// arrival chains re-arm at or after their own key — so no shard
+		// can have gained an event below the key between equal-key steps:
+		// the phase the unbatched loop would run for each of them is
+		// provably empty. Equal-key events fire in seq order either way,
+		// so the batched stream is byte-identical while SWF workloads'
+		// same-second arrival runs pay one barrier instead of one each.
+		for {
+			if _, err := global.Step(); err != nil {
+				return fmt.Errorf("cluster: global event at t=%.6g: %w", t, err)
+			}
+			nt, npr, nok := global.PeekNext()
+			if !nok || nt != t || npr != pr {
+				break
+			}
+		}
+	}
+	// No global event is left within T; whatever the shards still hold at
+	// or before it (node events of jobs outliving the last arrival, in the
+	// batch case) runs now. Completions applied at the barrier schedule no
+	// node work of their own, so one phase suffices; re-peeking guards
+	// against a model that proves otherwise.
+	for {
+		ran, err := c.shardPhase(global, pool, T, throughHorizon, onPhase)
+		if err != nil || !ran {
+			return err
+		}
+	}
+}
+
+// shardPhase runs one barrier phase: every shard with an event strictly
+// below the (t, pr) key drains up to it, then the parked completions are
+// applied. It reports whether any shard had work. The coordinator peeks
+// every shard first: phases where no shard is busy skip the pool barrier
+// entirely, and a single busy shard runs inline on the coordinator —
+// both common under light load, where worker wakeups would otherwise
+// dominate.
+func (c *TimeShared) shardPhase(global *sim.Engine, pool *sim.ShardPool, t float64, pr sim.Priority, onPhase func(time.Duration)) (bool, error) {
+	sr := c.shards
+	nbusy, last := 0, -1
+	for i, se := range sr.engines {
+		st, sp, ok := se.PeekNext()
+		sr.busy[i] = ok && (st < t || (st == t && sp < pr))
+		if sr.busy[i] {
+			nbusy++
+			last = i
+		}
+	}
+	if nbusy == 0 {
+		return false, nil
+	}
+	var t0 time.Time
+	if onPhase != nil {
+		t0 = time.Now()
+	}
+	sr.t, sr.pr = t, pr
+	c.BeginShardPhase()
+	if nbusy == 1 {
+		sr.run(last)
+	} else {
+		pool.Run(sr.runShard)
+	}
+	c.EndShardPhase(global)
+	if onPhase != nil {
+		onPhase(time.Since(t0))
+	}
+	for _, err := range sr.errs {
+		if err != nil {
+			clear(sr.errs)
+			return true, fmt.Errorf("cluster: shard phase at t=%.6g: %w", t, err)
+		}
+	}
+	return true, nil
+}
+
+// run drains shard w up to the phase limit; idle shards do nothing.
+func (sr *shardRuntime) run(w int) {
+	if sr.busy[w] {
+		se := sr.engines[w]
+		se.SetHorizonKey(sr.t, sr.pr)
+		sr.errs[w] = se.Run()
+	}
 }
 
 // ShardsPending sums the live pending events across all shard engines; 0

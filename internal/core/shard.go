@@ -15,143 +15,27 @@ import (
 // RunSimulationReusing: the global engine e carries only the cross-node
 // events (arrivals, faults, monitor ticks), while node update events run
 // on the cluster's attached shard engines, advanced concurrently between
-// consecutive global events.
+// consecutive global events by cluster.TimeShared.AdvanceShards — the one
+// barrier loop, here run to completion (T = +Inf). See DESIGN.md "Sharded
+// execution".
 //
-// The barrier protocol is: peek the next global event's (time, priority)
-// key, run every shard up to (strictly below) that key in parallel, apply
-// the parked slice completions in sequential order, then process the one
-// global event — so every admit decision, fault and monitor sample sees
-// exactly the cluster state the sequential engine would have shown it.
-// Once the global calendar drains, the shards are drained to completion
-// the same way. See DESIGN.md "Sharded execution".
-//
-// The caller owns the pool (its Workers() must equal the shard count) and
-// must have attached the shard engines via cluster.AttachShards.
+// pool and the attached shard engines come from AttachShards.
 func RunSimulationSharded(ctx context.Context, e *sim.Engine, c *cluster.TimeShared, pool *sim.ShardPool, p Policy, rec *metrics.Recorder, jobs []workload.Job, inaccuracyPct float64, d *ArrivalDriver) error {
 	if err := workload.ValidateAll(jobs); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	shards := c.ShardEngines()
-	if len(shards) == 0 {
-		return fmt.Errorf("core: sharded run without attached shard engines")
-	}
-	if pool == nil || pool.Workers() != len(shards) {
-		return fmt.Errorf("core: shard pool size does not match %d shards", len(shards))
 	}
 	d.begin(e, p, jobs, inaccuracyPct)
 	if e.MaxEvents == 0 {
 		e.MaxEvents = defaultEventBudget
 	}
+	shards := c.ShardEngines()
 	for _, se := range shards {
 		if se.MaxEvents == 0 {
 			se.MaxEvents = defaultEventBudget
 		}
 	}
-
-	errs := make([]error, len(shards))
-	busy := make([]bool, len(shards))
-	// runPhase drains every shard strictly below the (t, pr) key — or
-	// completely, when drain is set — applying parked completions after
-	// the workers have joined. The coordinator peeks every shard first:
-	// phases where no shard has work skip the pool barrier entirely, and a
-	// single busy shard runs inline on the coordinator — both common under
-	// light load, where worker wakeups would otherwise dominate.
-	runPhase := func(t float64, pr sim.Priority, drain bool) error {
-		nbusy, last := 0, -1
-		for i, se := range shards {
-			st, sp, ok := se.PeekNext()
-			busy[i] = ok && (drain || st < t || (st == t && sp < pr))
-			if busy[i] {
-				nbusy++
-				last = i
-			}
-		}
-		if nbusy == 0 {
-			return nil
-		}
-		c.BeginShardPhase()
-		if nbusy == 1 {
-			se := shards[last]
-			if drain {
-				se.SetHorizon(math.Inf(1))
-				errs[last] = se.RunContext(ctx)
-			} else {
-				se.SetHorizonKey(t, pr)
-				errs[last] = se.Run()
-			}
-		} else {
-			pool.Run(func(w int) {
-				if !busy[w] {
-					errs[w] = nil
-					return
-				}
-				se := shards[w]
-				if drain {
-					se.SetHorizon(math.Inf(1))
-					errs[w] = se.RunContext(ctx)
-				} else {
-					se.SetHorizonKey(t, pr)
-					errs[w] = se.Run()
-				}
-			})
-		}
-		c.EndShardPhase(e)
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	done := ctx.Done()
-	for barrier := uint64(0); ; barrier++ {
-		if done != nil && barrier&ctxCheckBarrierMask == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("core: sharded run canceled at t=%.6g after %d barriers: %w",
-					e.Now(), barrier, context.Cause(ctx))
-			default:
-			}
-		}
-		t, pr, ok := e.PeekNext()
-		if !ok {
-			break
-		}
-		if err := runPhase(t, pr, false); err != nil {
-			return fmt.Errorf("core: shard phase aborted: %w", err)
-		}
-		// Step every consecutive global event sharing this exact (t, pr)
-		// key behind the one phase. A handler can only schedule strictly
-		// later work — node updates carry a forward-progress floor and
-		// arrival chains re-arm at or after their own key — so no shard
-		// can have gained an event below the key between equal-key steps:
-		// the phase the unbatched loop would run for each of them is
-		// provably empty. Equal-key events fire in seq order either way,
-		// so the batched stream is byte-identical while SWF workloads'
-		// same-second arrival runs pay one barrier instead of one each.
-		for {
-			if _, err := e.Step(); err != nil {
-				return fmt.Errorf("core: simulation aborted: %w", err)
-			}
-			nt, npr, nok := e.PeekNext()
-			if !nok || nt != t || npr != pr {
-				break
-			}
-		}
-	}
-	// The global calendar is empty; whatever the shards still hold (node
-	// events of jobs outliving the last arrival) runs to completion now.
-	// Applying completions schedules nothing new, so one pass suffices;
-	// the loop guards against a model that proves otherwise.
-	for c.ShardsPending() > 0 {
-		before := c.ShardsPending()
-		if err := runPhase(0, 0, true); err != nil {
-			return fmt.Errorf("core: shard drain aborted: %w", err)
-		}
-		if c.ShardsPending() >= before {
-			return fmt.Errorf("core: shard drain made no progress at %d pending events", before)
-		}
+	if err := c.AdvanceShards(ctx, e, pool, math.Inf(1), nil); err != nil {
+		return fmt.Errorf("core: simulation aborted: %w", err)
 	}
 	// Align the global clock with the latest shard event, matching the
 	// sequential engine's final Now() (its last event is the last
@@ -165,14 +49,57 @@ func RunSimulationSharded(ctx context.Context, e *sim.Engine, c *cluster.TimeSha
 	return nil
 }
 
-// ctxCheckBarrierMask mirrors the engine's ctxCheckMask at barrier
-// granularity: the cancellation poll runs every 64 barriers.
-const ctxCheckBarrierMask = 63
+// AttachShards switches a time-shared run to sharded execution: it clamps
+// k to the node count, attaches k shard engines to ts, starts the phase
+// pool, hands the pool to the policy's admission scan (AdmitParallel) and
+// points mon, when non-nil, at the shard backlog and the pool. engines,
+// when non-nil, is a caller-owned cache of shard engines reused run over
+// run (grown to k, each Reset); nil builds fresh ones.
+//
+// Below two shards, or with ts nil (space-shared policies stay sequential:
+// every completion there is a dispatch decision, i.e. a barrier per
+// event), nothing is attached and the pool is nil. The returned detach
+// func undoes everything and is never nil.
+func AttachShards(ts *cluster.TimeShared, k int, engines *[]*sim.Engine, p Policy, mon *Monitor) (*sim.ShardPool, func(), error) {
+	if ts == nil || k < 2 || ts.Len() < 2 {
+		return nil, func() {}, nil
+	}
+	k = min(k, ts.Len())
+	var local []*sim.Engine
+	if engines == nil {
+		engines = &local
+	}
+	for len(*engines) < k {
+		*engines = append(*engines, sim.NewEngine())
+	}
+	for _, se := range (*engines)[:k] {
+		se.Reset()
+	}
+	if err := ts.AttachShards((*engines)[:k]); err != nil {
+		return nil, func() {}, fmt.Errorf("core: %w", err)
+	}
+	pool := sim.NewShardPool(k)
+	ap, _ := p.(AdmitParallel)
+	if ap != nil {
+		ap.SetAdmitPool(pool)
+	}
+	if mon != nil {
+		mon.PendingExtra = ts.ShardsPending
+		mon.Pool = pool
+	}
+	return pool, func() {
+		if ap != nil {
+			ap.SetAdmitPool(nil)
+		}
+		pool.Close()
+		ts.DetachShards()
+	}, nil
+}
 
 // AdmitParallel is implemented by policies whose admission node scan can
 // fan out across the shard pool at barrier time (Libra and LibraRisk).
-// The experiment layer attaches the pool for sharded runs and detaches it
-// (nil) afterwards.
+// AttachShards hands them the pool for sharded runs and its detach func
+// takes it away (nil) afterwards.
 type AdmitParallel interface {
 	SetAdmitPool(pool *sim.ShardPool)
 }

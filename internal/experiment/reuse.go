@@ -154,31 +154,6 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		}
 	}
 
-	// Sharded execution: attach per-shard engines and the phase worker
-	// pool for time-shared policies. Space-shared policies (EDF and the
-	// extension schedulers) stay sequential — every completion there is a
-	// dispatch decision, i.e. a barrier per event.
-	shardCount := 0
-	if base.Shards > 1 && ts != nil {
-		shardCount = base.Shards
-		if shardCount > ts.Len() {
-			shardCount = ts.Len()
-		}
-	}
-	var pool *sim.ShardPool
-	if shardCount > 1 {
-		if err := ts.AttachShards(shardEnginesFor(sc, shardCount)); err != nil {
-			return metrics.Summary{}, nil, err
-		}
-		defer ts.DetachShards()
-		pool = sim.NewShardPool(shardCount)
-		defer pool.Close()
-		if ap, ok := pol.(core.AdmitParallel); ok {
-			ap.SetAdmitPool(pool)
-			defer ap.SetAdmitPool(nil)
-		}
-	}
-
 	var orun *obs.Run
 	if base.Obs != nil {
 		orun = base.Obs.NewRun(runTag(cell, spec), spec.Policy.String())
@@ -204,14 +179,22 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		if err != nil {
 			return metrics.Summary{}, nil, err
 		}
-		if shardCount > 1 {
-			mon.PendingExtra = ts.ShardsPending
-			mon.Pool = pool
-		}
 		mon.Start(e)
 	}
+	// Sharded execution for time-shared policies, on shard engines cached
+	// in the scratch so sharded sweep cells reuse queue storage and event
+	// freelists run over run.
+	var engines *[]*sim.Engine
+	if sc != nil {
+		engines = &sc.shardEngines
+	}
+	pool, detach, err := core.AttachShards(ts, base.Shards, engines, pol, mon)
+	if err != nil {
+		return metrics.Summary{}, nil, err
+	}
+	defer detach()
 	var runErr error
-	if shardCount > 1 {
+	if pool != nil {
 		runErr = core.RunSimulationSharded(ctx, e, ts, pool, pol, rec, jobs, spec.InaccuracyPct, drv)
 	} else {
 		runErr = core.RunSimulationReusing(ctx, e, pol, rec, jobs, spec.InaccuracyPct, drv)
@@ -233,27 +216,6 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		}
 	}
 	return rec.Summarize(), mon, nil
-}
-
-// shardEnginesFor returns k reset shard engines, drawing them from the
-// scratch's cache when available so sharded sweep cells reuse queue
-// storage and event freelists run over run.
-func shardEnginesFor(sc *runScratch, k int) []*sim.Engine {
-	if sc == nil {
-		engines := make([]*sim.Engine, k)
-		for i := range engines {
-			engines[i] = sim.NewEngine()
-		}
-		return engines
-	}
-	for len(sc.shardEngines) < k {
-		sc.shardEngines = append(sc.shardEngines, sim.NewEngine())
-	}
-	engines := sc.shardEngines[:k]
-	for _, se := range engines {
-		se.Reset()
-	}
-	return engines
 }
 
 // cachedPolicy looks up the scratch's policy cache; nil-safe.

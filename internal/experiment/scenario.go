@@ -252,21 +252,7 @@ func installFaults(e *sim.Engine, cfg fault.Config, kind PolicyKind, ts *cluster
 			}
 		}
 	}
-	var surface fault.Cluster
-	if ts != nil {
-		surface = fault.Cluster{
-			Nodes: ts.Len(),
-			Down:  func(e *sim.Engine, id int, down bool) { ts.SetNodeDown(e, id, down) },
-			Speed: ts.SetNodeSpeed,
-		}
-	} else {
-		surface = fault.Cluster{
-			Nodes: ss.Len(),
-			Down:  func(e *sim.Engine, id int, down bool) { ss.SetNodeDown(e, id, down) },
-			Speed: ss.SetNodeSpeed,
-		}
-	}
-	inj, err := fault.New(cfg, surface)
+	inj, err := fault.New(cfg, fault.ClusterOf(ts, ss))
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"clustersched/internal/cluster"
 	"clustersched/internal/obs"
 	"clustersched/internal/sim"
 )
@@ -95,14 +96,32 @@ func (c Config) Validate() error {
 }
 
 // Cluster is the node-state interface the injector drives; both cluster
-// engines satisfy it through small adapter funcs supplied at construction.
+// engines satisfy it through ClusterOf.
 type Cluster struct {
 	// Nodes is the node count.
 	Nodes int
-	// Down crashes (true) or recovers (false) a node.
-	Down func(e *sim.Engine, id int, down bool)
+	// Down crashes (true) or recovers (false) a node and reports how many
+	// jobs the transition killed.
+	Down func(e *sim.Engine, id int, down bool) int
 	// Speed sets a node's effective-rate multiplier.
 	Speed func(e *sim.Engine, id int, factor float64)
+}
+
+// ClusterOf adapts whichever substrate a run executes on — exactly one of
+// ts and ss is non-nil — to the node-state surface.
+func ClusterOf(ts *cluster.TimeShared, ss *cluster.SpaceShared) Cluster {
+	if ts != nil {
+		return Cluster{
+			Nodes: ts.Len(),
+			Down:  func(e *sim.Engine, id int, down bool) int { return len(ts.SetNodeDown(e, id, down)) },
+			Speed: ts.SetNodeSpeed,
+		}
+	}
+	return Cluster{
+		Nodes: ss.Len(),
+		Down:  func(e *sim.Engine, id int, down bool) int { return len(ss.SetNodeDown(e, id, down)) },
+		Speed: ss.SetNodeSpeed,
+	}
 }
 
 // Injector owns the fault processes for one simulation run.

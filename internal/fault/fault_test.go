@@ -24,9 +24,10 @@ func newTraceCluster(n int) *traceCluster {
 func (tc *traceCluster) surface() Cluster {
 	return Cluster{
 		Nodes: tc.nodes,
-		Down: func(e *sim.Engine, id int, down bool) {
+		Down: func(e *sim.Engine, id int, down bool) int {
 			tc.trace = append(tc.trace, fmt.Sprintf("t=%.6f node=%d down=%v", e.Now(), id, down))
 			tc.down[id] = down
+			return 0
 		},
 		Speed: func(e *sim.Engine, id int, factor float64) {
 			tc.trace = append(tc.trace, fmt.Sprintf("t=%.6f node=%d speed=%g", e.Now(), id, factor))

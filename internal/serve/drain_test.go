@@ -151,7 +151,7 @@ func TestNoGoroutineLeakAcrossServerLifecycles(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 3; cycle++ {
 		cfg := testConfig()
-		cfg.AdmitWorkers = 2 // exercise the pool teardown too
+		cfg.Shards = 2 // exercise the pool teardown too
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -320,5 +320,87 @@ func TestResumeMissingCheckpointIsFreshStart(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStateCountersSurviveResume pins the decision counters across a
+// restart: /state's admitted/rejected and the serve_*_total families
+// (per-tenant included) describe the cluster's whole history, like
+// ops_applied, so a drain → resume must hand them over unchanged — for
+// the drain checkpoint and for the write-ahead log alike.
+func TestStateCountersSurviveResume(t *testing.T) {
+	names := []string{
+		"serve_ops_applied_total",
+		"serve_admitted_total",
+		"serve_rejected_total",
+		`serve_tenant_admits_total{tenant="seq"}`,
+		`serve_tenant_rejects_total{tenant="seq"}`,
+	}
+	snapshot := func(base string) (StateResponse, []float64) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, len(names))
+		for i, n := range names {
+			vals[i] = metricCounter(t, body.String(), n)
+		}
+		return stateOf(t, base), vals
+	}
+	for _, mode := range []string{"checkpoint", "wal"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := testConfig()
+			if mode == "wal" {
+				cfg.WALDir = filepath.Join(t.TempDir(), "wal")
+			} else {
+				cfg.CheckpointPath = filepath.Join(t.TempDir(), "drain.ckpt")
+			}
+			s1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hts1 := httptest.NewServer(s1.Handler())
+			sendSequence(t, hts1.URL, 0, seqLen)
+			before, beforeVals := snapshot(hts1.URL)
+			hts1.Close()
+			if err := s1.Drain(context.Background()); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if before.Admitted == 0 || before.Rejected == 0 {
+				t.Fatalf("script must both admit and reject, got %d/%d", before.Admitted, before.Rejected)
+			}
+			const nodeOps = 1 // sendSequence crashes one node mid-stream
+			if got := int(before.Admitted+before.Rejected) + nodeOps; got != before.OpsApplied {
+				t.Errorf("admitted %d + rejected %d + %d node op = %d, want ops_applied %d",
+					before.Admitted, before.Rejected, nodeOps, got, before.OpsApplied)
+			}
+
+			cfg.Resume = true
+			s2, err := New(cfg)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			hts2 := httptest.NewServer(s2.Handler())
+			after, afterVals := snapshot(hts2.URL)
+			hts2.Close()
+			if err := s2.Drain(context.Background()); err != nil {
+				t.Fatalf("resumed drain: %v", err)
+			}
+			if after.OpsApplied != before.OpsApplied || after.Admitted != before.Admitted || after.Rejected != before.Rejected {
+				t.Errorf("/state after resume: ops_applied %d admitted %d rejected %d, want %d/%d/%d",
+					after.OpsApplied, after.Admitted, after.Rejected,
+					before.OpsApplied, before.Admitted, before.Rejected)
+			}
+			for i, n := range names {
+				if afterVals[i] != beforeVals[i] {
+					t.Errorf("%s after resume = %g, want %g", n, afterVals[i], beforeVals[i])
+				}
+			}
+		})
 	}
 }

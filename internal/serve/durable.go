@@ -4,8 +4,7 @@ package serve
 // appended to a crash-consistent write-ahead log and fsynced BEFORE its
 // HTTP response is written, so an acknowledged admission survives
 // SIGKILL or power loss. The apply worker batches whatever is queued
-// (plus, with WALGroupWait, whatever arrives inside the window) into
-// one group commit, amortizing the fsync across the batch.
+// into one group commit, amortizing the fsync across the batch.
 //
 // The durable path is a two-stage pipeline. The decide stage appends
 // the batch to the WAL buffer, applies it in memory, and hands it to
@@ -106,7 +105,6 @@ func (s *Server) openWAL() error {
 		Dir:          s.cfg.WALDir,
 		FS:           fsys,
 		SegmentBytes: s.cfg.WALSegmentBytes,
-		SyncBytes:    s.cfg.WALSyncBytes,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -219,35 +217,17 @@ func (s *Server) durableWorker() {
 		}
 		s.markDequeued(p)
 		batch = append(batch[:0], p)
-		if wait := s.cfg.WALGroupWait; wait > 0 {
-			timer := time.NewTimer(wait)
-		gather:
-			for len(batch) < maxWALBatch {
-				select {
-				case q, ok := <-s.queue:
-					if !ok {
-						break gather
-					}
-					s.markDequeued(q)
-					batch = append(batch, q)
-				case <-timer.C:
-					break gather
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < maxWALBatch {
-				select {
-				case q, ok := <-s.queue:
-					if !ok {
-						break drain
-					}
-					s.markDequeued(q)
-					batch = append(batch, q)
-				default:
+	drain:
+		for len(batch) < maxWALBatch {
+			select {
+			case q, ok := <-s.queue:
+				if !ok {
 					break drain
 				}
+				s.markDequeued(q)
+				batch = append(batch, q)
+			default:
+				break drain
 			}
 		}
 		s.decideBatch(batch, ring)
@@ -378,15 +358,6 @@ func (s *Server) walCommitter(ring <-chan commitBatch, done chan<- struct{}) {
 				// group fsync (audit write included — it is part of
 				// what the 200 vouches for).
 				a.p.sp.Dur[span.StageCommit] = end.Sub(a.decided)
-			}
-			s.cApplied.Inc()
-			if a.op.Kind == "" {
-				if a.out.accepted {
-					s.cAdmitted.Inc()
-				} else {
-					s.cRejected.Inc()
-				}
-				s.tenants.admit(a.op.Tenant, a.out.accepted)
 			}
 			s.shed.observe(lat)
 			a.p.resp <- applied{op: a.op, out: a.out, finished: end}

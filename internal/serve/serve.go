@@ -60,6 +60,7 @@ import (
 	"clustersched/internal/checkpoint"
 	"clustersched/internal/cluster"
 	"clustersched/internal/core"
+	"clustersched/internal/fault"
 	"clustersched/internal/metrics"
 	"clustersched/internal/obs"
 	"clustersched/internal/obs/span"
@@ -97,19 +98,16 @@ type Config struct {
 	// fixed, non-replenishing budget.
 	QuotaRate  float64
 	QuotaBurst float64
-	// AdmitWorkers > 1 fans the Libra/LibraRisk admission node scan out
-	// on a sim.ShardPool of that size; its park/wake/spin counters are
-	// exported on /metrics.
-	AdmitWorkers int
 	// Shards > 1 attaches that many space-partitioned shard engines to
 	// the serving cluster (clamped to Nodes): advancing virtual time —
 	// firing every believed completion at or before an operation's
 	// timestamp — runs across a shard pool in barrier phases, and the
-	// same pool fans out the Libra/LibraRisk admission scan (subsuming
-	// AdmitWorkers). Operations are still applied and answered strictly
-	// in queue order, so the audit stream, drain checkpoint and WAL
-	// replay stay byte-identical to the single-engine path. Time-shared
-	// policies only; EDF ignores it. See shard.go.
+	// same pool fans out the Libra/LibraRisk admission scan (its
+	// park/wake/spin counters are exported on /metrics). Operations are
+	// still applied and answered strictly in queue order, so the audit
+	// stream, drain checkpoint and WAL replay stay byte-identical to the
+	// single-engine path. Time-shared policies only; EDF ignores it. See
+	// shard.go.
 	Shards int
 	// Audit, when non-nil, receives every admission decision as JSONL,
 	// streamed incrementally (the in-memory log is drained per decision).
@@ -126,15 +124,9 @@ type Config struct {
 	// exclusive with CheckpointPath (the WAL subsumes the drain
 	// checkpoint). See durable.go.
 	WALDir string
-	// WALSegmentBytes and WALSyncBytes tune the log (zero means the
-	// wal package defaults: 4 MiB segments, 256 KiB sync bound).
+	// WALSegmentBytes is the log's segment size (zero means the wal
+	// package default, 4 MiB).
 	WALSegmentBytes int64
-	WALSyncBytes    int64
-	// WALGroupWait is the group-commit window: after dequeuing the
-	// first operation the worker waits up to this long for more to
-	// share the fsync. Zero commits immediately, still batching
-	// whatever is already queued.
-	WALGroupWait time.Duration
 	// WALFS overrides the log's filesystem in tests (fault injection).
 	WALFS wal.FS
 	// Shed tunes the load-shedding ladder.
@@ -285,12 +277,16 @@ type Server struct {
 	audit  *obs.AuditLog
 	auditW *bufio.Writer
 	reg    *obs.Registry
-	pool   *sim.ShardPool
-	// shardEngines is non-nil when Config.Shards attached a sharded
-	// serving cluster; shardBusy/shardErrs are the phase scratch.
+	// nodes is the crash/repair surface of whichever cluster is in use.
+	nodes fault.Cluster
+	// pool and shardEngines are non-nil when Config.Shards attached a
+	// sharded serving cluster; detachShards undoes the attachment (a
+	// no-op otherwise). onShardPhase is the bound-once phase observer
+	// handed to AdvanceShards, nil with tracing off.
+	pool         *sim.ShardPool
 	shardEngines []*sim.Engine
-	shardBusy    []bool
-	shardErrs    []error
+	detachShards func()
+	onShardPhase func(time.Duration)
 	// ops is the in-memory applied-op log backing the drain checkpoint.
 	// Durable mode drops it — the WAL is the log — so memory stays
 	// bounded no matter how long the daemon runs; opsApplied counts
@@ -416,19 +412,22 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown policy %q (want edf, libra or librarisk)", cfg.Policy)
 	}
-	if cfg.Shards > 1 && s.ts != nil {
-		if err := s.attachShards(); err != nil {
-			return nil, err
-		}
-	} else if cfg.AdmitWorkers > 1 {
-		if ap, ok := s.pol.(core.AdmitParallel); ok {
-			s.pool = sim.NewShardPool(cfg.AdmitWorkers)
-			ap.SetAdmitPool(s.pool)
-		}
+	s.nodes = fault.ClusterOf(s.ts, s.ss)
+	// Shards attach before any replay, so recovered operations advance
+	// time through the sharded path too — replay and live traffic share
+	// one code path.
+	var err error
+	s.pool, s.detachShards, err = core.AttachShards(s.ts, cfg.Shards, nil, s.pol, nil)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if s.spans != nil && s.shardEngines != nil {
-		s.phaseHist = s.reg.Histogram("serve_shard_phase_seconds",
-			"Wall time of one sharded-advance barrier phase.", stageBounds)
+	if s.pool != nil {
+		s.shardEngines = s.ts.ShardEngines()
+		if s.spans != nil {
+			s.phaseHist = s.reg.Histogram("serve_shard_phase_seconds",
+				"Wall time of one sharded-advance barrier phase.", stageBounds)
+			s.onShardPhase = s.observeShardPhase
+		}
 	}
 	if cfg.QuotaRate > 0 || cfg.QuotaBurst > 0 {
 		s.quotas = newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst, cfg.now)
@@ -443,13 +442,13 @@ func New(cfg Config) (*Server, error) {
 	s.storeClocks(0, math.NaN())
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if err := s.replayCheckpoint(); err != nil {
-			s.closePool()
+			s.detachShards()
 			return nil, err
 		}
 	}
 	if cfg.WALDir != "" {
 		if err := s.openWAL(); err != nil {
-			s.closePool()
+			s.detachShards()
 			return nil, err
 		}
 		// Armed before the worker goroutine exists so no caller can
@@ -459,13 +458,6 @@ func New(cfg Config) (*Server, error) {
 	s.wg.Add(1)
 	go s.worker()
 	return s, nil
-}
-
-func (s *Server) closePool() {
-	if s.pool != nil {
-		s.pool.Close()
-		s.pool = nil
-	}
 }
 
 // now returns the wall clock (test-overridable).
@@ -577,15 +569,6 @@ func (s *Server) process(p *pending) {
 		// ran inside it, so the two stages partition the lock hold.
 		p.sp.Dur[span.StageDecide] = end.Sub(start) - p.sp.Dur[span.StageAdvance]
 	}
-	s.cApplied.Inc()
-	if p.op.Kind == "" {
-		if out.accepted {
-			s.cAdmitted.Inc()
-		} else {
-			s.cRejected.Inc()
-		}
-		s.tenants.admit(p.op.Tenant, out.accepted)
-	}
 	s.shed.observe(lat)
 	p.resp <- applied{op: p.op, out: out, finished: end}
 }
@@ -606,13 +589,19 @@ func (s *Server) applyLocked(op *Op, sp *span.Span) opOutcome {
 			t0 = s.now()
 			s.phaseCount = 0
 		}
+		var err error
 		if s.shardEngines != nil {
-			s.advanceShardedLocked(op.T)
+			// Shards drain concurrently in barrier phases; see
+			// cluster.AdvanceShards. Serve mode schedules nothing on the
+			// global calendar today, but the protocol stays exact if
+			// that changes.
+			err = s.ts.AdvanceShards(context.Background(), s.eng, s.pool, op.T, s.onShardPhase)
 		} else {
 			s.eng.SetHorizon(op.T)
-			if err := s.eng.Run(); err != nil && s.applyErr == nil {
-				s.applyErr = fmt.Errorf("serve: advancing to t=%g: %w", op.T, err)
-			}
+			err = s.eng.Run()
+		}
+		if err != nil && s.applyErr == nil {
+			s.applyErr = fmt.Errorf("serve: advancing to t=%g: %w", op.T, err)
 		}
 		s.eng.AdvanceTo(op.T)
 		if sp != nil {
@@ -630,9 +619,29 @@ func (s *Server) applyLocked(op *Op, sp *span.Span) opOutcome {
 	if s.wal == nil {
 		s.ops = append(s.ops, *op)
 	}
+	// The decision counters are bumped here, beside opsApplied, so a
+	// replayed op counts exactly like a live one and the totals survive a
+	// restart.
 	s.opsApplied++
+	s.cApplied.Inc()
+	if op.Kind == "" {
+		if out.accepted {
+			s.cAdmitted.Inc()
+		} else {
+			s.cRejected.Inc()
+		}
+		s.tenants.admit(op.Tenant, out.accepted)
+	}
 	s.storeClocks(s.eng.Now(), s.peekNextLocked())
 	return out
+}
+
+// observeShardPhase counts one barrier phase of the current op's advance
+// and times it into the phase histogram. Tracing only; runs under the
+// already-held state lock and never touches the decision path.
+func (s *Server) observeShardPhase(d time.Duration) {
+	s.phaseCount++
+	s.phaseHist.Observe(d.Seconds())
 }
 
 // applyAdmitLocked submits one job to the policy and reads the decision
@@ -679,12 +688,7 @@ func (s *Server) applyNodeLocked(op *Op) opOutcome {
 			s.setObs(nil)
 		}
 	}
-	var killed int
-	if s.ts != nil {
-		killed = len(s.ts.SetNodeDown(s.eng, op.Node, op.Down))
-	} else {
-		killed = len(s.ss.SetNodeDown(s.eng, op.Node, op.Down))
-	}
+	killed := s.nodes.Down(s.eng, op.Node, op.Down)
 	s.streamAuditLocked()
 	return opOutcome{accepted: true, killed: killed}
 }
@@ -763,8 +767,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.closePool()
-		s.detachShardsLocked()
+		s.detachShards()
+		s.pool, s.shardEngines = nil, nil
 		if s.auditW != nil {
 			if err := s.auditW.Flush(); err != nil && s.applyErr == nil {
 				s.applyErr = fmt.Errorf("serve: audit flush: %w", err)

@@ -252,7 +252,7 @@ func TestMetricsExposition(t *testing.T) {
 func TestPoolCountersOnMetrics(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 128 // the parallel admit scan only engages at full scale
-	cfg.AdmitWorkers = 2
+	cfg.Shards = 2
 	_, hts := newTestServer(t, cfg)
 	admitAt(t, hts.URL, 0, AdmitRequest{NumProc: 1, Runtime: 10, Deadline: 50})
 	resp, err := http.Get(hts.URL + "/metrics")

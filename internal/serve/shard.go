@@ -1,11 +1,13 @@
 package serve
 
 // Sharded serving: with Config.Shards > 1 the server attaches
-// space-partitioned shard engines (cluster.AttachShards) to the serving
+// space-partitioned shard engines (core.AttachShards) to the serving
 // cluster, so advancing virtual time — firing every believed completion
 // at or before an operation's timestamp — fans out across a
-// sim.ShardPool instead of walking one calendar on the apply goroutine.
-// The same pool drives the Libra/LibraRisk admission node scan.
+// sim.ShardPool instead of walking one calendar on the apply goroutine:
+// applyLocked calls cluster.TimeShared.AdvanceShards, the same barrier
+// loop the batch simulator runs. The same pool drives the
+// Libra/LibraRisk admission node scan.
 //
 // Ordering is untouched: the apply worker still owns every mutation and
 // applies operations strictly in queue order; a shard phase only runs
@@ -17,156 +19,7 @@ package serve
 // byte-identical to the single-engine path, which the differential
 // tests in shard_test.go assert.
 
-import (
-	"fmt"
-	"math"
-	"time"
-
-	"clustersched/internal/core"
-	"clustersched/internal/sim"
-)
-
-// attachShards installs the shard engines and the phase pool on a
-// time-shared serving cluster. Called from New before any replay, so
-// recovered operations advance time through the sharded path too —
-// replay and live traffic share one code path.
-func (s *Server) attachShards() error {
-	k := s.cfg.Shards
-	if k > s.cfg.Nodes {
-		k = s.cfg.Nodes
-	}
-	if k < 2 {
-		return nil
-	}
-	engines := make([]*sim.Engine, k)
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-	}
-	if err := s.ts.AttachShards(engines); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	s.shardEngines = engines
-	s.shardBusy = make([]bool, k)
-	s.shardErrs = make([]error, k)
-	s.pool = sim.NewShardPool(k)
-	if ap, ok := s.pol.(core.AdmitParallel); ok {
-		ap.SetAdmitPool(s.pool)
-	}
-	return nil
-}
-
-// detachShardsLocked reverts to sequential mode at drain. The pool is
-// closed separately (closePool); any events still parked on the shard
-// engines belong to jobs outliving the drain and are dropped with them.
-func (s *Server) detachShardsLocked() {
-	if s.shardEngines == nil {
-		return
-	}
-	s.ts.DetachShards()
-	s.shardEngines = nil
-}
-
-// advanceShardedLocked is the sharded counterpart of applyLocked's
-// SetHorizon/Run block: advance the cluster to virtual time T, firing
-// every event at or before T. Shards drain concurrently in barrier
-// phases; parked completions are applied between phases in sequential
-// order. The global calendar is interleaved exactly as the batch
-// driver's barrier loop does (serve mode schedules nothing on it today,
-// but the protocol stays exact if that changes), with consecutive
-// equal-key global events batched behind one phase.
-func (s *Server) advanceShardedLocked(T float64) {
-	s.eng.SetHorizon(T)
-	for {
-		gt, gpr, ok := s.eng.PeekNext()
-		if !ok || gt > T {
-			break
-		}
-		s.shardPhaseLocked(gt, gpr, false)
-		for {
-			if _, err := s.eng.Step(); err != nil {
-				if s.applyErr == nil {
-					s.applyErr = fmt.Errorf("serve: advancing to t=%g: %w", T, err)
-				}
-				return
-			}
-			nt, npr, nok := s.eng.PeekNext()
-			if !nok || nt != gt || npr != gpr {
-				break
-			}
-		}
-	}
-	// No global event within the horizon: drain the shards through T
-	// inclusive. Completions applied at the barrier schedule no node
-	// work of their own, so one phase suffices; re-peeking guards the
-	// model ever proving otherwise.
-	for s.shardPhaseLocked(T, 0, true) {
-	}
-}
-
-// shardPhaseLocked runs one barrier phase, draining every shard with an
-// event inside the limit — strictly below the (t, pr) key, or at or
-// before t when inclusive — and applying the parked completions. It
-// reports whether any shard had work. Phases where no shard is busy
-// skip the pool barrier; a single busy shard runs inline on the apply
-// goroutine — both common at serving arrival rates, where wakeups would
-// otherwise dominate.
-func (s *Server) shardPhaseLocked(t float64, pr sim.Priority, inclusive bool) bool {
-	nbusy, last := 0, -1
-	for i, se := range s.shardEngines {
-		st, sp, ok := se.PeekNext()
-		if inclusive {
-			s.shardBusy[i] = ok && st <= t
-		} else {
-			s.shardBusy[i] = ok && (st < t || (st == t && sp < pr))
-		}
-		if s.shardBusy[i] {
-			nbusy++
-			last = i
-		}
-	}
-	if nbusy == 0 {
-		return false
-	}
-	// Span plumbing: count this barrier phase and, with tracing on,
-	// time it into the phase histogram. Neither affects the decision
-	// path — the counter is scratch and the histogram observes under
-	// the already-held state lock.
-	s.phaseCount++
-	var phase0 time.Time
-	if s.phaseHist != nil {
-		phase0 = s.now()
-	}
-	run := func(se *sim.Engine) error {
-		if inclusive {
-			se.SetHorizon(t)
-		} else {
-			se.SetHorizonKey(t, pr)
-		}
-		return se.Run()
-	}
-	s.ts.BeginShardPhase()
-	if nbusy == 1 {
-		s.shardErrs[last] = run(s.shardEngines[last])
-	} else {
-		s.pool.Run(func(w int) {
-			if !s.shardBusy[w] {
-				s.shardErrs[w] = nil
-				return
-			}
-			s.shardErrs[w] = run(s.shardEngines[w])
-		})
-	}
-	s.ts.EndShardPhase(s.eng)
-	if s.phaseHist != nil {
-		s.phaseHist.Observe(s.now().Sub(phase0).Seconds())
-	}
-	for _, err := range s.shardErrs {
-		if err != nil && s.applyErr == nil {
-			s.applyErr = fmt.Errorf("serve: shard phase at t=%g: %w", t, err)
-		}
-	}
-	return true
-}
+import "math"
 
 // peekNextLocked returns the earliest pending event time across the
 // global and shard calendars — the next believed completion, feeding
