@@ -498,6 +498,29 @@ func BenchmarkAdmissionSubmitReject(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmissionRiskScanReject512 is BenchmarkAdmissionSubmitReject at
+// the serve_scan benchmark's shape: 512 nodes carrying 7 slices each,
+// every node unsuitable, so each Submit evaluates all 512 nodes — the case
+// the σ bound's early exit exists for.
+func BenchmarkAdmissionRiskScanReject512(b *testing.B) {
+	e, c := admissionCluster(b, 512, 7, true)
+	rec := metrics.NewRecorder()
+	p := core.NewLibraRisk(c, rec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := workload.Job{
+			ID: 1_000_000 + i, Runtime: 2000, TraceEstimate: 2000,
+			NumProc: 2, Submit: 0, Deadline: 9000,
+		}
+		p.Submit(e, j, 2000)
+	}
+	b.StopTimer()
+	if s := rec.Summarize(); s.Rejected != s.Submitted {
+		b.Fatalf("expected all rejected, got %+v", s)
+	}
+}
+
 // BenchmarkAdmissionObsDisabledSubmit is BenchmarkAdmissionSubmitReject
 // with the observability hooks explicitly detached (their default state):
 // it pins the zero-overhead contract of the obs layer on the hottest

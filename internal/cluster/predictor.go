@@ -60,8 +60,27 @@ func (n *PSNode) PredictDelays(now float64, cand *Candidate) []PredictedDelay {
 // call on it; callers that need to retain predictions must copy them.
 // Values and order are identical to PredictDelays.
 func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedDelay {
+	out, _ := n.PredictDelaysWithin(now, cand, math.Inf(1))
+	return out
+}
+
+// PredictDelaysWithin is PredictDelaysScratch that stops as soon as its
+// verdicts prove the population standard deviation σ of their eq. (4)
+// values, DeadlineDelay(Delay, AbsDeadline-now), exceeds limit.
+//
+// Each verdict's value is folded into a running minimum lo and maximum hi
+// as it is produced. For n values, any two a and b give
+// n·σ² ≥ (a−µ)² + (b−µ)² ≥ (a−b)²/2, so σ ≥ (hi−lo)/√(2n), and n (the
+// slices plus the candidate) is known before the first step. The loop
+// stops once hi−lo > 2·limit·√(2n) + 1e-12·hi: the factor 2 and the
+// relative term leave room for the rounding of a σ computed in floating
+// point from values as large as hi (eq. 4 reaches 1e6 and beyond as the
+// remaining deadline nears zero). It then returns ok = false and a partial
+// verdict slice. Otherwise ok is true and the verdicts are exactly those of
+// PredictDelaysScratch; limit = +Inf always runs to completion.
+func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64) (out []PredictedDelay, ok bool) {
 	if n.cfg.NaivePredictor {
-		return n.predictDelaysNaive(now, cand)
+		return n.predictDelaysNaive(now, cand), true
 	}
 	want := len(n.slices) + 1
 	if cap(n.predItems) < want {
@@ -74,46 +93,74 @@ func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedD
 	for _, sl := range n.slices {
 		items = append(items, fluidItem{
 			jobID:       sl.job.Job.ID,
-			believed:    math.Max(0, n.projectedBelieved(sl, now)),
+			believed:    clampNonNegative(n.projectedBelieved(sl, now)),
 			absDeadline: sl.job.Job.AbsDeadline(),
 		})
 	}
 	if cand != nil {
 		items = append(items, fluidItem{
 			jobID:       cand.JobID,
-			believed:    math.Max(0, n.WorkToNodeSeconds(cand.RefWork)),
+			believed:    clampNonNegative(n.WorkToNodeSeconds(cand.RefWork)),
 			absDeadline: cand.AbsDeadline,
 		})
 	}
-	out := n.predOut[:0]
-	weights := n.scratchWeights(len(items))
+	bounded := !math.IsInf(limit, 1)
+	var spread float64
+	if bounded {
+		spread = 2 * limit * math.Sqrt(2*float64(len(items)))
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	out = n.predOut[:0]
+	// rates holds each item's weight, then (once the total is known) its
+	// rate for the current step.
+	rates := n.scratchWeights(len(items))
 	t := now
 	for len(items) > 0 {
 		// Retire items the allocator believes are already done.
 		kept := items[:0]
 		for _, it := range items {
 			if it.believed <= epsWork {
-				out = insertVerdict(out, verdict(it, t))
+				pd := verdict(it, t)
+				out = insertVerdict(out, pd)
+				if bounded {
+					v := DeadlineDelay(pd.Delay, pd.AbsDeadline-now)
+					if v < lo {
+						lo = v
+					}
+					if v > hi {
+						hi = v
+					}
+				}
 			} else {
 				kept = append(kept, it)
 			}
 		}
 		items = kept
+		if bounded && hi-lo > spread+1e-12*hi {
+			n.predOut = out
+			return out, false
+		}
 		if len(items) == 0 {
 			break
 		}
 		// Derive rates with the live engine's conventions.
 		var total float64
-		weights = weights[:len(items)]
+		rates = rates[:len(items)]
 		for i, it := range items {
 			w := n.weightAt(it.believed, it.absDeadline-t)
-			weights[i] = w
+			rates[i] = w
 			total += w
 		}
-		// Find the earliest completion at these rates.
-		minDT := math.Inf(1)
+		// Find the earliest completion at these rates, and the earliest
+		// weight-regime change (deadline crossing) so the mirrored
+		// conventions stay exact.
+		minDT, minRD := math.Inf(1), math.Inf(1)
 		for i, it := range items {
-			rate := fluidRate(weights[i], total, n.speed, n.cfg)
+			rate := fluidRate(rates[i], total, n.speed, n.cfg)
+			rates[i] = rate
+			if rd := it.absDeadline - t; rd > epsTime && rd < minRD {
+				minRD = rd
+			}
 			if rate <= 0 {
 				continue
 			}
@@ -133,24 +180,19 @@ func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedD
 			}
 			break
 		}
-		// Also stop at the earliest weight-regime change (deadline
-		// crossing) so the mirrored conventions stay exact.
-		for _, it := range items {
-			if rd := it.absDeadline - t; rd > epsTime && rd < minDT {
-				minDT = rd
-			}
+		if minRD < minDT {
+			minDT = minRD
 		}
 		if minDT < epsTime {
 			minDT = epsTime
 		}
 		t += minDT
 		for i := range items {
-			rate := fluidRate(weights[i], total, n.speed, n.cfg)
-			items[i].believed -= rate * minDT
+			items[i].believed -= rates[i] * minDT
 		}
 	}
 	n.predOut = out
-	return out
+	return out, true
 }
 
 // insertVerdict places pd into out keeping it sorted by JobID, shifting
@@ -276,6 +318,41 @@ func verdict(it fluidItem, t float64) PredictedDelay {
 		JobID:       it.jobID,
 		AbsDeadline: it.absDeadline,
 		Finish:      t,
-		Delay:       math.Max(0, t-it.absDeadline),
+		Delay:       clampNonNegative(t - it.absDeadline),
 	}
+}
+
+// clampNonNegative is math.Max(0, x) — NaN stays NaN, −0 becomes +0 —
+// as a plain comparison: math.Max is an out-of-line call on amd64 and the
+// predictor clamps on every verdict.
+func clampNonNegative(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return x
+}
+
+// epsRemaining guards the deadline-delay metric against a non-positive
+// remaining deadline: a job already past its deadline gets an enormous
+// (but finite) impact value, which is what eq. (4) intends as the
+// remaining deadline approaches zero.
+const epsRemaining = 1e-6
+
+// DeadlineDelay computes the paper's eq. (4): the impact of a delay on a
+// job's remaining deadline,
+//
+//	deadline_delay = (delay + remaining_deadline) / remaining_deadline.
+//
+// Its minimum and best value is 1 (no delay); it grows with longer delays
+// and shorter remaining deadlines, discouraging violations of urgent jobs.
+// A non-positive remaining deadline is clamped to a small epsilon.
+func DeadlineDelay(delay, remainingDeadline float64) float64 {
+	if delay < 0 {
+		delay = 0
+	}
+	rd := remainingDeadline
+	if rd < epsRemaining {
+		rd = epsRemaining
+	}
+	return (delay + rd) / rd
 }

@@ -183,7 +183,14 @@ func (n *PSNode) weightAt(believed, remDeadline float64) float64 {
 		// diverges; demand a full processor.
 		return n.cfg.MaxWeight
 	default:
-		return math.Min(believed/remDeadline, n.cfg.MaxWeight)
+		// math.Min(w, MaxWeight) as a plain comparison, exact for the
+		// positive w here: this runs per slice per predictor step, where
+		// the out-of-line math.Min call showed in profiles.
+		w := believed / remDeadline
+		if w > n.cfg.MaxWeight {
+			return n.cfg.MaxWeight
+		}
+		return w
 	}
 }
 

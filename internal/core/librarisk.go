@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"clustersched/internal/cluster"
 	"clustersched/internal/metrics"
@@ -33,8 +34,9 @@ type LibraRisk struct {
 	// the two quantifies the value of that forgiveness (ablation).
 	MeanRule bool
 	// DisableFastPath turns off the admission fast paths (the empty-node
-	// shortcut and the FirstFit early exit) so the differential tests can
-	// prove they are behaviour-preserving.
+	// shortcut, the σ bound, the FirstFit early exit and the parallel
+	// scan) so the differential tests can prove they are
+	// behaviour-preserving.
 	DisableFastPath bool
 
 	// obsHooks carries the optional per-run tracer/metrics/audit
@@ -69,7 +71,7 @@ func (p *LibraRisk) SetAdmitPool(pool *sim.ShardPool) {
 
 // evalPar is the parallel scan's per-node evaluator: the exact sequential
 // walk body for one up node, against the parameters stashed by admit. It
-// touches only the node's own scratch (see PredictDelaysScratch), so
+// touches only the node's own scratch (see PredictDelaysWithin), so
 // distinct nodes evaluate race-free in parallel.
 func (p *LibraRisk) evalPar(i int) (nodeFit, bool) {
 	n := p.Cluster.Node(i)
@@ -123,38 +125,61 @@ func (p *LibraRisk) Reset() {}
 // reusable scratch buffer straight into the accumulator, in the same
 // ascending-JobID order the allocating path uses.
 func (p *LibraRisk) NodeRisk(now float64, n *cluster.PSNode, cand *cluster.Candidate) (mu, sigma float64) {
-	var w sim.Welford
-	for _, pr := range n.PredictDelaysScratch(now, cand) {
-		w.Add(DeadlineDelay(pr.Delay, pr.AbsDeadline-now))
-	}
-	return w.Mean(), w.StdDevPop()
+	mu, sigma, _ = nodeRiskWithin(now, n, cand, math.Inf(1))
+	return mu, sigma
 }
 
-// nodeSuitable applies Algorithm 1's suitability test to one node.
-func (p *LibraRisk) nodeSuitable(now float64, n *cluster.PSNode, cand *cluster.Candidate) bool {
-	_, _, ok, _ := p.evalNode(now, n, cand, false)
-	return ok
+// nodeRiskWithin is NodeRisk on PredictDelaysWithin: ok is false when the
+// predictor stopped early because its verdicts already proved σ > limit,
+// and µ/σ are then not computed. A node that completes streams the same
+// verdicts through the same accumulator, so its µ and σ are NodeRisk's to
+// the bit.
+func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, limit float64) (mu, sigma float64, ok bool) {
+	preds, ok := n.PredictDelaysWithin(now, cand, limit)
+	if !ok {
+		return 0, 0, false
+	}
+	var w sim.Welford
+	for _, pr := range preds {
+		w.Add(cluster.DeadlineDelay(pr.Delay, pr.AbsDeadline-now))
+	}
+	return w.Mean(), w.StdDevPop(), true
 }
 
 // evalNode applies Algorithm 1's suitability test to one node, returning
-// the µ/σ it computed and whether it ran the fluid simulation at all.
+// whether it is suitable and, when computed is true, the node's µ/σ.
 //
-// Fast path: an empty node is always suitable under the σ rule, without
-// running the fluid simulation — the prediction set is the candidate
-// alone, a single observation, whose population standard deviation is
-// exactly 0 ≤ any non-negative threshold. The µ rule depends on the
-// candidate's own predicted delay, so it always runs the simulation.
-// forceRisk (audit mode) always computes the real µ/σ; the decision is
-// identical because that single-observation σ is exactly 0.
+// Two fast paths skip work without changing the decision; both apply only
+// under the σ rule with fast paths enabled, and neither when forceRisk
+// (audit mode) wants the real µ/σ. The σ bound is also off while
+// per-decision sim metrics observe every computed σ:
+//
+//   - An empty node is always suitable without running the fluid
+//     simulation: the prediction set is the candidate alone, a single
+//     observation, whose population standard deviation is exactly 0 ≤ any
+//     non-negative threshold. (The µ rule depends on the candidate's own
+//     predicted delay, so it always runs the simulation.)
+//   - The σ bound: the simulation stops as soon as its verdicts prove
+//     σ > SigmaThreshold + sigmaTolerance (see
+//     cluster.PSNode.PredictDelaysWithin), and the node is unsuitable.
 func (p *LibraRisk) evalNode(now float64, n *cluster.PSNode, cand *cluster.Candidate, forceRisk bool) (mu, sigma float64, suitable, computed bool) {
-	if !forceRisk && !p.DisableFastPath && !p.MeanRule && n.NumSlices() == 0 {
+	limit := p.SigmaThreshold + sigmaTolerance
+	fast := !forceRisk && !p.DisableFastPath && !p.MeanRule
+	if fast && n.NumSlices() == 0 {
 		return 0, 0, true, false
 	}
-	mu, sigma = p.NodeRisk(now, n, cand)
+	stop := math.Inf(1)
+	if fast && p.Sim == nil {
+		stop = limit
+	}
+	mu, sigma, ok := nodeRiskWithin(now, n, cand, stop)
+	if !ok {
+		return 0, 0, false, false
+	}
 	if p.MeanRule {
 		return mu, sigma, mu <= 1+sigmaTolerance, true
 	}
-	return mu, sigma, sigma <= p.SigmaThreshold+sigmaTolerance, true
+	return mu, sigma, sigma <= limit, true
 }
 
 // reject records a rejection in both the metrics recorder and the
@@ -167,10 +192,13 @@ func (p *LibraRisk) reject(now float64, job workload.Job, reason string) {
 
 // Submit implements Policy: Algorithm 1.
 //
-// The node walk carries two fast paths, both behaviour-preserving (the
+// The node walk carries these fast paths, all behaviour-preserving (the
 // differential test in internal/experiment runs paper-scale simulations
-// with and without them and asserts identical summaries):
+// with and without them and asserts identical per-job decisions):
 //
+//   - Empty nodes are suitable without a fluid simulation (see evalNode).
+//   - The σ bound: a node's simulation stops once its verdicts prove σ
+//     above the threshold, and the node is unsuitable (see evalNode).
 //   - FirstFit early exit: Algorithm 1 walks nodes in index order and
 //     FirstFit takes the first NumProc zero-risk nodes, so once that many
 //     are found the remaining nodes cannot change the outcome and the
@@ -178,6 +206,8 @@ func (p *LibraRisk) reject(now float64, job workload.Job, reason string) {
 //     rejection reason identical.
 //   - Post-acceptance shares are only computed when the selection rule
 //     (BestFit/WorstFit) actually orders by them.
+//   - With a shard pool attached, the node walk fans out across it (see
+//     admitpar.go).
 func (p *LibraRisk) Submit(e *sim.Engine, job workload.Job, estimate float64) {
 	p.Recorder.Submitted(job)
 	p.arriveObs(e.Now(), job)

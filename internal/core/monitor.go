@@ -183,7 +183,7 @@ func (m *Monitor) sample(now float64) MonitorSample {
 		}
 		dds := m.dds[:len(preds)]
 		for j, pr := range preds {
-			dds[j] = DeadlineDelay(pr.Delay, pr.AbsDeadline-now)
+			dds[j] = cluster.DeadlineDelay(pr.Delay, pr.AbsDeadline-now)
 			if pr.Delay > 0 {
 				s.DelayedJobs++
 			}
@@ -250,7 +250,7 @@ func (m *Monitor) samplePooled(now float64) MonitorSample {
 			}
 			dd := dds[:len(preds)]
 			for j, pr := range preds {
-				dd[j] = DeadlineDelay(pr.Delay, pr.AbsDeadline-now)
+				dd[j] = cluster.DeadlineDelay(pr.Delay, pr.AbsDeadline-now)
 				if pr.Delay > 0 {
 					st.delayed++
 				}

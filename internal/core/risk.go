@@ -10,32 +10,10 @@ import (
 	"math"
 )
 
-// epsRemaining guards the deadline-delay metric against a non-positive
-// remaining deadline: a job already past its deadline gets an enormous
-// (but finite) impact value, which is what eq. (4) intends as the
-// remaining deadline approaches zero.
-const epsRemaining = 1e-6
-
 // sigmaTolerance is the numeric tolerance for "zero risk": population
 // standard deviations below it count as zero. Fluid predictions are exact
 // rationals in theory but float arithmetic leaves dust.
 const sigmaTolerance = 1e-9
-
-// DeadlineDelay computes the paper's eq. (4): the impact of a delay on a
-// job's remaining deadline,
-//
-//	deadline_delay = (delay + remaining_deadline) / remaining_deadline.
-//
-// Its minimum and best value is 1 (no delay); it grows with longer delays
-// and shorter remaining deadlines, discouraging violations of urgent jobs.
-// A non-positive remaining deadline is clamped to a small epsilon.
-func DeadlineDelay(delay, remainingDeadline float64) float64 {
-	if delay < 0 {
-		delay = 0
-	}
-	rd := math.Max(remainingDeadline, epsRemaining)
-	return (delay + rd) / rd
-}
 
 // RiskOfDelay computes eqs. (5)-(6): the mean deadline delay µ of the
 // given values and the risk σ, their population standard deviation. A

@@ -4,41 +4,43 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"clustersched/internal/cluster"
 )
 
 func TestDeadlineDelayPaperExample(t *testing.T) {
 	// §3.2 worked example: delay 20 s with remaining deadline 5 s gives
 	// impact 5; the same delay with remaining deadline 10 s gives 3.
-	if got := DeadlineDelay(20, 5); got != 5 {
-		t.Fatalf("DeadlineDelay(20, 5) = %v, want 5", got)
+	if got := cluster.DeadlineDelay(20, 5); got != 5 {
+		t.Fatalf("cluster.DeadlineDelay(20, 5) = %v, want 5", got)
 	}
-	if got := DeadlineDelay(20, 10); got != 3 {
-		t.Fatalf("DeadlineDelay(20, 10) = %v, want 3", got)
+	if got := cluster.DeadlineDelay(20, 10); got != 3 {
+		t.Fatalf("cluster.DeadlineDelay(20, 10) = %v, want 3", got)
 	}
 }
 
 func TestDeadlineDelayZeroDelayIsOne(t *testing.T) {
-	if got := DeadlineDelay(0, 100); got != 1 {
-		t.Fatalf("DeadlineDelay(0, 100) = %v, want 1 (minimum and best)", got)
+	if got := cluster.DeadlineDelay(0, 100); got != 1 {
+		t.Fatalf("cluster.DeadlineDelay(0, 100) = %v, want 1 (minimum and best)", got)
 	}
 }
 
 func TestDeadlineDelayNegativeDelayClamped(t *testing.T) {
-	if got := DeadlineDelay(-5, 100); got != 1 {
-		t.Fatalf("DeadlineDelay(-5, 100) = %v, want 1", got)
+	if got := cluster.DeadlineDelay(-5, 100); got != 1 {
+		t.Fatalf("cluster.DeadlineDelay(-5, 100) = %v, want 1", got)
 	}
 }
 
 func TestDeadlineDelayExpiredDeadlineIsHuge(t *testing.T) {
-	got := DeadlineDelay(10, 0)
+	got := cluster.DeadlineDelay(10, 0)
 	if got < 1e6 {
-		t.Fatalf("DeadlineDelay(10, 0) = %v, want enormous", got)
+		t.Fatalf("cluster.DeadlineDelay(10, 0) = %v, want enormous", got)
 	}
 	if math.IsInf(got, 1) || math.IsNaN(got) {
 		t.Fatalf("DeadlineDelay must stay finite, got %v", got)
 	}
-	if neg := DeadlineDelay(10, -50); neg < 1e6 {
-		t.Fatalf("DeadlineDelay(10, -50) = %v, want enormous", neg)
+	if neg := cluster.DeadlineDelay(10, -50); neg < 1e6 {
+		t.Fatalf("cluster.DeadlineDelay(10, -50) = %v, want enormous", neg)
 	}
 }
 
@@ -48,10 +50,10 @@ func TestDeadlineDelayMonotoneProperties(t *testing.T) {
 		delayA := float64(d1)
 		delayB := delayA + float64(d2) + 1
 		r := float64(rd) + 1
-		if DeadlineDelay(delayB, r) <= DeadlineDelay(delayA, r) && delayB > delayA {
+		if cluster.DeadlineDelay(delayB, r) <= cluster.DeadlineDelay(delayA, r) && delayB > delayA {
 			return false
 		}
-		return DeadlineDelay(delayB, r/2) >= DeadlineDelay(delayB, r)
+		return cluster.DeadlineDelay(delayB, r/2) >= cluster.DeadlineDelay(delayB, r)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
