@@ -68,6 +68,7 @@ cover:
 
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/swf/
+	$(GO) test -run xxx -fuzz 'FuzzParseAuto$$' -fuzztime 10s ./internal/swf/
 	$(GO) test -run xxx -fuzz 'FuzzValidateAdmit$$' -fuzztime 10s ./internal/serve/
 
 experiments:

@@ -840,7 +840,7 @@ func LoadSWF(r io.Reader, o Options, lastN int) ([]Job, error) {
 	if lastN > 0 {
 		tr = tr.LastN(lastN)
 	}
-	jobs, err := workload.FromSWF(tr, o.Nodes)
+	jobs, err := workload.FromSWF(tr, o.NodeCount())
 	if err != nil {
 		return nil, err
 	}
@@ -1209,7 +1209,9 @@ type Replication struct {
 
 // Replicate runs the configured simulation across n workload seeds
 // (derived deterministically from o.Seed) and returns the metric
-// distribution — the statistically sound way to compare policies.
+// distribution — the statistically sound way to compare policies. The
+// experiment harness has no deadline-ordered backfill, so PolicyBackfillEDF
+// is refused with an error.
 func Replicate(o Options, n int) (Replication, error) {
 	if err := o.Validate(); err != nil {
 		return Replication{}, err
@@ -1233,6 +1235,8 @@ func Replicate(o Options, n int) (Replication, error) {
 		kind = experiment.BackfillCons
 	case PolicyQoPS:
 		kind = experiment.QoPS
+	default:
+		return Replication{}, fmt.Errorf("clustersched: Replicate does not support policy %q", o.Policy)
 	}
 	base := buildBase(o)
 	base.QoPSSlack = o.QoPSSlackFactor

@@ -370,6 +370,13 @@ func TestReplicateThroughFacade(t *testing.T) {
 	if _, err := Replicate(bad, 2); err == nil {
 		t.Fatal("bad options accepted")
 	}
+	// The experiment harness has no deadline-ordered backfill kind, so
+	// backfill-edf must be refused rather than silently run as EDF.
+	bf := o
+	bf.Policy = PolicyBackfillEDF
+	if _, err := Replicate(bf, 2); err == nil || !strings.Contains(err.Error(), string(PolicyBackfillEDF)) {
+		t.Fatalf("Replicate(backfill-edf) err = %v, want an error naming the policy", err)
+	}
 }
 
 func TestBuildExtensionFigures(t *testing.T) {
@@ -551,6 +558,38 @@ func TestLoadSWFLastN(t *testing.T) {
 	}
 	if loaded[0].Submit != 0 {
 		t.Fatalf("LastN must rebase: first submit %v", loaded[0].Submit)
+	}
+}
+
+func TestLoadSWFCapsToHeterogeneousCluster(t *testing.T) {
+	o := fastOptions()
+	jobs, err := GenerateWorkload(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	het := o
+	het.NodeRatings = []float64{168, 336, 168, 336, 168, 336, 168, 336}
+	wide := 0
+	for _, j := range jobs {
+		if j.NumProc > het.NodeCount() {
+			wide++
+		}
+	}
+	if wide == 0 {
+		t.Fatalf("no source job wider than %d nodes; the test needs one", het.NodeCount())
+	}
+	var buf bytes.Buffer
+	if err := SaveSWF(&buf, jobs, o.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSWF(&buf, het, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range loaded {
+		if j.NumProc > het.NodeCount() {
+			t.Fatalf("job %d requests %d processors on a %d-node cluster", j.ID, j.NumProc, het.NodeCount())
+		}
 	}
 }
 

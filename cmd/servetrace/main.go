@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strings"
 
+	"clustersched/internal/obs"
 	"clustersched/internal/obs/span"
 )
 
@@ -342,23 +343,6 @@ func fmtDur(s float64) string {
 	return "0"
 }
 
-// chromeEvent is the subset of the Chrome trace_event format the repo's
-// validators (obs.ValidateChromeTrace, tracedump -chrome) accept.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	Ts    float64        `json:"ts"` // microseconds
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 // writeChrome lays each span's stages end-to-end from its start
 // timestamp, one track (tid) per stage, so concurrent requests overlap
 // vertically: the WAL pipeline shows as append events riding under the
@@ -366,11 +350,11 @@ type chromeTrace struct {
 func writeChrome(path string, spans []span.JSON) error {
 	names := span.Names()
 	track := make(map[string]int, len(names))
-	out := []chromeEvent{{Name: "process_name", Phase: "M", Pid: 1,
+	out := []obs.ChromeEvent{{Name: "process_name", Phase: "M", Pid: 1,
 		Args: map[string]any{"name": "admissiond serving path"}}}
 	for i, st := range names {
 		track[st] = i + 1
-		out = append(out, chromeEvent{Name: "thread_name", Phase: "M", Pid: 1, Tid: i + 1,
+		out = append(out, obs.ChromeEvent{Name: "thread_name", Phase: "M", Pid: 1, Tid: i + 1,
 			Args: map[string]any{"name": st}})
 	}
 	base := spans[0].StartNano
@@ -388,7 +372,7 @@ func writeChrome(path string, spans []span.JSON) error {
 			if sp.WALIndex > 0 {
 				args["wal_index"] = sp.WALIndex
 			}
-			out = append(out, chromeEvent{
+			out = append(out, obs.ChromeEvent{
 				Name:  st,
 				Phase: "X",
 				Ts:    ts,
@@ -404,14 +388,7 @@ func writeChrome(path string, spans []span.JSON) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := obs.WriteChromeEvents(f, out); err != nil {
 		f.Close()
 		return err
 	}

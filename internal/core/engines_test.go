@@ -29,31 +29,6 @@ func midWorkload(t *testing.T) []workload.Job {
 	return jobs
 }
 
-// TestHeapAndCalendarEnginesProduceIdenticalResults runs a full
-// LibraRisk simulation on both future-event-set implementations and
-// demands byte-identical outcomes — the end-to-end version of the
-// calendar queue's ordering property.
-func TestHeapAndCalendarEnginesProduceIdenticalResults(t *testing.T) {
-	jobs := midWorkload(t)
-	runWith := func(e *sim.Engine) metrics.Summary {
-		c, err := cluster.NewTimeShared(16, 168, cluster.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := metrics.NewRecorder()
-		p := NewLibraRisk(c, rec)
-		if err := RunSimulation(e, p, rec, jobs, 100); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Summarize()
-	}
-	heap := runWith(sim.NewEngine())
-	cal := runWith(sim.NewEngineCalendar())
-	if heap != cal {
-		t.Fatalf("engines disagree:\nheap: %+v\ncal:  %+v", heap, cal)
-	}
-}
-
 // TestConcurrentSimulationsAreIsolated runs many identical simulations in
 // parallel goroutines; any shared mutable state between Engine instances
 // would make results diverge or trip the race detector.

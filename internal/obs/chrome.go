@@ -34,9 +34,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	}
 }
 
-// chromeEvent is one record of the Chrome trace_event format (the subset
+// ChromeEvent is one record of the Chrome trace_event format (the subset
 // chrome://tracing and Perfetto consume).
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	Ts    float64        `json:"ts"`            // microseconds
@@ -48,7 +48,7 @@ type chromeEvent struct {
 }
 
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
@@ -64,7 +64,7 @@ const simSecondsToMicros = 1e6
 // kiloseconds of simulated time.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	pids := make(map[string]int)
-	var out []chromeEvent
+	var out []ChromeEvent
 	pidOf := func(run string) int {
 		if p, ok := pids[run]; ok {
 			return p
@@ -75,7 +75,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		if name == "" {
 			name = "run"
 		}
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name:  "process_name",
 			Phase: "M",
 			Pid:   p,
@@ -103,7 +103,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 				if ev.Value != 0 {
 					args["value"] = ev.Value
 				}
-				out = append(out, chromeEvent{
+				out = append(out, ChromeEvent{
 					Name:  fmt.Sprintf("job %d", ev.Job),
 					Phase: "X",
 					Ts:    st.Time * simSecondsToMicros,
@@ -130,7 +130,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			if tid < 0 {
 				tid = 0
 			}
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name:  ev.Kind.String(),
 				Phase: "i",
 				Ts:    ev.Time * simSecondsToMicros,
@@ -145,7 +145,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	// A start without a matching end (job still running at horizon) still
 	// deserves a mark; render it as an instant so nothing is silently lost.
 	for _, st := range starts {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name:  fmt.Sprintf("job %d (unfinished)", st.Job),
 			Phase: "i",
 			Ts:    st.Time * simSecondsToMicros,
@@ -156,10 +156,17 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		})
 	}
 
+	return WriteChromeEvents(w, out)
+}
+
+// WriteChromeEvents writes events as one indented Chrome trace_event
+// document with a millisecond display unit. It is the encoder behind
+// WriteChromeTrace and every other Chrome export in the repo.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}); err != nil {
+	if err := enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"}); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -8,9 +9,9 @@ import (
 )
 
 // Engine is a discrete-event simulation engine. The zero value is not ready
-// to use; construct with NewEngine (binary-heap event set) or
-// NewEngineCalendar (calendar-queue event set; same semantics, different
-// complexity profile — see BenchmarkEventQueue*).
+// to use; construct with NewEngine. Pending events live in one binary heap
+// ordered by (time, priority, seq); the cluster models keep about one
+// pending event per node, so its O(log n) operations stay cheap.
 //
 // The engine is single-goroutine by design: determinism matters more than
 // intra-simulation parallelism for scheduling studies, and whole parameter
@@ -23,7 +24,7 @@ import (
 // single-goroutine — no other goroutine can observe a recycled event.
 type Engine struct {
 	now     float64
-	queue   eventSet
+	queue   eventQueue
 	seq     uint64
 	stopped bool
 	// horizon, if finite, aborts Run once simulated time would pass it.
@@ -45,9 +46,6 @@ type Engine struct {
 	checker *InvariantChecker
 	// free heads the intrusive Event freelist (chained via Event.next).
 	free *Event
-	// recycleH is the bound-once method value for recycle, so Reset can
-	// drain the queue without allocating a closure per call.
-	recycleH func(*Event)
 }
 
 // ErrEventBudget is returned by Run when MaxEvents is exhausted, which in a
@@ -66,32 +64,23 @@ const ctxCheckMask = 63
 // had. Priority is an int, so MaxInt compares above every real priority.
 const horizonInclusive Priority = math.MaxInt
 
-// NewEngine returns an engine with the clock at zero, an empty calendar,
-// and the binary-heap event set.
+// NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{horizon: math.Inf(1), horizonP: horizonInclusive, queue: &eventQueue{}}
-}
-
-// NewEngineCalendar returns an engine backed by a calendar queue, which
-// trades the heap's O(log n) operations for amortized O(1) under the
-// near-uniform event-time mixes cluster simulations produce.
-func NewEngineCalendar() *Engine {
-	return &Engine{horizon: math.Inf(1), horizonP: horizonInclusive, queue: newCalendarQueue()}
+	return &Engine{horizon: math.Inf(1), horizonP: horizonInclusive}
 }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of live events in the calendar. Cancelled
-// events do not count: the binary-heap event set removes them eagerly, and
-// the calendar queue accounts its lazily deleted entries.
-func (e *Engine) Pending() int { return e.queue.len() }
+// Pending returns the number of queued events. Cancel removes an event
+// eagerly, so cancelled events never count.
+func (e *Engine) Pending() int { return len(e.queue.events) }
 
 // Processed returns the number of event handlers run so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // SetHorizon limits Run to events at or before t seconds. Events scheduled
-// later stay in the calendar; Run returns when the next event would exceed
+// later stay queued; Run returns when the next event would exceed
 // the horizon.
 func (e *Engine) SetHorizon(t float64) {
 	e.horizon = t
@@ -108,24 +97,16 @@ func (e *Engine) SetHorizonKey(t float64, p Priority) {
 	e.horizonP = p
 }
 
-// PeekNext reports the (time, priority) key of the earliest live event
-// without processing it, skipping (and reclaiming) lazily deleted entries.
-// ok is false when the calendar is empty. The horizon is not consulted:
-// PeekNext answers "what would run next", limits apply only when running.
+// PeekNext reports the (time, priority) key of the earliest pending event
+// in O(1) without processing it. ok is false when no event is pending. The
+// horizon is not consulted: PeekNext answers "what would run next", limits
+// apply only when running.
 func (e *Engine) PeekNext() (t float64, p Priority, ok bool) {
-	for {
-		ev := e.queue.pop()
-		if ev == nil {
-			return 0, 0, false
-		}
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		// Re-queue untouched: seq is unchanged, so ordering is preserved.
-		e.queue.push(ev)
-		return ev.Time, ev.Priority, true
+	if len(e.queue.events) == 0 {
+		return 0, 0, false
 	}
+	ev := e.queue.events[0]
+	return ev.Time, ev.Priority, true
 }
 
 // AdvanceTo moves the clock forward to t without processing anything.
@@ -160,9 +141,10 @@ func (e *Engine) At(t float64, p Priority, fn Handler) *Event {
 		ev.Time, ev.Priority, ev.seq, ev.fn = t, p, e.seq, fn
 		ev.canceled, ev.recycled, ev.next = false, false, nil
 	} else {
-		ev = &Event{Time: t, Priority: p, seq: e.seq, fn: fn, eng: e}
+		// index -1: the zero value would read as "queued at the head".
+		ev = &Event{Time: t, Priority: p, seq: e.seq, fn: fn, eng: e, index: -1}
 	}
-	e.queue.push(ev)
+	heap.Push(&e.queue, ev)
 	return ev
 }
 
@@ -175,19 +157,21 @@ func (e *Engine) After(d float64, p Priority, fn Handler) *Event {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its freshly constructed state in place: the
-// calendar is emptied (every pending event moves to the freelist), the
+// event set is emptied (every pending event moves to the freelist), the
 // clock, sequence counter, processed count, horizon, event budget and
 // invariant checker all revert to their constructor values. The freelist
 // and the event set's internal capacity are retained, so a run on a reset
-// engine schedules from recycled storage instead of the heap.
+// engine schedules from recycled storage instead of allocating.
 //
 // Reset invalidates every *Event previously returned by At/After;
 // cancelling one of them afterwards panics via the recycled-event guard.
 func (e *Engine) Reset() {
-	if e.recycleH == nil {
-		e.recycleH = e.recycle
+	for i, ev := range e.queue.events {
+		e.queue.events[i] = nil
+		ev.index = -1
+		e.recycle(ev)
 	}
-	e.queue.drain(e.recycleH)
+	e.queue.events = e.queue.events[:0]
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -215,12 +199,13 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = ev
 }
 
-// cancelEvent is Cancel's engine-side half: detach the event from the
-// event set if the set supports eager removal, and recycle it.
+// cancelEvent is Cancel's engine-side half: detach the queued event from
+// the heap in O(log n) and recycle it, so long simulations with heavy
+// Cancel traffic (every PSNode reschedule cancels its previous update
+// event) cannot grow the heap with dead entries.
 func (e *Engine) cancelEvent(ev *Event) {
-	if e.queue.remove(ev) {
-		e.recycle(ev)
-	}
+	heap.Remove(&e.queue, ev.index)
+	e.recycle(ev)
 }
 
 // SetInvariantChecker installs (or, with nil, removes) an invariant
@@ -231,8 +216,8 @@ func (e *Engine) SetInvariantChecker(c *InvariantChecker) { e.checker = c }
 // InvariantChecker returns the installed checker, if any.
 func (e *Engine) InvariantChecker() *InvariantChecker { return e.checker }
 
-// Run processes events in order until the calendar empties, Stop is called,
-// the horizon is reached, or the event budget is exhausted.
+// Run processes events in order until no event is pending, Stop is
+// called, the horizon is reached, or the event budget is exhausted.
 func (e *Engine) Run() error {
 	return e.RunContext(context.Background())
 }
@@ -240,7 +225,7 @@ func (e *Engine) Run() error {
 // RunContext is Run with cooperative cancellation: the context is polled
 // every few processed events (see ctxCheckMask), and once it is done the
 // loop returns a wrapped context error without touching the pending event.
-// The calendar is left intact, so a later RunContext call with a live
+// The event set is left intact, so a later RunContext call with a live
 // context resumes exactly where this one stopped. A background context
 // costs one nil comparison per event.
 func (e *Engine) RunContext(ctx context.Context) error {
@@ -251,10 +236,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			return fmt.Errorf("sim: run canceled before start: %w", err)
 		}
 	}
-	for {
-		if e.stopped {
-			return nil
-		}
+	for !e.stopped {
 		if done != nil && e.processed&ctxCheckMask == 0 {
 			select {
 			case <-done:
@@ -263,72 +245,59 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			default:
 			}
 		}
-		ev := e.queue.pop()
+		ev := e.next()
 		if ev == nil {
 			return nil
 		}
-		if ev.canceled {
-			// Lazily deleted (calendar queue) — reclaim it now, even when it
-			// also lies past the horizon: re-queueing a dead entry would only
-			// delay its reclamation and force push to re-account it.
-			e.recycle(ev)
-			continue
-		}
-		if e.pastHorizon(ev) {
-			// Put it back for a later Run with a larger horizon; the
-			// sequence number is unchanged, so ordering is preserved.
-			e.queue.push(ev)
-			return nil
-		}
-		e.now = ev.Time
-		e.processed++
-		if e.MaxEvents != 0 && e.processed > e.MaxEvents {
-			return ErrEventBudget
-		}
-		ev.fn(e)
-		if e.checker != nil {
-			e.checker.observe(e)
-		}
-		if !ev.canceled {
-			// A handler cancelling its own in-flight event keeps it out of
-			// the pool (rare, and recycling it then would make the stale
-			// pointer the canceller holds ambiguous).
-			e.recycle(ev)
+		if err := e.fire(ev); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// Step processes exactly one non-cancelled event and reports whether one
-// was available. Useful for unit tests that walk a model event by event.
-// Step honors the same limits as Run: an event beyond the horizon stays in
-// the calendar and Step reports false, and exhausting MaxEvents returns
-// ErrEventBudget.
+// Step processes exactly one event and reports whether one was available.
+// Useful for unit tests that walk a model event by event. Step honors the
+// same limits as Run: an event beyond the horizon stays queued and Step
+// reports false, and exhausting MaxEvents returns ErrEventBudget.
 func (e *Engine) Step() (bool, error) {
-	for {
-		ev := e.queue.pop()
-		if ev == nil {
-			return false, nil
-		}
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		if e.pastHorizon(ev) {
-			e.queue.push(ev)
-			return false, nil
-		}
-		e.now = ev.Time
-		e.processed++
-		if e.MaxEvents != 0 && e.processed > e.MaxEvents {
-			return false, ErrEventBudget
-		}
-		ev.fn(e)
-		if e.checker != nil {
-			e.checker.observe(e)
-		}
-		if !ev.canceled {
-			e.recycle(ev)
-		}
-		return true, nil
+	ev := e.next()
+	if ev == nil {
+		return false, nil
 	}
+	if err := e.fire(ev); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// next pops the earliest event if it lies within the horizon. It returns
+// nil, leaving the heap untouched, when no event is pending or the head
+// lies past the horizon and must wait for a later Run with a larger one.
+func (e *Engine) next() *Event {
+	if len(e.queue.events) == 0 || e.pastHorizon(e.queue.events[0]) {
+		return nil
+	}
+	return heap.Pop(&e.queue).(*Event)
+}
+
+// fire advances the clock to a popped event, charges it to the event
+// budget, runs its handler and the invariant checker, and recycles it.
+func (e *Engine) fire(ev *Event) error {
+	e.now = ev.Time
+	e.processed++
+	if e.MaxEvents != 0 && e.processed > e.MaxEvents {
+		return ErrEventBudget
+	}
+	ev.fn(e)
+	if e.checker != nil {
+		e.checker.observe(e)
+	}
+	if !ev.canceled {
+		// A handler cancelling its own in-flight event keeps it out of
+		// the pool (rare, and recycling it then would make the stale
+		// pointer the canceller holds ambiguous).
+		e.recycle(ev)
+	}
+	return nil
 }

@@ -27,10 +27,10 @@ const (
 // engine so it may schedule follow-up events.
 type Handler func(e *Engine)
 
-// Event is a single entry in the simulation calendar. Events are owned by
-// the engine that scheduled them: once an event has fired (or been
-// cancelled) the engine recycles it through an intrusive freelist, so a
-// caller must not retain an *Event past the point where its handler ran.
+// Event is a single entry in the engine's future event set. Events are
+// owned by the engine that scheduled them: once an event has fired (or
+// been cancelled) the engine recycles it through an intrusive freelist, so
+// a caller must not retain an *Event past the point where its handler ran.
 type Event struct {
 	Time     float64
 	Priority Priority
@@ -41,36 +41,19 @@ type Event struct {
 	// engine's freelist, and any Cancel of such a stale pointer panics
 	// instead of silently corrupting an unrelated reused event.
 	recycled bool
-	// queued tracks calendar membership, so Cancel can tell a pending
-	// event (detachable) from one that is currently firing.
-	queued bool
-	eng    *Engine // owning engine, for O(log n) Cancel and recycling
-	index  int     // heap position (binary-heap event set); -1 off-heap
-	next   *Event  // chain link (calendar queue) or freelist link (engine)
+	eng      *Engine // owning engine, for O(log n) Cancel and recycling
+	// index is the heap position while the event is queued and -1
+	// otherwise, so Cancel can tell a pending event (detachable) from one
+	// that is firing or recycled.
+	index int
+	next  *Event // freelist link
 }
 
-// eventSet is the future-event-set abstraction: the engine works with
-// either the binary heap (default) or the calendar queue.
-type eventSet interface {
-	push(ev *Event)
-	pop() *Event
-	// len reports live (non-cancelled) events still queued.
-	len() int
-	// remove detaches a cancelled event immediately when the set supports
-	// it, reporting whether the event left the set. Implementations that
-	// keep lazy deletion return false and account the event as dead.
-	remove(ev *Event) bool
-	// drain empties the set, invoking f on every event (cancelled or not).
-	drain(f func(*Event))
-}
-
-// Cancel marks the event so its handler will not run. On the binary-heap
-// event set the event is removed in O(log n) and recycled immediately; the
-// calendar queue keeps lazy deletion (the dead entry is dropped when its
-// bucket chain is popped) but accounts it so Pending stays live-only.
-// Cancelling an event that the engine has already recycled panics: the
-// caller held a stale pointer, and a silent cancel could hit whatever
-// event reused that allocation.
+// Cancel marks the event so its handler will not run. A queued event is
+// removed from the heap in O(log n) and recycled immediately, so the event
+// set never holds a cancelled event. Cancelling an event that the engine
+// has already recycled panics: the caller held a stale pointer, and a
+// silent cancel could hit whatever event reused that allocation.
 func (ev *Event) Cancel() {
 	if ev.recycled {
 		panic("sim: Cancel of a recycled event (stale *Event retained after it fired)")
@@ -79,7 +62,7 @@ func (ev *Event) Cancel() {
 		return
 	}
 	ev.canceled = true
-	if ev.eng != nil && ev.queued {
+	if ev.index >= 0 {
 		ev.eng.cancelEvent(ev)
 	}
 }
@@ -127,44 +110,4 @@ func (q *eventQueue) Pop() any {
 	ev.index = -1
 	q.events = old[:n-1]
 	return ev
-}
-
-func (q *eventQueue) push(ev *Event) {
-	ev.queued = true
-	heap.Push(q, ev)
-}
-
-func (q *eventQueue) pop() *Event {
-	if len(q.events) == 0 {
-		return nil
-	}
-	ev := heap.Pop(q).(*Event)
-	ev.queued = false
-	return ev
-}
-
-// len is live-only by construction: cancelled events are removed eagerly.
-func (q *eventQueue) len() int { return len(q.events) }
-
-// remove detaches a cancelled event in O(log n) using its tracked heap
-// index, so long simulations with heavy Cancel traffic (every PSNode
-// reschedule cancels its previous update event) cannot grow the heap with
-// dead entries.
-func (q *eventQueue) remove(ev *Event) bool {
-	if !ev.queued || ev.index < 0 || ev.index >= len(q.events) || q.events[ev.index] != ev {
-		return false
-	}
-	heap.Remove(q, ev.index)
-	ev.queued = false
-	return true
-}
-
-func (q *eventQueue) drain(f func(*Event)) {
-	for i, ev := range q.events {
-		q.events[i] = nil
-		ev.index = -1
-		ev.queued = false
-		f(ev)
-	}
-	q.events = q.events[:0]
 }

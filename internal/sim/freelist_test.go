@@ -11,28 +11,10 @@ func freelistEvents(e *Engine) []*Event {
 	return out
 }
 
-// queuedEvents enumerates every event still inside the engine's event set
-// without disturbing it.
-func queuedEvents(e *Engine) []*Event {
-	switch q := e.queue.(type) {
-	case *eventQueue:
-		return append([]*Event(nil), q.events...)
-	case *calendarQueue:
-		var out []*Event
-		for _, head := range q.buckets {
-			for ev := head; ev != nil; ev = ev.next {
-				out = append(out, ev)
-			}
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
 // checkFreelistDisjoint asserts the core freelist invariant: no event is
-// reachable from both the calendar and the freelist, every freelisted
-// event carries the recycled guard, and every queued event does not.
+// reachable from both the heap and the freelist, every freelisted event
+// carries the recycled guard, and every queued event does not and knows
+// its heap position.
 func checkFreelistDisjoint(t *testing.T, e *Engine) {
 	t.Helper()
 	onFree := map[*Event]bool{}
@@ -44,19 +26,22 @@ func checkFreelistDisjoint(t *testing.T, e *Engine) {
 		if !ev.recycled {
 			t.Fatal("freelisted event without the recycled guard flag")
 		}
-		if ev.queued {
-			t.Fatal("freelisted event still marked queued")
+		if ev.index != -1 {
+			t.Fatalf("freelisted event still has heap index %d", ev.index)
 		}
 		if ev.fn != nil {
 			t.Fatal("freelisted event retains its handler")
 		}
 	}
-	for _, ev := range queuedEvents(e) {
+	for i, ev := range e.queue.events {
 		if onFree[ev] {
-			t.Fatalf("event at t=%g reachable from both calendar and freelist", ev.Time)
+			t.Fatalf("event at t=%g reachable from both heap and freelist", ev.Time)
 		}
 		if ev.recycled {
 			t.Fatalf("queued event at t=%g carries the recycled guard", ev.Time)
+		}
+		if ev.index != i {
+			t.Fatalf("queued event at heap position %d records index %d", i, ev.index)
 		}
 	}
 }
@@ -65,7 +50,7 @@ func TestFreelistDisjointFromCalendar(t *testing.T) {
 	for _, mk := range []struct {
 		name string
 		fn   func() *Engine
-	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
+	}{{"heap", NewEngine}} {
 		t.Run(mk.name, func(t *testing.T) {
 			e := mk.fn()
 			r := NewRNG(11)
@@ -150,28 +135,11 @@ func TestCancelRemovesFromHeapImmediately(t *testing.T) {
 	_ = keep
 }
 
-func TestCalendarPendingIsLiveOnly(t *testing.T) {
-	e := NewEngineCalendar()
-	e.At(5, PriorityDefault, func(*Engine) {})
-	ev := e.At(3, PriorityDefault, func(*Engine) {})
-	ev.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d after Cancel, want 1 (lazily deleted events excluded)", e.Pending())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after run, want 0", e.Pending())
-	}
-	checkFreelistDisjoint(t, e)
-}
-
 func TestEngineResetRestoresConstructorState(t *testing.T) {
 	for _, mk := range []struct {
 		name string
 		fn   func() *Engine
-	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
+	}{{"heap", NewEngine}} {
 		t.Run(mk.name, func(t *testing.T) {
 			e := mk.fn()
 			e.MaxEvents = 7

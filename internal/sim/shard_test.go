@@ -6,31 +6,28 @@ import (
 )
 
 func TestPeekNextReturnsEarliestWithoutConsuming(t *testing.T) {
-	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
-		e := mk()
-		e.At(5, PriorityDefault, func(*Engine) {})
-		e.At(2, PriorityCompletion, func(*Engine) {})
-		e.At(2, PriorityDefault, func(*Engine) {})
-		tm, p, ok := e.PeekNext()
-		if !ok || tm != 2 || p != PriorityCompletion {
-			t.Fatalf("PeekNext = (%g, %d, %v), want (2, %d, true)", tm, p, ok, PriorityCompletion)
-		}
-		if e.Pending() != 3 {
-			t.Fatalf("Pending = %d after peek, want 3", e.Pending())
-		}
-		// A second peek sees the same head.
-		tm2, p2, ok2 := e.PeekNext()
-		if tm2 != tm || p2 != p || !ok2 {
-			t.Fatalf("second PeekNext = (%g, %d, %v), want same head", tm2, p2, ok2)
-		}
+	e := NewEngine()
+	e.At(5, PriorityDefault, func(*Engine) {})
+	e.At(2, PriorityCompletion, func(*Engine) {})
+	e.At(2, PriorityDefault, func(*Engine) {})
+	tm, p, ok := e.PeekNext()
+	if !ok || tm != 2 || p != PriorityCompletion {
+		t.Fatalf("PeekNext = (%g, %d, %v), want (2, %d, true)", tm, p, ok, PriorityCompletion)
+	}
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d after peek, want 3", e.Pending())
+	}
+	// A second peek sees the same head.
+	tm2, p2, ok2 := e.PeekNext()
+	if tm2 != tm || p2 != p || !ok2 {
+		t.Fatalf("second PeekNext = (%g, %d, %v), want same head", tm2, p2, ok2)
 	}
 }
 
 func TestPeekNextSkipsAndReclaimsCanceledHead(t *testing.T) {
-	// On the calendar queue the canceled head is a lazily deleted entry;
-	// PeekNext must discard it (recycling the allocation) rather than
-	// report a dead event as the next key.
-	e := NewEngineCalendar()
+	// Cancelling the head removes it from the heap and recycles it at once,
+	// so PeekNext reports the next live event, never the dead one.
+	e := NewEngine()
 	dead := e.At(1, PriorityDefault, func(*Engine) { t.Fatal("canceled handler ran") })
 	e.At(4, PriorityDefault, func(*Engine) {})
 	dead.Cancel()
@@ -40,6 +37,9 @@ func TestPeekNextSkipsAndReclaimsCanceledHead(t *testing.T) {
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+	if e.free != dead {
+		t.Fatal("cancelled head was not reclaimed onto the freelist")
 	}
 }
 
@@ -54,31 +54,29 @@ func TestSetHorizonKeyExclusiveAtSameTime(t *testing.T) {
 	// The horizon key (t, p) admits only events strictly earlier in the
 	// (time, priority) order: at time t exactly, priorities >= p stay
 	// queued. This is the barrier rule the sharded runner relies on.
-	for _, mk := range []func() *Engine{NewEngine, NewEngineCalendar} {
-		e := mk()
-		var fired []Priority
-		for _, p := range []Priority{PriorityFault, PriorityCompletion, PriorityDefault, PriorityArrival} {
-			p := p
-			e.At(10, p, func(*Engine) { fired = append(fired, p) })
-		}
-		e.SetHorizonKey(10, PriorityDefault)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(fired) != 2 || fired[0] != PriorityFault || fired[1] != PriorityCompletion {
-			t.Fatalf("fired = %v, want [%d %d]", fired, PriorityFault, PriorityCompletion)
-		}
-		if e.Pending() != 2 {
-			t.Fatalf("Pending = %d, want 2", e.Pending())
-		}
-		// SetHorizon restores inclusive semantics for the same timestamp.
-		e.SetHorizon(10)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(fired) != 4 || e.Pending() != 0 {
-			t.Fatalf("fired = %v pending = %d after inclusive horizon", fired, e.Pending())
-		}
+	e := NewEngine()
+	var fired []Priority
+	for _, p := range []Priority{PriorityFault, PriorityCompletion, PriorityDefault, PriorityArrival} {
+		p := p
+		e.At(10, p, func(*Engine) { fired = append(fired, p) })
+	}
+	e.SetHorizonKey(10, PriorityDefault)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[0] != PriorityFault || fired[1] != PriorityCompletion {
+		t.Fatalf("fired = %v, want [%d %d]", fired, PriorityFault, PriorityCompletion)
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.Pending())
+	}
+	// SetHorizon restores inclusive semantics for the same timestamp.
+	e.SetHorizon(10)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 4 || e.Pending() != 0 {
+		t.Fatalf("fired = %v pending = %d after inclusive horizon", fired, e.Pending())
 	}
 }
 
@@ -114,105 +112,6 @@ func TestAdvanceTo(t *testing.T) {
 		}
 	}()
 	e.AdvanceTo(math.NaN())
-}
-
-// TestCalendarPendingExactAfterHorizonPushback is the regression test for
-// the lazy-deletion accounting bug: the engine pops a canceled entry that
-// sits beyond the horizon — or cycles the head through PeekNext — and
-// re-pushes it; push must re-account the dead entry or Pending() drifts
-// upward for the rest of the run.
-func TestCalendarPendingExactAfterHorizonPushback(t *testing.T) {
-	e := NewEngineCalendar()
-	dead := e.At(5, PriorityDefault, func(*Engine) { t.Fatal("canceled handler ran") })
-	e.At(10, PriorityDefault, func(*Engine) {})
-	dead.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancel, want 1", e.Pending())
-	}
-	// Horizon below both events: Run pops the dead entry, reclaims it, and
-	// pushes the live one back.
-	e.SetHorizon(1)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after horizon pushback, want 1", e.Pending())
-	}
-	e.SetHorizon(20)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after run, want 0", e.Pending())
-	}
-	// And the engine is clean across Reset.
-	e.Reset()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after Reset, want 0", e.Pending())
-	}
-}
-
-// TestCalendarPendingExactAcrossResize drives the calendar through growth
-// and shrink resizes with dead entries chained, asserting the live count
-// stays exact throughout (resize re-derives both counters via push).
-func TestCalendarPendingExactAcrossResize(t *testing.T) {
-	q := newCalendarQueue()
-	r := NewRNG(7)
-	live := 0
-	var events []*Event
-	for i := 0; i < 5000; i++ {
-		ev := &Event{Time: r.Float64() * 1e4, seq: uint64(i)}
-		q.push(ev)
-		events = append(events, ev)
-		live++
-		if r.Bool(0.3) {
-			ev.canceled = true
-			q.remove(ev)
-			live--
-		}
-		if q.len() != live {
-			t.Fatalf("len = %d at push %d, want %d", q.len(), i, live)
-		}
-	}
-	// Drain through pop (shrink resizes fire on the way down).
-	for q.len() > 0 {
-		ev := q.pop()
-		if ev == nil {
-			t.Fatalf("pop returned nil with len = %d", q.len())
-		}
-		if ev.canceled {
-			continue
-		}
-		live--
-		if q.len() != live {
-			t.Fatalf("len = %d during drain, want %d", q.len(), live)
-		}
-	}
-	if live != 0 {
-		t.Fatalf("drained with %d live events unaccounted", live)
-	}
-}
-
-func TestCalendarSampledWidthRobustToOutlier(t *testing.T) {
-	// 1000 events 1s apart plus one 10^9 s in the future. The old span/n
-	// width heuristic would produce ~10^6 s buckets; the sampled-median
-	// width must stay near the typical gap so the population spreads.
-	q := newCalendarQueue()
-	events := make([]*Event, 0, 1001)
-	for i := 0; i < 1000; i++ {
-		events = append(events, &Event{Time: float64(i), seq: uint64(i)})
-	}
-	events = append(events, &Event{Time: 1e9, seq: 1000})
-	w := q.sampledWidth(events)
-	if w <= 0 || w > 1000 {
-		t.Fatalf("sampledWidth = %g, want a small positive width near the 1s typical gap", w)
-	}
-	// Degenerate input: all times equal -> no positive gap -> 0 (caller
-	// keeps the previous width).
-	same := []*Event{{Time: 5}, {Time: 5}, {Time: 5}}
-	if w := q.sampledWidth(same); w != 0 {
-		t.Fatalf("sampledWidth on equal times = %g, want 0", w)
-	}
 }
 
 func TestShardStreamsDistinctAndDeterministic(t *testing.T) {
