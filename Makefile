@@ -17,6 +17,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # bench/ is its own module, so ./... never compiles it; vet and test it
 # here too, or an internal API change breaks the benchmark silently.

@@ -13,6 +13,7 @@ package clustersched
 // a compact results table.
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -42,7 +43,11 @@ func benchBase() experiment.BaseConfig {
 func BenchmarkTableWorkload(b *testing.B) {
 	base := experiment.DefaultBase()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiment.BuildWorkloadTable(base)
+		jobs, err := experiment.GenerateBase(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl, err := experiment.BuildWorkloadTableFrom(base, jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,10 +58,14 @@ func BenchmarkTableWorkload(b *testing.B) {
 	}
 }
 
-func benchFigure(b *testing.B, build func(experiment.BaseConfig) (experiment.Figure, error)) {
+func benchFigure(b *testing.B, build func(context.Context, experiment.BaseConfig, []workload.Job) (experiment.Figure, error)) {
 	base := benchBase()
 	for i := 0; i < b.N; i++ {
-		f, err := build(base)
+		jobs, err := experiment.GenerateBase(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := build(context.Background(), base, jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,16 +103,16 @@ func reportFigureShape(b *testing.B, f experiment.Figure) {
 }
 
 // BenchmarkFigure1 regenerates figure 1 (varying workload).
-func BenchmarkFigure1(b *testing.B) { benchFigure(b, experiment.Figure1) }
+func BenchmarkFigure1(b *testing.B) { benchFigure(b, experiment.Figure1FromContext) }
 
 // BenchmarkFigure2 regenerates figure 2 (varying deadline high:low ratio).
-func BenchmarkFigure2(b *testing.B) { benchFigure(b, experiment.Figure2) }
+func BenchmarkFigure2(b *testing.B) { benchFigure(b, experiment.Figure2FromContext) }
 
 // BenchmarkFigure3 regenerates figure 3 (varying high urgency jobs).
-func BenchmarkFigure3(b *testing.B) { benchFigure(b, experiment.Figure3) }
+func BenchmarkFigure3(b *testing.B) { benchFigure(b, experiment.Figure3FromContext) }
 
 // BenchmarkFigure4 regenerates figure 4 (varying estimate inaccuracy).
-func BenchmarkFigure4(b *testing.B) { benchFigure(b, experiment.Figure4) }
+func BenchmarkFigure4(b *testing.B) { benchFigure(b, experiment.Figure4FromContext) }
 
 // benchPolicyFullScale runs one paper-scale simulation per iteration.
 func benchPolicyFullScale(b *testing.B, pol experiment.PolicyKind, inacc float64) {

@@ -25,7 +25,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"clustersched/internal/analysis"
@@ -101,7 +100,8 @@ type Options struct {
 	// RiskSigmaThreshold relaxes LibraRisk's zero-risk rule to σ ≤ t.
 	RiskSigmaThreshold float64
 	// QoPSSlackFactor is how many estimated runtimes a QoPS-admitted
-	// job's deadline may slip to accommodate later urgent jobs.
+	// job's deadline may slip to accommodate later urgent jobs (default
+	// 2; 0 means hard deadlines).
 	QoPSSlackFactor float64
 	// Estimator selects the runtime-estimate source the scheduler sees:
 	// "" or "user-estimate" uses the (inaccuracy-blended) user estimates;
@@ -206,6 +206,7 @@ func DefaultOptions() Options {
 		HighUrgencyFraction: workload.DefaultHighUrgencyFraction,
 		DeadlineRatio:       workload.DefaultDeadlineRatio,
 		InaccuracyPct:       100,
+		QoPSSlackFactor:     2,
 	}
 }
 
@@ -378,21 +379,12 @@ func GenerateWorkload(o Options) ([]Job, error) {
 }
 
 func internalWorkload(o Options) ([]workload.Job, error) {
-	gen := workload.DefaultGeneratorConfig()
-	gen.Jobs = o.Jobs
-	gen.Seed = o.Seed
-	gen.MaxProcs = o.NodeCount()
-	if o.UserModel {
-		gen.Users = workload.DefaultUserModelConfig()
-	}
-	base, err := workload.Generate(gen)
+	base := buildBase(o)
+	jobs, err := experiment.GenerateBase(base)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := workload.DefaultDeadlineConfig()
-	dcfg.HighUrgencyFraction = o.HighUrgencyFraction
-	dcfg.Ratio = o.DeadlineRatio
-	return workload.AssignDeadlines(base, dcfg)
+	return workload.AssignDeadlines(jobs, base.Deadline)
 }
 
 // SimulateMany runs several independent simulations concurrently (one
@@ -414,35 +406,10 @@ func SimulateManyContext(ctx context.Context, opts []Options) ([]Result, error) 
 	results := make([]Result, len(opts))
 	errs := make([]error, len(opts))
 	started := make([]bool, len(opts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(opts) {
-		workers = len(opts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				started[i] = true
-				results[i], errs[i] = SimulateContext(ctx, opts[i])
-			}
-		}()
-	}
-admit:
-	for i := range opts {
-		select {
-		case <-ctx.Done():
-			break admit
-		case work <- i:
-		}
-	}
-	close(work)
-	wg.Wait()
+	experiment.RunPool(ctx, len(opts), min(runtime.GOMAXPROCS(0), len(opts)), func(_, i int) {
+		started[i] = true
+		results[i], errs[i] = SimulateContext(ctx, opts[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("options[%d]: %w", i, err)
@@ -617,86 +584,17 @@ func runSimulation(ctx context.Context, o Options, jobs []workload.Job) (*metric
 
 	e := sim.NewEngine()
 	rec := metrics.NewRecorder()
-	var ts *cluster.TimeShared
-	var ss *cluster.SpaceShared
-	newTS := func() (*cluster.TimeShared, error) {
-		c, err := cluster.NewTimeSharedHetero(o.ratings(), ccfg)
-		ts = c
-		return c, err
+	pol, ts, ss, err := sched.NewPolicy(string(o.Policy), o.policyParams(), o.ratings(), ccfg, rec)
+	if err != nil {
+		return nil, nil, err
 	}
-	newSS := func() (*cluster.SpaceShared, error) {
-		c, err := cluster.NewSpaceSharedHetero(o.ratings(), ccfg)
-		ss = c
-		return c, err
-	}
-	var pol core.Policy
 	var mon *core.Monitor
-	switch o.Policy {
-	case PolicyEDF:
-		c, err := newSS()
+	if o.MonitorInterval > 0 && ts != nil {
+		mon, err = core.NewMonitor(ts, o.MonitorInterval)
 		if err != nil {
 			return nil, nil, err
 		}
-		pol = core.NewEDF(c, rec)
-	case PolicyLibra, PolicyLibraRisk:
-		c, err := newTS()
-		if err != nil {
-			return nil, nil, err
-		}
-		if o.Policy == PolicyLibra {
-			p := core.NewLibra(c, rec)
-			if sel, ok := toSelection(o.NodeSelection); ok {
-				p.Selection = sel
-			}
-			pol = p
-		} else {
-			p := core.NewLibraRisk(c, rec)
-			p.SigmaThreshold = o.RiskSigmaThreshold
-			if sel, ok := toSelection(o.NodeSelection); ok {
-				p.Selection = sel
-			}
-			pol = p
-		}
-		if o.MonitorInterval > 0 {
-			m, err := core.NewMonitor(c, o.MonitorInterval)
-			if err != nil {
-				return nil, nil, err
-			}
-			mon = m
-			mon.Start(e)
-		}
-	case PolicyFCFS:
-		c, err := newSS()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol = sched.NewFCFS(c, rec)
-	case PolicyBackfillEASY:
-		c, err := newSS()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol = sched.NewBackfill(c, rec, sched.EASYBackfill)
-	case PolicyBackfillConservative:
-		c, err := newSS()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol = sched.NewBackfill(c, rec, sched.ConservativeBackfill)
-	case PolicyBackfillEDF:
-		c, err := newSS()
-		if err != nil {
-			return nil, nil, err
-		}
-		p := sched.NewBackfill(c, rec, sched.EASYBackfill)
-		p.DeadlineOrdered = true
-		pol = p
-	case PolicyQoPS:
-		c, err := newSS()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol = sched.NewQoPS(c, rec, o.QoPSSlackFactor)
+		mon.Start(e)
 	}
 	if o.Estimator != "" && o.Estimator != "user-estimate" {
 		pred, err := predict.New(o.Estimator)
@@ -751,16 +649,12 @@ func runSimulation(ctx context.Context, o Options, jobs []workload.Job) (*metric
 	return rec, mon, nil
 }
 
-func toSelection(s NodeSelection) (core.NodeSelection, bool) {
-	switch s {
-	case SelectBestFit:
-		return core.BestFit, true
-	case SelectFirstFit:
-		return core.FirstFit, true
-	case SelectWorstFit:
-		return core.WorstFit, true
-	default:
-		return 0, false
+// policyParams returns the policy knobs in sched.NewPolicy's terms.
+func (o Options) policyParams() sched.PolicyParams {
+	return sched.PolicyParams{
+		Selection:      string(o.NodeSelection),
+		SigmaThreshold: o.RiskSigmaThreshold,
+		QoPSSlack:      o.QoPSSlackFactor,
 	}
 }
 
@@ -893,46 +787,21 @@ func GenerateCalibratedWorkload(r io.Reader, o Options) ([]Job, error) {
 	return fromInternalJobs(withDL), nil
 }
 
-// BuildFigure regenerates one of the paper's result figures ("figure1"
-// through "figure4") at the given scale. Pass DefaultOptions() for the
+// BuildFigure regenerates one figure (see FigureIDs and
+// ExtensionFigureIDs) at the given scale. Pass DefaultOptions() for the
 // paper-scale run; smaller Jobs/Nodes values sweep faster.
 func BuildFigure(id string, o Options) (Figure, error) {
-	if err := o.Validate(); err != nil {
-		return Figure{}, err
-	}
-	base := buildBase(o)
-	var f experiment.Figure
-	var err error
-	switch id {
-	case "figure1":
-		f, err = experiment.Figure1(base)
-	case "figure2":
-		f, err = experiment.Figure2(base)
-	case "figure3":
-		f, err = experiment.Figure3(base)
-	case "figure4":
-		f, err = experiment.Figure4(base)
-	case "prediction":
-		f, err = experiment.FigurePrediction(base)
-	case "allpolicies":
-		f, err = experiment.FigureAllPolicies(base)
-	case "hetero":
-		f, err = experiment.FigureHetero(base)
-	case "chaos":
-		f, err = experiment.FigureChaos(base)
-	default:
-		return Figure{}, fmt.Errorf("clustersched: unknown figure %q (want figure1..figure4, prediction, allpolicies, hetero, or chaos)", id)
-	}
+	b, err := NewFigureBuilder(o)
 	if err != nil {
 		return Figure{}, err
 	}
-	return fromInternalFigure(f), nil
+	return b.Build(id)
 }
 
 // FigureBuilder regenerates the paper's figures and workload table while
 // generating the shared base workload only once, instead of once per
-// figure. Extension figures (see ExtensionFigureIDs) manage their own
-// workload variations and fall back to BuildFigure.
+// figure. Extension figures other than "chaos" (see ExtensionFigureIDs)
+// manage their own workload variations.
 type FigureBuilder struct {
 	o    Options
 	base experiment.BaseConfig
@@ -1114,8 +983,7 @@ func (b *FigureBuilder) Observe(cfg ObserveConfig) *Observation {
 }
 
 // Build regenerates one figure. The paper figures ("figure1" through
-// "figure4") share the builder's single base workload; results are
-// identical to BuildFigure, which regenerates it per call.
+// "figure4") and "chaos" share the builder's single base workload.
 func (b *FigureBuilder) Build(id string) (Figure, error) {
 	return b.BuildContext(context.Background(), id)
 }
@@ -1128,6 +996,7 @@ func (b *FigureBuilder) Build(id string) (Figure, error) {
 // workload variations and only honor cancellation between runs.
 func (b *FigureBuilder) BuildContext(ctx context.Context, id string) (Figure, error) {
 	var from func(context.Context, experiment.BaseConfig, []workload.Job) (experiment.Figure, error)
+	var ext func(experiment.BaseConfig) (experiment.Figure, error)
 	switch id {
 	case "figure1":
 		from = experiment.Figure1FromContext
@@ -1139,17 +1008,31 @@ func (b *FigureBuilder) BuildContext(ctx context.Context, id string) (Figure, er
 		from = experiment.Figure4FromContext
 	case "chaos":
 		from = experiment.FigureChaosFromContext
+	case "prediction":
+		ext = experiment.FigurePrediction
+	case "allpolicies":
+		ext = experiment.FigureAllPolicies
+	case "hetero":
+		ext = experiment.FigureHetero
 	default:
+		return Figure{}, fmt.Errorf("clustersched: unknown figure %q (want figure1..figure4, prediction, allpolicies, hetero, or chaos)", id)
+	}
+	var f experiment.Figure
+	var err error
+	if ext != nil {
 		if err := ctx.Err(); err != nil {
 			return Figure{}, err
 		}
-		return BuildFigure(id, b.o)
+		// A fresh base: extension figures generate their own workload
+		// variations and take none of the builder's sweep settings.
+		f, err = ext(buildBase(b.o))
+	} else {
+		var jobs []workload.Job
+		if jobs, err = b.baseJobs(); err != nil {
+			return Figure{}, err
+		}
+		f, err = from(ctx, b.base, jobs)
 	}
-	jobs, err := b.baseJobs()
-	if err != nil {
-		return Figure{}, err
-	}
-	f, err := from(ctx, b.base, jobs)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -1159,11 +1042,7 @@ func (b *FigureBuilder) BuildContext(ctx context.Context, id string) (Figure, er
 // WriteWorkloadTable writes the §4 workload-characteristics table from
 // the builder's shared base workload.
 func (b *FigureBuilder) WriteWorkloadTable(w io.Writer) error {
-	jobs, err := b.baseJobs()
-	if err != nil {
-		return err
-	}
-	tbl, err := experiment.BuildWorkloadTableFrom(b.base, jobs)
+	tbl, err := b.workloadTable()
 	if err != nil {
 		return err
 	}
@@ -1173,21 +1052,25 @@ func (b *FigureBuilder) WriteWorkloadTable(w io.Writer) error {
 // WriteWorkloadTableJSON writes the workload-characteristics table as
 // JSON from the builder's shared base workload.
 func (b *FigureBuilder) WriteWorkloadTableJSON(w io.Writer) error {
-	jobs, err := b.baseJobs()
-	if err != nil {
-		return err
-	}
-	tbl, err := experiment.BuildWorkloadTableFrom(b.base, jobs)
+	tbl, err := b.workloadTable()
 	if err != nil {
 		return err
 	}
 	return experiment.WriteWorkloadTableJSON(w, tbl)
 }
 
+func (b *FigureBuilder) workloadTable() (experiment.WorkloadTable, error) {
+	jobs, err := b.baseJobs()
+	if err != nil {
+		return experiment.WorkloadTable{}, err
+	}
+	return experiment.BuildWorkloadTableFrom(b.base, jobs)
+}
+
 // FigureIDs lists the paper's regenerable figures in order. The extension
 // experiments ("prediction", "allpolicies", "hetero" — see
-// ExtensionFigureIDs) are built on demand via BuildFigure and are not part
-// of the paper set.
+// ExtensionFigureIDs) are built on demand and are not part of the paper
+// set.
 func FigureIDs() []string { return []string{"figure1", "figure2", "figure3", "figure4"} }
 
 // ExtensionFigureIDs lists the extension experiments beyond the paper,
@@ -1210,8 +1093,9 @@ type Replication struct {
 // Replicate runs the configured simulation across n workload seeds
 // (derived deterministically from o.Seed) and returns the metric
 // distribution — the statistically sound way to compare policies. The
-// experiment harness has no deadline-ordered backfill, so PolicyBackfillEDF
-// is refused with an error.
+// experiment harness has no deadline-ordered backfill and no online
+// estimators, so PolicyBackfillEDF and any Estimator other than the user
+// estimate are refused with an error.
 func Replicate(o Options, n int) (Replication, error) {
 	if err := o.Validate(); err != nil {
 		return Replication{}, err
@@ -1219,35 +1103,20 @@ func Replicate(o Options, n int) (Replication, error) {
 	if n <= 0 {
 		return Replication{}, fmt.Errorf("clustersched: Replicate with n = %d", n)
 	}
-	var kind experiment.PolicyKind
-	switch o.Policy {
-	case PolicyEDF:
-		kind = experiment.EDF
-	case PolicyLibra:
-		kind = experiment.Libra
-	case PolicyLibraRisk:
-		kind = experiment.LibraRisk
-	case PolicyFCFS:
-		kind = experiment.FCFS
-	case PolicyBackfillEASY:
-		kind = experiment.BackfillEASY
-	case PolicyBackfillConservative:
-		kind = experiment.BackfillCons
-	case PolicyQoPS:
-		kind = experiment.QoPS
-	default:
+	kind, ok := experiment.PolicyKindOf(string(o.Policy))
+	if !ok {
 		return Replication{}, fmt.Errorf("clustersched: Replicate does not support policy %q", o.Policy)
 	}
-	base := buildBase(o)
-	base.QoPSSlack = o.QoPSSlackFactor
-	if len(o.NodeRatings) > 0 {
-		base.Ratings = o.NodeRatings
+	if o.Estimator != "" && o.Estimator != "user-estimate" {
+		return Replication{}, fmt.Errorf("clustersched: Replicate does not support estimator %q", o.Estimator)
 	}
+	base := buildBase(o)
 	spec := experiment.RunSpec{
 		Policy:             kind,
 		ArrivalDelayFactor: o.ArrivalDelayFactor,
 		InaccuracyPct:      o.InaccuracyPct,
 		Deadline:           base.Deadline,
+		Faults:             o.faultConfig(0),
 	}
 	rep, err := experiment.RunReplicated(base, spec, experiment.SeedsFrom(o.Seed, n))
 	if err != nil {
@@ -1260,17 +1129,25 @@ func Replicate(o Options, n int) (Replication, error) {
 	}, nil
 }
 
+// buildBase translates the options into the experiment harness's base
+// configuration, which also describes the facade's own workload.
 func buildBase(o Options) experiment.BaseConfig {
 	base := experiment.DefaultBase()
-	base.Nodes = o.Nodes
+	base.Nodes = o.NodeCount()
 	base.Rating = o.Rating
+	base.Ratings = o.NodeRatings
 	base.Cluster.RefRating = o.Rating
 	base.Cluster.WorkConserving = o.WorkConserving
 	base.Generator.Jobs = o.Jobs
 	base.Generator.Seed = o.Seed
-	base.Generator.MaxProcs = o.Nodes
+	base.Generator.MaxProcs = o.NodeCount()
+	if o.UserModel {
+		base.Generator.Users = workload.DefaultUserModelConfig()
+	}
 	base.Deadline.HighUrgencyFraction = o.HighUrgencyFraction
 	base.Deadline.Ratio = o.DeadlineRatio
+	base.Params = o.policyParams()
+	base.CheckInvariants = o.CheckInvariants
 	base.Shards = o.Shards
 	return base
 }
@@ -1346,12 +1223,9 @@ func RenderFigureSVG(w io.Writer, f Figure) error {
 // RenderWorkloadTable writes the §4 workload-characteristics table for the
 // options' synthetic trace, next to the paper's reference values.
 func RenderWorkloadTable(w io.Writer, o Options) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	tbl, err := experiment.BuildWorkloadTable(buildBase(o))
+	b, err := NewFigureBuilder(o)
 	if err != nil {
 		return err
 	}
-	return experiment.WriteWorkloadTable(w, tbl)
+	return b.WriteWorkloadTable(w)
 }

@@ -2,6 +2,7 @@ package clustersched
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -376,6 +377,97 @@ func TestReplicateThroughFacade(t *testing.T) {
 	bf.Policy = PolicyBackfillEDF
 	if _, err := Replicate(bf, 2); err == nil || !strings.Contains(err.Error(), string(PolicyBackfillEDF)) {
 		t.Fatalf("Replicate(backfill-edf) err = %v, want an error naming the policy", err)
+	}
+}
+
+// TestReplicateHonoursOptions checks that Replicate runs the policy the
+// options describe: the σ threshold and fault processes change the result,
+// and an estimator it cannot apply is refused by name.
+func TestReplicateHonoursOptions(t *testing.T) {
+	o := fastOptions()
+	o.Jobs = 150
+	replicate := func(o Options) Replication {
+		t.Helper()
+		rep, err := Replicate(o, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	strict := replicate(o)
+	loose := o
+	loose.RiskSigmaThreshold = 0.5
+	if replicate(loose) == strict {
+		t.Error("σ threshold 0.5 replicates identically to σ 0")
+	}
+	faulty := o
+	faulty.FaultMTBF = 20000
+	faulty.FaultMTTR = 3600
+	if replicate(faulty) == strict {
+		t.Error("fault injection replicates identically to a fault-free run")
+	}
+	est := o
+	est.Estimator = "scaling"
+	if _, err := Replicate(est, 2); err == nil || !strings.Contains(err.Error(), "scaling") {
+		t.Fatalf("Replicate(estimator scaling) err = %v, want an error naming the estimator", err)
+	}
+}
+
+// TestQoPSSlackZeroMeansNoSlack pins one meaning of QoPSSlackFactor 0
+// (hard deadlines) on the replication path, which once read 0 as 2.
+func TestQoPSSlackZeroMeansNoSlack(t *testing.T) {
+	o := fastOptions()
+	o.Jobs = 150
+	o.Policy = PolicyQoPS
+	if got := DefaultOptions().QoPSSlackFactor; got != 2 {
+		t.Errorf("default QoPSSlackFactor = %g, want 2", got)
+	}
+	o.QoPSSlackFactor = 2
+	soft, err := Replicate(o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.QoPSSlackFactor = 0
+	hard, err := Replicate(o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hard == soft {
+		t.Fatal("QoPS slack 0 replicates identically to slack 2")
+	}
+}
+
+// TestNodeRatingsMatchHomogeneousNodes checks that eight NodeRatings of
+// the reference rating are the same cluster as Nodes = 8, on the
+// replication and figure paths alike.
+func TestNodeRatingsMatchHomogeneousNodes(t *testing.T) {
+	hom := fastOptions()
+	hom.Jobs = 80
+	hom.Nodes = 8
+	het := fastOptions()
+	het.Jobs = 80
+	het.NodeRatings = []float64{168, 168, 168, 168, 168, 168, 168, 168}
+	a, err := Replicate(hom, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Replicate(het, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("Replicate: NodeRatings %+v != Nodes %+v", b, a)
+	}
+	fa, err := BuildFigure("figure1", hom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := BuildFigure("figure1", het)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fa, fb) {
+		t.Error("BuildFigure(figure1): NodeRatings figure differs from Nodes figure")
 	}
 }
 

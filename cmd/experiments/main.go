@@ -310,7 +310,6 @@ func runEconomics(ctx context.Context, stdout io.Writer, o clustersched.Options)
 			eo := o
 			eo.Policy = pol
 			eo.InaccuracyPct = mode.pct
-			eo.QoPSSlackFactor = 2
 			eco, err := clustersched.ProviderEconomics(eo)
 			if err != nil {
 				return err

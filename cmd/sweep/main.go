@@ -140,7 +140,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	base.Seed = *seed
 	base.InaccuracyPct = *inacc
 	base.HighUrgencyFraction = *urgency
-	base.QoPSSlackFactor = 2
 
 	var batch []clustersched.Options
 	for _, pol := range pols {

@@ -56,14 +56,9 @@ func ChaosFaultConfig(failuresPerDay float64, seed uint64) fault.Config {
 	}
 }
 
-// ChaosSweep runs the failure-rate × policy grid over a shared base
-// workload, in parallel, and returns the points in grid order (policy
-// major, rate minor).
-func ChaosSweep(base BaseConfig, baseJobs []workload.Job) []ChaosPoint {
-	return ChaosSweepContext(context.Background(), base, baseJobs)
-}
-
-// ChaosSweepContext is ChaosSweep under the same supervision contract as
+// ChaosSweepContext runs the failure-rate × policy grid over a shared
+// base workload, in parallel, and returns the points in grid order (policy
+// major, rate minor). It runs under the same supervision contract as
 // SweepContext: panic containment, the per-run watchdog, same-seed retry
 // for transient failures, progress reporting, checkpoint/resume through
 // BaseConfig.Journal (the mean σ aggregate rides the journal record), and
@@ -103,7 +98,7 @@ func ChaosSweepContext(ctx context.Context, base BaseConfig, baseJobs []workload
 	}
 	workers := base.workerCount(len(points))
 	scratches := newScratchPool(base, workers)
-	runPool(ctx, len(points), workers, func(w, i int) {
+	RunPool(ctx, len(points), workers, func(w, i int) {
 		pt, spec := &points[i], specs[i]
 		var key string
 		if base.Journal != nil {
@@ -161,23 +156,10 @@ func ChaosSweepContext(ctx context.Context, base BaseConfig, baseJobs []workload
 	return points
 }
 
-// FigureChaos builds the chaos figure: deadline-met fraction, crash-killed
-// jobs, and mean cluster risk σ against the node failure rate, under trace
-// runtime estimates.
-func FigureChaos(base BaseConfig) (Figure, error) {
-	baseJobs, err := GenerateBase(base)
-	if err != nil {
-		return Figure{}, err
-	}
-	return FigureChaosFrom(base, baseJobs)
-}
-
-// FigureChaosFrom is FigureChaos over a pre-generated base workload.
-func FigureChaosFrom(base BaseConfig, baseJobs []workload.Job) (Figure, error) {
-	return FigureChaosFromContext(context.Background(), base, baseJobs)
-}
-
-// FigureChaosFromContext is FigureChaosFrom under a cancellable context.
+// FigureChaosFromContext builds the chaos figure over a pre-generated
+// base workload: deadline-met fraction, crash-killed jobs, and mean
+// cluster risk σ against the node failure rate, under trace runtime
+// estimates.
 func FigureChaosFromContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) (Figure, error) {
 	points := ChaosSweepContext(ctx, base, baseJobs)
 	lookup := make(map[PolicyKind]map[float64]*ChaosPoint, len(AllPolicies))

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ChaosSweep(base, jobs)
-	b := ChaosSweep(base, jobs)
+	a := ChaosSweepContext(context.Background(), base, jobs)
+	b := ChaosSweepContext(context.Background(), base, jobs)
 	for i := range a {
 		if a[i].Err != nil {
 			t.Fatalf("point %d (%v rate=%g): %v", i, a[i].Policy, a[i].FailuresPerDay, a[i].Err)
@@ -72,7 +73,7 @@ func TestChaosSweepFaultsBite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := ChaosSweep(base, jobs)
+	points := ChaosSweepContext(context.Background(), base, jobs)
 	kills := 0
 	for _, pt := range points {
 		if pt.Err != nil {
@@ -104,13 +105,13 @@ func TestAllFiguresUnchangedByInvariantChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := AllFiguresFrom(base, jobs)
+	baseline, err := allFiguresFrom(base, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := base
 	checked.CheckInvariants = true
-	got, err := AllFiguresFrom(checked, jobs)
+	got, err := allFiguresFrom(checked, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,11 @@ func TestFigureChaosShape(t *testing.T) {
 	}
 	base := testBase()
 	base.Generator.Jobs = 150
-	fig, err := FigureChaos(base)
+	jobs, err := GenerateBase(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := FigureChaosFromContext(context.Background(), base, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

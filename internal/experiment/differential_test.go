@@ -68,7 +68,7 @@ func TestFastPathsMatchReferenceAtPaperScale(t *testing.T) {
 					Deadline:      base.Deadline,
 				}
 				ref := base
-				ref.DisableFastPaths = true
+				ref.disableFastPaths = true
 				ref.Cluster.NaivePredictor = true
 				fastSum, fastDigest := decisionRun(t, base, jobs, spec, tc.tweak)
 				slowSum, slowDigest := decisionRun(t, ref, jobs, spec, tc.tweak)

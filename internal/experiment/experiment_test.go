@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,6 +21,21 @@ func testBase() BaseConfig {
 	gen.MaxRuntime = 20000
 	base.Generator = gen
 	return base
+}
+
+// allFiguresFrom builds figures 1-4 in order over one base workload.
+func allFiguresFrom(base BaseConfig, baseJobs []workload.Job) ([]Figure, error) {
+	var figs []Figure
+	for _, build := range []func(context.Context, BaseConfig, []workload.Job) (Figure, error){
+		Figure1FromContext, Figure2FromContext, Figure3FromContext, Figure4FromContext,
+	} {
+		f, err := build(context.Background(), base, baseJobs)
+		if err != nil {
+			return nil, err
+		}
+		figs = append(figs, f)
+	}
+	return figs, nil
 }
 
 func TestRunSingleSpecPerPolicy(t *testing.T) {
@@ -113,21 +129,25 @@ func TestSweepSingleWorker(t *testing.T) {
 func TestFigureBuildersShape(t *testing.T) {
 	base := testBase()
 	base.Generator.Jobs = 150
+	jobs, err := GenerateBase(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type tc struct {
 		name  string
-		build func(BaseConfig) (Figure, error)
+		build func(context.Context, BaseConfig, []workload.Job) (Figure, error)
 		wantX int
 	}
 	for _, c := range []tc{
-		{"figure1", Figure1, len(Fig1Factors)},
-		{"figure2", Figure2, len(Fig2Ratios)},
-		{"figure3", Figure3, len(Fig3HighUrgencyPct)},
-		{"figure4", Figure4, len(Fig4InaccuracyPct)},
+		{"figure1", Figure1FromContext, len(Fig1Factors)},
+		{"figure2", Figure2FromContext, len(Fig2Ratios)},
+		{"figure3", Figure3FromContext, len(Fig3HighUrgencyPct)},
+		{"figure4", Figure4FromContext, len(Fig4InaccuracyPct)},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			f, err := c.build(base)
+			f, err := c.build(context.Background(), base, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +181,11 @@ func TestFigureBuildersShape(t *testing.T) {
 
 func TestBuildWorkloadTable(t *testing.T) {
 	base := testBase()
-	tbl, err := BuildWorkloadTable(base)
+	jobs, err := GenerateBase(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := BuildWorkloadTableFrom(base, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

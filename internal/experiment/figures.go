@@ -125,23 +125,9 @@ func sweepGrid(ctx context.Context, label string, base BaseConfig, baseJobs []wo
 	}, nil
 }
 
-// Figure1 reproduces "Impact of varying workload": the arrival delay
-// factor sweeps from heavy (0.1) to the trace's own intensity (1.0).
-func Figure1(base BaseConfig) (Figure, error) {
-	baseJobs, err := GenerateBase(base)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure1From(base, baseJobs)
-}
-
-// Figure1From is Figure1 over a pre-generated base workload, letting
-// callers that build several figures share one generation pass.
-func Figure1From(base BaseConfig, baseJobs []workload.Job) (Figure, error) {
-	return Figure1FromContext(context.Background(), base, baseJobs)
-}
-
-// Figure1FromContext is Figure1From under a cancellable context.
+// Figure1FromContext reproduces "Impact of varying workload": the arrival
+// delay factor sweeps from heavy (0.1) to the trace's own intensity (1.0),
+// over a pre-generated base workload.
 func Figure1FromContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) (Figure, error) {
 	get, err := sweepGrid(ctx, "figure1", base, baseJobs, Fig1Factors, modePcts(), func(mode, x float64, pol PolicyKind) RunSpec {
 		return RunSpec{Policy: pol, ArrivalDelayFactor: x, InaccuracyPct: mode, Deadline: base.Deadline}
@@ -156,22 +142,8 @@ func Figure1FromContext(ctx context.Context, base BaseConfig, baseJobs []workloa
 	}, nil
 }
 
-// Figure2 reproduces "Impact of varying deadline high:low ratio".
-func Figure2(base BaseConfig) (Figure, error) {
-	baseJobs, err := GenerateBase(base)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure2From(base, baseJobs)
-}
-
-// Figure2From is Figure2 over a pre-generated base workload, letting
-// callers that build several figures share one generation pass.
-func Figure2From(base BaseConfig, baseJobs []workload.Job) (Figure, error) {
-	return Figure2FromContext(context.Background(), base, baseJobs)
-}
-
-// Figure2FromContext is Figure2From under a cancellable context.
+// Figure2FromContext reproduces "Impact of varying deadline high:low
+// ratio" over a pre-generated base workload.
 func Figure2FromContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) (Figure, error) {
 	get, err := sweepGrid(ctx, "figure2", base, baseJobs, Fig2Ratios, modePcts(), func(mode, x float64, pol PolicyKind) RunSpec {
 		d := base.Deadline
@@ -188,22 +160,8 @@ func Figure2FromContext(ctx context.Context, base BaseConfig, baseJobs []workloa
 	}, nil
 }
 
-// Figure3 reproduces "Impact of varying high urgency jobs".
-func Figure3(base BaseConfig) (Figure, error) {
-	baseJobs, err := GenerateBase(base)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure3From(base, baseJobs)
-}
-
-// Figure3From is Figure3 over a pre-generated base workload, letting
-// callers that build several figures share one generation pass.
-func Figure3From(base BaseConfig, baseJobs []workload.Job) (Figure, error) {
-	return Figure3FromContext(context.Background(), base, baseJobs)
-}
-
-// Figure3FromContext is Figure3From under a cancellable context.
+// Figure3FromContext reproduces "Impact of varying high urgency jobs"
+// over a pre-generated base workload.
 func Figure3FromContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) (Figure, error) {
 	get, err := sweepGrid(ctx, "figure3", base, baseJobs, Fig3HighUrgencyPct, modePcts(), func(mode, x float64, pol PolicyKind) RunSpec {
 		d := base.Deadline
@@ -220,23 +178,9 @@ func Figure3FromContext(ctx context.Context, base BaseConfig, baseJobs []workloa
 	}, nil
 }
 
-// Figure4 reproduces "Impact of varying inaccurate runtime estimates",
-// contrasting 20 % and 80 % high urgency mixes.
-func Figure4(base BaseConfig) (Figure, error) {
-	baseJobs, err := GenerateBase(base)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure4From(base, baseJobs)
-}
-
-// Figure4From is Figure4 over a pre-generated base workload, letting
-// callers that build several figures share one generation pass.
-func Figure4From(base BaseConfig, baseJobs []workload.Job) (Figure, error) {
-	return Figure4FromContext(context.Background(), base, baseJobs)
-}
-
-// Figure4FromContext is Figure4From under a cancellable context.
+// Figure4FromContext reproduces "Impact of varying inaccurate runtime
+// estimates", contrasting 20 % and 80 % high urgency mixes, over a
+// pre-generated base workload.
 func Figure4FromContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) (Figure, error) {
 	get, err := sweepGrid(ctx, "figure4", base, baseJobs, Fig4InaccuracyPct, Fig4UrgencyLevels, func(mode, x float64, pol PolicyKind) RunSpec {
 		d := base.Deadline
@@ -289,38 +233,6 @@ func modePcts() []float64 {
 	return out
 }
 
-// AllFigures regenerates every figure in order. The base workload is
-// generated once and shared across the figure builders; each builder
-// still derives its own deadline/arrival variations from it.
-func AllFigures(base BaseConfig) ([]Figure, error) {
-	baseJobs, err := GenerateBase(base)
-	if err != nil {
-		return nil, err
-	}
-	return AllFiguresFrom(base, baseJobs)
-}
-
-// AllFiguresFrom is AllFigures over a pre-generated base workload.
-func AllFiguresFrom(base BaseConfig, baseJobs []workload.Job) ([]Figure, error) {
-	return AllFiguresFromContext(context.Background(), base, baseJobs)
-}
-
-// AllFiguresFromContext is AllFiguresFrom under a cancellable context.
-func AllFiguresFromContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) ([]Figure, error) {
-	builders := []func(context.Context, BaseConfig, []workload.Job) (Figure, error){
-		Figure1FromContext, Figure2FromContext, Figure3FromContext, Figure4FromContext,
-	}
-	figs := make([]Figure, 0, len(builders))
-	for _, b := range builders {
-		f, err := b(ctx, base, baseJobs)
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
-}
-
 // WorkloadTable summarizes the synthetic trace the way §4 characterizes
 // the SDSC SP2 subset, so the substitution can be checked at a glance.
 type WorkloadTable struct {
@@ -333,16 +245,6 @@ type WorkloadTable struct {
 	PctUnderestimates     float64
 	PctOverestimates      float64
 	MeanOverestimateRatio float64
-}
-
-// BuildWorkloadTable computes the characteristics table from the base
-// workload.
-func BuildWorkloadTable(base BaseConfig) (WorkloadTable, error) {
-	jobs, err := GenerateBase(base)
-	if err != nil {
-		return WorkloadTable{}, err
-	}
-	return BuildWorkloadTableFrom(base, jobs)
 }
 
 // BuildWorkloadTableFrom computes the characteristics table from a

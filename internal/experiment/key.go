@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"clustersched/internal/cluster"
+	"clustersched/internal/sched"
 	"clustersched/internal/workload"
 )
 
@@ -42,20 +43,19 @@ func WorkloadDigest(jobs []workload.Job) string {
 
 // baseKeyView enumerates exactly the BaseConfig fields that determine a
 // cell's result. Supervision knobs (Workers, RunTimeout, Progress,
-// Journal), DisableReuse and Shards are deliberately absent: re-running a
-// sweep with a different worker count, watchdog, context-reuse setting or
-// shard count must still match its journal — the sharded engine is
-// byte-identical to the sequential one by construction (asserted by the
-// shard differential tests).
+// Journal), the test hooks disableReuse and disableFastPaths, and Shards
+// are deliberately absent: re-running a sweep with a different worker
+// count, watchdog, context-reuse setting, fast-path setting or shard count
+// must still match its journal — each is byte-identical to its reference
+// by construction (asserted by the differential tests).
 type baseKeyView struct {
-	Nodes            int
-	Rating           float64
-	Ratings          []float64
-	Cluster          cluster.Config
-	Generator        workload.GeneratorConfig
-	QoPSSlack        float64
-	DisableFastPaths bool
-	CheckInvariants  bool
+	Nodes           int
+	Rating          float64
+	Ratings         []float64
+	Cluster         cluster.Config
+	Generator       workload.GeneratorConfig
+	Params          sched.PolicyParams
+	CheckInvariants bool
 }
 
 // CellKey is the content hash identifying one sweep cell for the
@@ -71,14 +71,13 @@ func CellKey(base BaseConfig, spec RunSpec, workloadDigest string) (string, erro
 		Digest string
 	}{
 		Base: baseKeyView{
-			Nodes:            base.Nodes,
-			Rating:           base.Rating,
-			Ratings:          base.Ratings,
-			Cluster:          base.Cluster,
-			Generator:        base.Generator,
-			QoPSSlack:        base.QoPSSlack,
-			DisableFastPaths: base.DisableFastPaths,
-			CheckInvariants:  base.CheckInvariants,
+			Nodes:           base.Nodes,
+			Rating:          base.Rating,
+			Ratings:         base.Ratings,
+			Cluster:         base.Cluster,
+			Generator:       base.Generator,
+			Params:          base.Params,
+			CheckInvariants: base.CheckInvariants,
 		},
 		Spec:   spec,
 		Digest: workloadDigest,

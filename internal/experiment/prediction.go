@@ -26,7 +26,7 @@ func RunWithPredictor(base BaseConfig, baseJobs []workload.Job, spec RunSpec, es
 
 	e := sim.NewEngine()
 	rec := metrics.NewRecorder()
-	inner, err := buildPolicy(base, spec.Policy, rec)
+	inner, _, _, err := buildPolicyClusters(base, spec.Policy, rec)
 	if err != nil {
 		return metrics.Summary{}, err
 	}

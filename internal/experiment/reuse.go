@@ -84,7 +84,7 @@ func (sc *runScratch) release() {
 	}
 }
 
-// runInstrumented is the body shared by RunInstrumentedContext (sc == nil:
+// runInstrumented is the body shared by Run (sc == nil:
 // build everything fresh) and the sweep workers (sc != nil: reuse the
 // worker's scratch). The two paths produce identical summaries by
 // construction — every Reset restores exact constructor state and every
@@ -230,7 +230,7 @@ func cachedPolicy(sc *runScratch, kind PolicyKind) *policyContext {
 // when reuse is disabled. Slots are filled lazily by scratchFor so a
 // worker that only ever hits the checkpoint journal builds nothing.
 func newScratchPool(base BaseConfig, workers int) []*runScratch {
-	if base.DisableReuse {
+	if base.disableReuse {
 		return nil
 	}
 	return make([]*runScratch, workers)

@@ -34,7 +34,7 @@ func reuseSpecs(base BaseConfig) []RunSpec {
 
 // TestSweepReuseMatchesDisableReuse is the reuse layer's differential
 // acceptance test: the same sweep with reused per-worker run contexts and
-// with DisableReuse (every cell built from scratch) must produce
+// with disableReuse (every cell built from scratch) must produce
 // byte-identical summaries. Workers > 1 so, under -race, it also proves
 // the scratches are properly confined to their worker goroutines.
 func TestSweepReuseMatchesDisableReuse(t *testing.T) {
@@ -50,7 +50,7 @@ func TestSweepReuseMatchesDisableReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := base
-	fresh.DisableReuse = true
+	fresh.disableReuse = true
 	baseline := Sweep(fresh, jobs, specs)
 	if err := FirstError(baseline); err != nil {
 		t.Fatal(err)
@@ -74,10 +74,10 @@ func TestChaosSweepReuseMatchesDisableReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused := ChaosSweep(base, jobs)
+	reused := ChaosSweepContext(context.Background(), base, jobs)
 	fresh := base
-	fresh.DisableReuse = true
-	baseline := ChaosSweep(fresh, jobs)
+	fresh.disableReuse = true
+	baseline := ChaosSweepContext(context.Background(), fresh, jobs)
 	for i := range reused {
 		if reused[i].Err != nil {
 			t.Fatalf("point %d (%v rate=%g): %v", i, reused[i].Policy, reused[i].FailuresPerDay, reused[i].Err)
@@ -101,13 +101,13 @@ func TestAllFiguresIdenticalWithReuseDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused, err := AllFiguresFrom(base, jobs)
+	reused, err := allFiguresFrom(base, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := base
-	fresh.DisableReuse = true
-	baseline, err := AllFiguresFrom(fresh, jobs)
+	fresh.disableReuse = true
+	baseline, err := allFiguresFrom(fresh, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,12 +181,12 @@ func newProgressCounter(fn func(ProgressEvent), total int) func(ProgressEvent) {
 	}
 }
 
-// runPool dispatches indices [0, n) to a bounded worker pool, stops
+// RunPool dispatches indices [0, n) to a bounded worker pool, stops
 // admitting new indices once ctx is done, and drains in-flight work
 // before returning. fn receives the worker index w alongside the work
 // index i so callers can attach per-worker state (the reuse scratches);
 // each w is owned by exactly one goroutine.
-func runPool(ctx context.Context, n, workers int, fn func(w, i int)) {
+func RunPool(ctx context.Context, n, workers int, fn func(w, i int)) {
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -249,7 +249,7 @@ func SweepContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job,
 	}
 	workers := base.workerCount(len(specs))
 	scratches := newScratchPool(base, workers)
-	runPool(ctx, len(specs), workers, func(w, i int) {
+	RunPool(ctx, len(specs), workers, func(w, i int) {
 		spec := specs[i]
 		var key string
 		if base.Journal != nil {

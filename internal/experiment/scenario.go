@@ -75,32 +75,34 @@ type BaseConfig struct {
 	Deadline  workload.DeadlineConfig
 	// Workers bounds sweep parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// QoPSSlack is the slack factor used when Policy is QoPS.
-	QoPSSlack float64
-	// DisableFastPaths turns off the admission fast paths in the Libra and
+	// Params tunes the policy every cell builds (node selection, σ
+	// threshold, QoPS slack); see sched.NewPolicy.
+	Params sched.PolicyParams
+	// disableFastPaths turns off the admission fast paths in the Libra and
 	// LibraRisk policies (combine with Cluster.NaivePredictor to also use
 	// the reference fluid predictor). The differential tests run both
-	// configurations at paper scale and assert identical summaries.
-	DisableFastPaths bool
+	// configurations at paper scale and assert identical summaries; like
+	// Shards it cannot affect results and is excluded from checkpoint cell
+	// keys.
+	disableFastPaths bool
 	// CheckInvariants installs a sim.InvariantChecker on every run: clock
 	// monotonicity, job conservation, and cluster structural invariants
 	// are re-validated after each event, and any violation fails the run.
 	CheckInvariants bool
-	// DisableReuse makes every sweep cell build its engine, recorder,
+	// disableReuse makes every sweep cell build its engine, recorder,
 	// cluster and policy from scratch instead of reusing the per-worker run
 	// context. Results are identical by contract — the differential tests
 	// run paper-scale sweeps both ways and assert byte-identical summaries
-	// — so the flag exists for those tests and for bisecting a suspected
-	// reuse bug. Like the supervision knobs it cannot affect results and is
-	// excluded from checkpoint cell keys.
-	DisableReuse bool
+	// — so the flag exists for those tests. Like the supervision knobs it
+	// cannot affect results and is excluded from checkpoint cell keys.
+	disableReuse bool
 	// Shards > 1 runs every time-shared cell on the space-partitioned
 	// parallel engine: nodes split into Shards contiguous groups, each
 	// advancing on its own event queue between admission barriers (see
 	// core.RunSimulationSharded). Results are byte-identical to the
 	// sequential engine at any shard count by construction — the
 	// differential tests assert it at K = 1, 2, 4, 8 — so, like
-	// DisableReuse, the knob is excluded from checkpoint cell keys.
+	// disableReuse, the knob is excluded from checkpoint cell keys.
 	// Policies on space-shared clusters (EDF and the extension policies)
 	// ignore it: every completion there triggers a dispatch decision, so a
 	// barrier per event would serialize the run anyway. 0 and 1 mean
@@ -168,6 +170,7 @@ func DefaultBase() BaseConfig {
 		Cluster:   cluster.DefaultConfig(),
 		Generator: workload.DefaultGeneratorConfig(),
 		Deadline:  workload.DefaultDeadlineConfig(),
+		Params:    sched.PolicyParams{QoPSSlack: 2},
 	}
 }
 
@@ -208,32 +211,12 @@ func (s RunSpec) Ident() string {
 }
 
 // Run executes one simulation from pre-generated base jobs (before
-// deadline assignment and arrival scaling) and returns its summary.
+// deadline assignment and arrival scaling) and returns its summary. It
+// always builds the run from scratch; sweeps route through runInstrumented
+// with a per-worker scratch instead (see reuse.go).
 func Run(base BaseConfig, baseJobs []workload.Job, spec RunSpec) (metrics.Summary, error) {
-	return RunContext(context.Background(), base, baseJobs, spec)
-}
-
-// RunContext is Run under a context: the simulation engine polls ctx
-// between events, so cancellation aborts the run at event-loop
-// granularity with a wrapped context error.
-func RunContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec) (metrics.Summary, error) {
-	s, _, err := RunInstrumentedContext(ctx, base, baseJobs, spec, 0)
+	s, _, err := runInstrumented(context.Background(), base, baseJobs, spec, 0, nil, -1)
 	return s, err
-}
-
-// RunInstrumented is Run with optional cluster monitoring: when
-// monitorInterval > 0 and the policy runs on a time-shared cluster, a
-// core.Monitor samples it and is returned alongside the summary (nil
-// otherwise). It also applies BaseConfig.CheckInvariants and RunSpec.Faults.
-func RunInstrumented(base BaseConfig, baseJobs []workload.Job, spec RunSpec, monitorInterval float64) (metrics.Summary, *core.Monitor, error) {
-	return RunInstrumentedContext(context.Background(), base, baseJobs, spec, monitorInterval)
-}
-
-// RunInstrumentedContext is RunInstrumented under a context. It always
-// builds the run from scratch; sweeps route through runInstrumented with a
-// per-worker scratch instead (see reuse.go).
-func RunInstrumentedContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec, monitorInterval float64) (metrics.Summary, *core.Monitor, error) {
-	return runInstrumented(ctx, base, baseJobs, spec, monitorInterval, nil, -1)
 }
 
 // installFaults validates fault support for the policy, defaults the
@@ -263,55 +246,47 @@ func installFaults(e *sim.Engine, cfg fault.Config, kind PolicyKind, ts *cluster
 	return nil
 }
 
-// buildPolicy constructs the policy and its execution substrate.
-func buildPolicy(base BaseConfig, kind PolicyKind, rec *metrics.Recorder) (core.Policy, error) {
-	p, _, _, err := buildPolicyClusters(base, kind, rec)
-	return p, err
+// policyNames maps each kind to its sched.NewPolicy name.
+var policyNames = [...]string{
+	EDF:          "edf",
+	Libra:        "libra",
+	LibraRisk:    "librarisk",
+	FCFS:         "fcfs",
+	BackfillEASY: "backfill-easy",
+	BackfillCons: "backfill-conservative",
+	QoPS:         "qops",
 }
 
-// buildPolicyClusters is buildPolicy exposing the concrete cluster handle
+// PolicyKindOf returns the kind whose sched.NewPolicy name is name.
+func PolicyKindOf(name string) (PolicyKind, bool) {
+	for k, n := range policyNames {
+		if n == name {
+			return PolicyKind(k), true
+		}
+	}
+	return 0, false
+}
+
+// buildPolicyClusters constructs the policy and its execution substrate
 // (exactly one of the returned clusters is non-nil on success) so callers
 // can wire monitors, fault injectors and invariant checkers.
 func buildPolicyClusters(base BaseConfig, kind PolicyKind, rec *metrics.Recorder) (core.Policy, *cluster.TimeShared, *cluster.SpaceShared, error) {
-	ratings := base.nodeRatings()
-	switch kind {
-	case EDF, FCFS, BackfillEASY, BackfillCons, QoPS:
-		c, err := cluster.NewSpaceSharedHetero(ratings, base.Cluster)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		switch kind {
-		case EDF:
-			return core.NewEDF(c, rec), nil, c, nil
-		case FCFS:
-			return sched.NewFCFS(c, rec), nil, c, nil
-		case BackfillEASY:
-			return sched.NewBackfill(c, rec, sched.EASYBackfill), nil, c, nil
-		case BackfillCons:
-			return sched.NewBackfill(c, rec, sched.ConservativeBackfill), nil, c, nil
-		default:
-			slack := base.QoPSSlack
-			if slack == 0 {
-				slack = 2
-			}
-			return sched.NewQoPS(c, rec, slack), nil, c, nil
-		}
-	case Libra, LibraRisk:
-		c, err := cluster.NewTimeSharedHetero(ratings, base.Cluster)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if kind == Libra {
-			p := core.NewLibra(c, rec)
-			p.DisableFastPath = base.DisableFastPaths
-			return p, c, nil, nil
-		}
-		p := core.NewLibraRisk(c, rec)
-		p.DisableFastPath = base.DisableFastPaths
-		return p, c, nil, nil
-	default:
+	if kind < 0 || int(kind) >= len(policyNames) {
 		return nil, nil, nil, fmt.Errorf("experiment: unknown policy %v", kind)
 	}
+	pol, ts, ss, err := sched.NewPolicy(policyNames[kind], base.Params, base.nodeRatings(), base.Cluster, rec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if base.disableFastPaths {
+		switch p := pol.(type) {
+		case *core.Libra:
+			p.DisableFastPath = true
+		case *core.LibraRisk:
+			p.DisableFastPath = true
+		}
+	}
+	return pol, ts, ss, nil
 }
 
 // GenerateBase produces the shared base workload for a sweep.

@@ -76,7 +76,7 @@ func TestShardedFiguresByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := AllFiguresFrom(base, jobs)
+	ref, err := allFiguresFrom(base, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestShardedFiguresByteIdentical(t *testing.T) {
 			t.Parallel()
 			b := base
 			b.Shards = k
-			figs, err := AllFiguresFrom(b, jobs)
+			figs, err := allFiguresFrom(b, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,10 +111,10 @@ func TestShardedChaosSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := ChaosSweep(base, jobs)
+	ref := ChaosSweepContext(context.Background(), base, jobs)
 	b := base
 	b.Shards = 4
-	got := ChaosSweep(b, jobs)
+	got := ChaosSweepContext(context.Background(), b, jobs)
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("sharded chaos sweep diverges from sequential")
 	}
@@ -216,7 +216,7 @@ func TestShardedRunCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunContext(ctx, base, jobs, RunSpec{Policy: LibraRisk, Deadline: base.Deadline})
+	_, _, err = runInstrumented(ctx, base, jobs, RunSpec{Policy: LibraRisk, Deadline: base.Deadline}, 0, nil, -1)
 	if err == nil {
 		t.Fatal("canceled sharded run reported success")
 	}
@@ -278,14 +278,14 @@ func TestShardedEqualKeyArrivalBurstsAtShardEdges(t *testing.T) {
 		jobs[i].NumProc = 1 + i%2
 	}
 	spec := RunSpec{Policy: LibraRisk, ArrivalDelayFactor: 1, Deadline: base.Deadline}
-	refSum, refMon, err := RunInstrumented(base, jobs, spec, 1800)
+	refSum, refMon, err := runInstrumented(context.Background(), base, jobs, spec, 1800, nil, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 4, 8, 16} {
 		b := base
 		b.Shards = k
-		got, mon, err := RunInstrumented(b, jobs, spec, 1800)
+		got, mon, err := runInstrumented(context.Background(), b, jobs, spec, 1800, nil, -1)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}

@@ -244,7 +244,7 @@ func TestResumeByteIdenticalFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := Figure1From(base, jobs)
+	fig, err := Figure1FromContext(context.Background(), base, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

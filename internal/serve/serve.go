@@ -64,6 +64,7 @@ import (
 	"clustersched/internal/metrics"
 	"clustersched/internal/obs"
 	"clustersched/internal/obs/span"
+	"clustersched/internal/sched"
 	"clustersched/internal/sim"
 	"clustersched/internal/wal"
 	"clustersched/internal/workload"
@@ -386,37 +387,24 @@ func New(cfg Config) (*Server, error) {
 		s.spans = span.NewRecorder(cfg.SpanBuffer)
 		s.stages = newStageStats()
 	}
+	if p := cfg.Policy; p != "edf" && p != "libra" && p != "librarisk" {
+		return nil, fmt.Errorf("serve: unknown policy %q (want edf, libra or librarisk)", p)
+	}
+	ratings := make([]float64, cfg.Nodes)
+	for i := range ratings {
+		ratings[i] = cfg.Rating
+	}
 	ccfg := cluster.DefaultConfig()
 	ccfg.RefRating = cfg.Rating
-	switch cfg.Policy {
-	case "librarisk", "libra":
-		ts, err := cluster.NewTimeShared(cfg.Nodes, cfg.Rating, ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.ts = ts
-		if cfg.Policy == "librarisk" {
-			p := core.NewLibraRisk(ts, s.rec)
-			p.SigmaThreshold = cfg.SigmaThreshold
-			s.pol = p
-		} else {
-			s.pol = core.NewLibra(ts, s.rec)
-		}
-	case "edf":
-		ss, err := cluster.NewSpaceShared(cfg.Nodes, cfg.Rating, ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.ss = ss
-		s.pol = core.NewEDF(ss, s.rec)
-	default:
-		return nil, fmt.Errorf("serve: unknown policy %q (want edf, libra or librarisk)", cfg.Policy)
+	var err error
+	s.pol, s.ts, s.ss, err = sched.NewPolicy(cfg.Policy, sched.PolicyParams{SigmaThreshold: cfg.SigmaThreshold}, ratings, ccfg, s.rec)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s.nodes = fault.ClusterOf(s.ts, s.ss)
 	// Shards attach before any replay, so recovered operations advance
 	// time through the sharded path too — replay and live traffic share
 	// one code path.
-	var err error
 	s.pool, s.detachShards, err = core.AttachShards(s.ts, cfg.Shards, nil, s.pol, nil)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)

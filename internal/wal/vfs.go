@@ -54,8 +54,8 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (OSFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(name string) error                  { return os.Remove(name) }
+func (OSFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(name string) error                   { return os.Remove(name) }
 func (OSFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 func (OSFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
