@@ -71,6 +71,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/swf/
 	$(GO) test -run xxx -fuzz 'FuzzParseAuto$$' -fuzztime 10s ./internal/swf/
 	$(GO) test -run xxx -fuzz 'FuzzValidateAdmit$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run xxx -fuzz 'FuzzPredictWithinMatchesNaive$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run xxx -fuzz 'FuzzWALRecover$$' -fuzztime 10s ./internal/wal/
 
 experiments:
 	$(GO) run ./cmd/experiments -csv results -svg results | tee results/experiments_full.txt
@@ -160,15 +162,15 @@ trace-smoke:
 	echo "trace-smoke: ok"
 
 # serve-smoke proves the online admission daemon end to end on the real
-# binaries: race-run the serve overload/quota/shed/drain/shard tests,
-# boot admissiond with a sharded serving cluster (-serve-shards 4),
+# binaries: race-run the serve overload/quota/shed/drain/shard tests and
+# the sequential-model differential (TestServeModel), boot admissiond with a sharded serving cluster (-serve-shards 4),
 # drive 1k requests through admitload, scrape /metrics, SIGTERM-drain
 # (must exit 0 and checkpoint), then resume a fresh SEQUENTIAL daemon
 # from the checkpoint and drain it again (exit 0) — the resumed audit
 # stream must be byte-identical to the sharded run's, which is the
 # sharded-apply determinism pin on the real binaries.
 serve-smoke:
-	$(GO) test -race -run 'TestAdmit|TestQuota|TestShed|TestOverload|TestDrain|TestResume|TestNoGoroutineLeak|TestShard' \
+	$(GO) test -race -run 'TestAdmit|TestQuota|TestShed|TestOverload|TestDrain|TestResume|TestNoGoroutineLeak|TestShard|TestServeModel' \
 		./internal/serve/
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

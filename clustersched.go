@@ -159,7 +159,8 @@ type Options struct {
 	// cluster scan per event; meant for tests and debugging.
 	CheckInvariants bool
 	// MaxEvents overrides the engine's runaway-loop event budget
-	// (default 50M).
+	// (default 50M). Replicate and the figure builder refuse it: their
+	// experiment harness always runs with the default budget.
 	MaxEvents uint64
 	// Shards > 1 runs time-shared policies (libra, librarisk) on the
 	// sharded parallel engine: nodes are partitioned into Shards
@@ -810,9 +811,13 @@ type FigureBuilder struct {
 
 // NewFigureBuilder validates the options and prepares a builder; the base
 // workload is generated lazily on the first figure or table request.
+// MaxEvents is refused, as by Replicate.
 func NewFigureBuilder(o Options) (*FigureBuilder, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
+	}
+	if o.MaxEvents > 0 {
+		return nil, fmt.Errorf("clustersched: the figure builder does not support MaxEvents (%d): its runs use the default event budget", o.MaxEvents)
 	}
 	return &FigureBuilder{o: o, base: buildBase(o)}, nil
 }
@@ -1093,9 +1098,9 @@ type Replication struct {
 // Replicate runs the configured simulation across n workload seeds
 // (derived deterministically from o.Seed) and returns the metric
 // distribution — the statistically sound way to compare policies. The
-// experiment harness has no deadline-ordered backfill and no online
-// estimators, so PolicyBackfillEDF and any Estimator other than the user
-// estimate are refused with an error.
+// experiment harness has no deadline-ordered backfill, no online
+// estimators and no event budget, so PolicyBackfillEDF, any Estimator
+// other than the user estimate, and MaxEvents are refused with an error.
 func Replicate(o Options, n int) (Replication, error) {
 	if err := o.Validate(); err != nil {
 		return Replication{}, err
@@ -1109,6 +1114,9 @@ func Replicate(o Options, n int) (Replication, error) {
 	}
 	if o.Estimator != "" && o.Estimator != "user-estimate" {
 		return Replication{}, fmt.Errorf("clustersched: Replicate does not support estimator %q", o.Estimator)
+	}
+	if o.MaxEvents > 0 {
+		return Replication{}, fmt.Errorf("clustersched: Replicate does not support MaxEvents (%d): its runs use the default event budget", o.MaxEvents)
 	}
 	base := buildBase(o)
 	spec := experiment.RunSpec{

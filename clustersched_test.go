@@ -378,6 +378,17 @@ func TestReplicateThroughFacade(t *testing.T) {
 	if _, err := Replicate(bf, 2); err == nil || !strings.Contains(err.Error(), string(PolicyBackfillEDF)) {
 		t.Fatalf("Replicate(backfill-edf) err = %v, want an error naming the policy", err)
 	}
+	// The experiment harness has no event budget either, so MaxEvents
+	// must be refused by name rather than silently dropped — by
+	// Replicate and by the figure builder alike.
+	budget := o
+	budget.MaxEvents = 1000
+	if _, err := Replicate(budget, 2); err == nil || !strings.Contains(err.Error(), "MaxEvents") {
+		t.Fatalf("Replicate(MaxEvents 1000) err = %v, want an error naming MaxEvents", err)
+	}
+	if _, err := NewFigureBuilder(budget); err == nil || !strings.Contains(err.Error(), "MaxEvents") {
+		t.Fatalf("NewFigureBuilder(MaxEvents 1000) err = %v, want an error naming MaxEvents", err)
+	}
 }
 
 // TestReplicateHonoursOptions checks that Replicate runs the policy the

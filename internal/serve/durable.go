@@ -3,25 +3,27 @@ package serve
 // Durable mode: with Config.WALDir set, every applied operation is
 // appended to a crash-consistent write-ahead log and fsynced BEFORE its
 // HTTP response is written, so an acknowledged admission survives
-// SIGKILL or power loss. The apply worker batches whatever is queued
-// into one group commit, amortizing the fsync across the batch.
+// SIGKILL or power loss. The apply worker (serve.go) runs the same
+// gather → decide → ack loop as without a log, with two differences:
+// it gathers up to maxWALBatch queued requests into one group commit,
+// amortizing the fsync across the batch, and decideBatch appends each
+// op to the WAL buffer before applying it.
 //
-// The durable path is a two-stage pipeline. The decide stage appends
-// the batch to the WAL buffer, applies it in memory, and hands it to
-// the committer over a bounded FIFO ring; the committer fsyncs through
-// the batch's last WAL index, then writes its audit records and
-// answers its clients. While one batch's fsync is in flight the decide
-// stage is already deciding the next, so group-commit latency overlaps
-// compute instead of serializing it — but an acknowledgment is still
-// written only after the fsync that covers the op, so a 200 implies
-// the op is on disk exactly as in the unpipelined design. Audit output
-// is parked with its batch (deferAudit) until that fsync returns, so
-// the audit file can never run ahead of the replayable log.
+// The decided batch then goes to walCommitter over a bounded FIFO ring
+// instead of being acked inline; the committer fsyncs through the
+// batch's last WAL index and only then calls ack, which writes the
+// batch's parked audit records and answers its clients. While one
+// batch's fsync is in flight the worker is already deciding the next,
+// so group-commit latency overlaps compute instead of serializing it —
+// but a 200 is still written only after the fsync that covers the op,
+// and since audit is parked with its batch until that point the audit
+// file can never run ahead of the replayable log.
 //
 // Recovery on boot replays the log — the compacted prefix plus the tail
-// segments, torn tails truncated by internal/wal — through the same
-// applyLocked path live traffic takes, so the rebuilt cluster state and
-// the regenerated audit stream are byte-identical to the pre-crash run.
+// segments, torn tails truncated by internal/wal — through replayLocked,
+// the same path the drain checkpoint replays through and the same
+// applyLocked live traffic takes, so the rebuilt cluster state and the
+// regenerated audit stream are byte-identical to the pre-crash run.
 // A meta.json sidecar pins the config identity; resuming under a
 // different cluster shape is refused loudly, as is an existing log
 // without Resume set.
@@ -41,11 +43,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"clustersched/internal/checkpoint"
-	"clustersched/internal/obs"
-	"clustersched/internal/obs/span"
 	"clustersched/internal/wal"
 )
 
@@ -126,14 +125,10 @@ func (s *Server) openWAL() error {
 		}
 		switch {
 		case rec.Op != nil:
-			op := *rec.Op
-			if s.quotas != nil && op.Kind == "" {
-				s.quotas.forceTake(op.Tenant)
+			if s.quotas != nil && rec.Op.Kind == "" {
+				s.quotas.forceTake(rec.Op.Tenant)
 			}
-			s.applyLocked(&op, nil)
-			if op.Seq > s.seq {
-				s.seq = op.Seq
-			}
+			s.replayLocked(*rec.Op)
 		case rec.Quota != nil:
 			if s.quotas != nil {
 				s.quotas.restore(rec.Quota)
@@ -166,166 +161,19 @@ func (s *Server) WALRecovery() (records int, truncatedBytes int64) {
 }
 
 // walPipelineDepth bounds the decided-but-unacknowledged ring between
-// the decide stage and the committer: at most this many batches have
-// been applied in memory and await their covering fsync. Deep enough to
-// keep an fsync always in flight, shallow enough that a durability
-// failure only ever strands a few batches' worth of unanswered clients.
+// the worker and the committer: at most this many batches have been
+// applied in memory and await their covering fsync. Deep enough to keep
+// an fsync always in flight, shallow enough that a durability failure
+// only ever strands a few batches' worth of unanswered clients.
 const walPipelineDepth = 4
 
-// answer is one decided request awaiting its post-fsync acknowledgment.
-type answer struct {
-	p   *pending
-	op  Op
-	out opOutcome
-	// decided is when the decide stage finished this request; the
-	// span's commit stage runs from here to its covering fsync. Zero
-	// with tracing off.
-	decided time.Time
-}
-
-// commitBatch is the unit flowing through the pipeline ring: a decided
-// batch, the WAL index its acknowledgment must be durable through, and
-// the audit decisions it produced (held back until that fsync returns,
-// so a crash can never leave the audit file ahead of the replayable
-// log).
-type commitBatch struct {
-	lastIdx uint64
-	start   time.Time
-	answers []answer
-	audit   []obs.Decision
-}
-
-// durableWorker is the decide stage of the two-stage durable pipeline:
-// dequeue, gather a batch, write-ahead, apply, and hand the decided
-// batch to the committer — then immediately decide the next batch while
-// the committer's fsync for this one is still in flight. Group-commit
-// fsync latency thus overlaps the parallel decide of the next batch
-// instead of serializing the apply path; clients still only hear a
-// decision after the fsync covering it, so a 200 implies the op is on
-// disk exactly as before. Ordering is untouched: batches enter the ring
-// FIFO and the committer answers them FIFO, so decisions are
-// acknowledged — and audit is written — strictly in apply order.
-func (s *Server) durableWorker() {
-	ring := make(chan commitBatch, walPipelineDepth)
-	committerDone := make(chan struct{})
-	go s.walCommitter(ring, committerDone)
-	var batch []*pending
-	for {
-		p, ok := <-s.queue
-		if !ok {
-			break
-		}
-		s.markDequeued(p)
-		batch = append(batch[:0], p)
-	drain:
-		for len(batch) < maxWALBatch {
-			select {
-			case q, ok := <-s.queue:
-				if !ok {
-					break drain
-				}
-				s.markDequeued(q)
-				batch = append(batch, q)
-			default:
-				break drain
-			}
-		}
-		s.decideBatch(batch, ring)
-	}
-	close(ring)
-	<-committerDone
-	s.mu.Lock()
-	s.deferAudit = false
-	s.mu.Unlock()
-}
-
-// decideBatch stamps, write-aheads and applies one batch, then pushes
-// it onto the ring for the committer to fsync and acknowledge. Expired
-// requests are answered without touching state. Nothing is applied once
-// the durability error has latched (fail-stop).
-func (s *Server) decideBatch(batch []*pending, ring chan<- commitBatch) {
-	live := batch[:0]
-	now := s.now()
-	for _, p := range batch {
-		if !p.deadline.IsZero() && now.After(p.deadline) {
-			s.cTimeouts.Inc()
-			p.resp <- applied{timedOut: true, finished: now}
-			continue
-		}
-		live = append(live, p)
-	}
-	if len(live) == 0 {
-		return
-	}
-	start := s.now()
-	s.mu.Lock()
-	var lastIdx uint64
-	if s.walErr == nil {
-		for _, p := range live {
-			if p.hasT {
-				p.op.T = p.reqT
-			} else {
-				p.op.T = s.wallVT(start)
-			}
-			s.seq++
-			p.op.Seq = s.seq
-			var appendT0 time.Time
-			if p.sp != nil {
-				// Everything between dequeue and the batch decide is
-				// the group-commit gather window this op waited out.
-				p.sp.Dur[span.StageGather] = start.Sub(p.deq)
-				appendT0 = s.now()
-			}
-			data, err := json.Marshal(walRecord{Op: &p.op})
-			if err == nil {
-				lastIdx, err = s.wal.Append(data)
-			}
-			if err != nil {
-				s.setWALErrLocked(err)
-				break
-			}
-			if p.sp != nil {
-				p.sp.Dur[span.StageAppend] = s.now().Sub(appendT0)
-				p.sp.WALIndex = lastIdx
-			}
-		}
-	}
-	if s.walErr != nil {
-		s.mu.Unlock()
-		for _, p := range live {
-			p.resp <- applied{walFailed: true, finished: s.now()}
-		}
-		return
-	}
-	cb := commitBatch{lastIdx: lastIdx, start: start, answers: make([]answer, 0, len(live))}
-	for _, p := range live {
-		var applyT0 time.Time
-		if p.sp != nil {
-			applyT0 = s.now()
-		}
-		out := s.applyLocked(&p.op, p.sp)
-		ans := answer{p: p, op: p.op, out: out}
-		if p.sp != nil {
-			ans.decided = s.now()
-			p.sp.Dur[span.StageDecide] = ans.decided.Sub(applyT0) - p.sp.Dur[span.StageAdvance]
-		}
-		cb.answers = append(cb.answers, ans)
-	}
-	cb.audit = s.auditPending
-	s.auditPending = nil
-	s.mu.Unlock()
-	ring <- cb
-}
-
-// walCommitter is the commit stage: pop decided batches FIFO, make each
-// durable through its last WAL index, then write its audit and answer
-// its clients. SyncTo overlaps the flush-and-fsync with the decide
-// stage's appends, and its durable-index bookkeeping means a batch
+// walCommitter pops decided batches FIFO, makes each durable through its
+// last WAL index, then acks it. SyncTo overlaps the flush-and-fsync with
+// the worker's appends, and its durable-index bookkeeping means a batch
 // whose bytes were already covered by a later-started sync acknowledges
-// without a redundant fsync. A sync failure latches the fail-stop
-// error; the stranded batch — and every batch still in the ring — is
-// answered 503 without acknowledgment, since its decisions may not be
-// on disk.
+// without a redundant fsync. A sync failure latches the fail-stop error;
+// the stranded batch — and every batch still in the ring — is answered
+// 503 without acknowledgment, since its decisions may not be on disk.
 func (s *Server) walCommitter(ring <-chan commitBatch, done chan<- struct{}) {
 	defer close(done)
 	for cb := range ring {
@@ -341,27 +189,10 @@ func (s *Server) walCommitter(ring <-chan commitBatch, done chan<- struct{}) {
 			}
 			continue
 		}
-		s.mu.Lock()
 		if synced {
-			s.walFsyncHist.Observe(s.now().Sub(t0).Seconds())
+			cb.fsync = s.now().Sub(t0)
 		}
-		s.writeAuditLocked(cb.audit)
-		end := s.now()
-		lat := end.Sub(cb.start).Seconds()
-		for range cb.answers {
-			s.latHist.Observe(lat)
-		}
-		s.mu.Unlock()
-		for _, a := range cb.answers {
-			if a.p.sp != nil {
-				// Commit: from this op's decision to covered by the
-				// group fsync (audit write included — it is part of
-				// what the 200 vouches for).
-				a.p.sp.Dur[span.StageCommit] = end.Sub(a.decided)
-			}
-			s.shed.observe(lat)
-			a.p.resp <- applied{op: a.op, out: a.out, finished: end}
-		}
+		s.ack(cb)
 	}
 }
 

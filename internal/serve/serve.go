@@ -300,12 +300,10 @@ type Server struct {
 	wal          *wal.Log
 	walErr       error
 	walFsyncHist *obs.Histogram
-	// deferAudit, set while the durable pipeline runs, parks decisions
-	// drained by streamAuditLocked in auditPending instead of writing
-	// them; the committer writes each batch's decisions only after the
-	// fsync covering its ops, so the audit file can never run ahead of
-	// what a crash recovery would regenerate.
-	deferAudit   bool
+	// auditPending parks the decisions streamAuditLocked drains until
+	// their batch is acknowledged (ack) or, on replay, until the op is
+	// applied, so the audit file can never run ahead of what a crash
+	// recovery would regenerate.
 	auditPending []obs.Decision
 	// wal counter export state (delta pattern, like the pool counters).
 	walAppends, walAppendedBytes uint64
@@ -439,9 +437,6 @@ func New(cfg Config) (*Server, error) {
 			s.detachShards()
 			return nil, err
 		}
-		// Armed before the worker goroutine exists so no caller can
-		// observe the durable server with audit deferral off.
-		s.deferAudit = true
 	}
 	s.wg.Add(1)
 	go s.worker()
@@ -514,51 +509,194 @@ func (s *Server) enqueue(p *pending) error {
 	}
 }
 
-// worker is the single apply goroutine: it owns every state mutation, in
-// queue order.
+// answer is one decided request awaiting its acknowledgment.
+type answer struct {
+	p   *pending
+	out opOutcome
+	// decided is when the request's apply finished; the span's commit
+	// stage runs from here to ack. Zero with tracing off.
+	decided time.Time
+}
+
+// commitBatch is one decided batch on its way to ack: its answers, the
+// audit decisions it produced, and — with a log — the WAL index its
+// acknowledgment must be durable through.
+type commitBatch struct {
+	lastIdx uint64
+	start   time.Time
+	// fsync is how long the covering fsync took, zero when none ran.
+	fsync   time.Duration
+	answers []answer
+	audit   []obs.Decision
+}
+
+// worker is the single apply goroutine and the one loop every request
+// takes: gather a backlog, decide it, acknowledge it. It owns every
+// state mutation, in queue order. Without a log a batch is one request,
+// acknowledged inline — gathering more would hide queue depth from the
+// shed ladder. With a log a batch is up to maxWALBatch requests, handed
+// to the committer (durable.go), which acknowledges each batch after the
+// fsync covering it while the worker already decides the next.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	limit := 1
+	var ring chan commitBatch
+	var committerDone chan struct{}
 	if s.wal != nil {
-		s.durableWorker()
-		return
+		limit = maxWALBatch
+		ring = make(chan commitBatch, walPipelineDepth)
+		committerDone = make(chan struct{})
+		go s.walCommitter(ring, committerDone)
 	}
+	var batch []*pending
+	var answers []answer // reused by inline acks; a ring batch owns its own
 	for p := range s.queue {
-		s.process(p)
+		s.markDequeued(p)
+		batch = append(batch[:0], p)
+	gather:
+		for len(batch) < limit {
+			select {
+			case q, ok := <-s.queue:
+				if !ok {
+					break gather
+				}
+				s.markDequeued(q)
+				batch = append(batch, q)
+			default:
+				break gather
+			}
+		}
+		cb, ok := s.decideBatch(batch, answers)
+		switch {
+		case !ok:
+		case ring != nil:
+			ring <- cb
+		default:
+			s.ack(cb)
+			answers = cb.answers
+		}
+	}
+	if ring != nil {
+		close(ring)
+		<-committerDone
 	}
 }
 
-// process applies one pending request and answers it.
-func (s *Server) process(p *pending) {
-	if !p.deadline.IsZero() && s.now().After(p.deadline) {
-		// Expired while queued: answer without touching cluster state, so
-		// a backlogged server converges instead of doing work nobody is
-		// waiting for.
-		s.cTimeouts.Inc()
-		p.resp <- applied{timedOut: true, finished: s.now()}
-		return
+// decideBatch stamps, write-aheads (with a log) and applies one batch in
+// queue order, parking its audit decisions with it. Expired requests are
+// answered without touching state; nothing is applied once the
+// durability error has latched (fail-stop). ok is false when nothing
+// was left to acknowledge. answers is scratch for the batch's answers.
+func (s *Server) decideBatch(batch []*pending, answers []answer) (cb commitBatch, ok bool) {
+	live := batch[:0]
+	now := s.now()
+	for _, p := range batch {
+		if !p.deadline.IsZero() && now.After(p.deadline) {
+			// Expired while queued: answer without touching cluster state,
+			// so a backlogged server converges instead of doing work
+			// nobody is waiting for.
+			s.cTimeouts.Inc()
+			p.resp <- applied{timedOut: true, finished: now}
+			continue
+		}
+		live = append(live, p)
 	}
-	s.markDequeued(p)
-	start := s.now()
+	if len(live) == 0 {
+		return cb, false
+	}
+	cb.start = s.now()
 	s.mu.Lock()
-	if !p.hasT {
-		p.op.T = s.wallVT(start)
-	} else {
-		p.op.T = p.reqT
+	if s.walErr == nil {
+		for _, p := range live {
+			if p.hasT {
+				p.op.T = p.reqT
+			} else {
+				p.op.T = s.wallVT(cb.start)
+			}
+			s.seq++
+			p.op.Seq = s.seq
+			if p.sp != nil {
+				// Everything between dequeue and the batch decide is the
+				// gather window this op waited out.
+				p.sp.Dur[span.StageGather] = cb.start.Sub(p.deq)
+			}
+			if s.wal == nil {
+				continue
+			}
+			var appendT0 time.Time
+			if p.sp != nil {
+				appendT0 = s.now()
+			}
+			data, err := json.Marshal(walRecord{Op: &p.op})
+			if err == nil {
+				cb.lastIdx, err = s.wal.Append(data)
+			}
+			if err != nil {
+				s.setWALErrLocked(err)
+				break
+			}
+			if p.sp != nil {
+				p.sp.Dur[span.StageAppend] = s.now().Sub(appendT0)
+				p.sp.WALIndex = cb.lastIdx
+			}
+		}
 	}
-	s.seq++
-	p.op.Seq = s.seq
-	out := s.applyLocked(&p.op, p.sp)
-	end := s.now()
-	lat := end.Sub(start).Seconds()
-	s.latHist.Observe(lat)
+	if s.walErr != nil {
+		s.mu.Unlock()
+		for _, p := range live {
+			p.resp <- applied{walFailed: true, finished: s.now()}
+		}
+		return cb, false
+	}
+	if cap(answers) < len(live) {
+		answers = make([]answer, 0, len(live))
+	}
+	cb.answers = answers[:0]
+	for _, p := range live {
+		var applyT0 time.Time
+		if p.sp != nil {
+			applyT0 = s.now()
+		}
+		out := s.applyLocked(&p.op, p.sp)
+		a := answer{p: p, out: out}
+		if p.sp != nil {
+			a.decided = s.now()
+			p.sp.Dur[span.StageDecide] = a.decided.Sub(applyT0) - p.sp.Dur[span.StageAdvance]
+		}
+		cb.answers = append(cb.answers, a)
+	}
+	cb.audit = s.auditPending
+	s.auditPending = nil
 	s.mu.Unlock()
-	if p.sp != nil {
-		// Decide is the apply critical section minus the advance that
-		// ran inside it, so the two stages partition the lock hold.
-		p.sp.Dur[span.StageDecide] = end.Sub(start) - p.sp.Dur[span.StageAdvance]
+	return cb, true
+}
+
+// ack is the one way an applied request is answered: write the batch's
+// parked audit, observe latency and shed, and answer its clients. The
+// committer calls it after the fsync covering the batch; without a log
+// the worker calls it inline.
+func (s *Server) ack(cb commitBatch) {
+	s.mu.Lock()
+	if cb.fsync > 0 {
+		s.walFsyncHist.Observe(cb.fsync.Seconds())
 	}
-	s.shed.observe(lat)
-	p.resp <- applied{op: p.op, out: out, finished: end}
+	s.writeAuditLocked(cb.audit)
+	end := s.now()
+	lat := end.Sub(cb.start).Seconds()
+	for range cb.answers {
+		s.latHist.Observe(lat)
+	}
+	s.mu.Unlock()
+	for _, a := range cb.answers {
+		if a.p.sp != nil {
+			// Commit: from this op's decision to its ack (covering fsync
+			// and audit write included — both are part of what the 200
+			// vouches for).
+			a.p.sp.Dur[span.StageCommit] = end.Sub(a.decided)
+		}
+		s.shed.observe(lat)
+		a.p.resp <- applied{op: a.p.op, out: a.out, finished: end}
+	}
 }
 
 // applyLocked advances virtual time to op.T (firing every completion at
@@ -691,22 +829,26 @@ func (s *Server) setObs(a *obs.AuditLog) {
 	}
 }
 
-// streamAuditLocked drains newly recorded decisions to the audit
-// writer — or parks them for the pipeline committer when deferAudit is
-// set (see durable.go).
+// streamAuditLocked drains newly recorded decisions into auditPending,
+// where they wait for their op's ack (or replayLocked) to write them.
 func (s *Server) streamAuditLocked() {
 	if s.audit == nil || s.auditW == nil {
 		return
 	}
-	ds := s.audit.Drain()
-	if len(ds) == 0 {
-		return
+	s.auditPending = append(s.auditPending, s.audit.Drain()...)
+}
+
+// replayLocked re-applies one recovered op — checkpoint or WAL — through
+// the path live traffic takes, raises the sequence high-water mark past
+// it, and writes its audit at once: the op is already persisted, so there
+// is no ack to wait for.
+func (s *Server) replayLocked(op Op) {
+	s.applyLocked(&op, nil)
+	if op.Seq > s.seq {
+		s.seq = op.Seq
 	}
-	if s.deferAudit {
-		s.auditPending = append(s.auditPending, ds...)
-		return
-	}
-	s.writeAuditLocked(ds)
+	s.writeAuditLocked(s.auditPending)
+	s.auditPending = s.auditPending[:0]
 }
 
 // writeAuditLocked appends decisions to the audit stream. A write
@@ -922,11 +1064,7 @@ func (s *Server) replayCheckpoint() error {
 		}
 		switch {
 		case ln.Op != nil:
-			op := *ln.Op
-			s.applyLocked(&op, nil)
-			if op.Seq > s.seq {
-				s.seq = op.Seq
-			}
+			s.replayLocked(*ln.Op)
 			ops++
 		case ln.Quota != nil:
 			if s.quotas != nil {

@@ -301,7 +301,9 @@ func TestWorkerTimeoutExpiresQueuedRequest(t *testing.T) {
 		deadline: time.Now().Add(-time.Second), // already expired
 		resp:     make(chan applied, 1),
 	}
-	s.process(p)
+	if _, ok := s.decideBatch([]*pending{p}, nil); ok {
+		t.Fatal("expired request left a batch to acknowledge")
+	}
 	a := <-p.resp
 	if !a.timedOut {
 		t.Fatalf("expired request was applied anyway: %+v", a)

@@ -79,8 +79,8 @@ func (s *Server) finishSpan(p *pending, a applied, outcome string) {
 	s.spans.Record(sp)
 }
 
-// markDequeued stamps the queue-wait stage when the apply worker (or the
-// durable decide stage) pops a request.
+// markDequeued stamps the queue-wait stage when the apply worker pops a
+// request.
 func (s *Server) markDequeued(p *pending) {
 	if p.sp == nil {
 		return
