@@ -26,6 +26,10 @@ type EDF struct {
 	obsHooks
 
 	queue edfQueue
+	// arriving is the job Submit is placing and arrivalReason the
+	// rejection a dispatch pass gave it during that call ("" for none).
+	arriving      int
+	arrivalReason string
 }
 
 // edfItem is one queued job with the estimate in force at submission.
@@ -124,17 +128,21 @@ func (p *EDF) Name() string { return "EDF" }
 // QueueLen returns the number of jobs waiting for processors.
 func (p *EDF) QueueLen() int { return p.queue.Len() }
 
-// Submit implements Policy: enqueue and try to dispatch.
-func (p *EDF) Submit(e *sim.Engine, job workload.Job, estimate float64) {
+// Submit implements Policy: enqueue and try to dispatch. The job is
+// rejected by this call only when the dispatch pass it triggers selects it
+// and its deadline cannot be met; left queued, it counts as accepted.
+func (p *EDF) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
 	p.Recorder.Submitted(job)
 	p.arriveObs(e.Now(), job)
+	p.arriving, p.arrivalReason = job.ID, ""
 	if job.NumProc > p.Cluster.Len() {
 		p.beginObs(e.Now(), job, estimate, false)
 		p.reject(e.Now(), job, fmt.Sprintf("needs %d processors, cluster has %d", job.NumProc, p.Cluster.Len()))
-		return
+	} else {
+		p.enqueue(e, edfItem{job: job, estimate: estimate, seq: job.ID})
+		p.dispatch(e)
 	}
-	p.enqueue(e, edfItem{job: job, estimate: estimate, seq: job.ID})
-	p.dispatch(e)
+	return p.arrivalReason == "", p.arrivalReason
 }
 
 // enqueue pushes an item stamped with the engine's event count and
@@ -153,10 +161,14 @@ func (p *EDF) enqueue(e *sim.Engine, it edfItem) {
 
 // reject records a rejection in both the metrics recorder and the
 // observability hooks, keeping the audit decision count exactly equal to
-// the recorded rejection count.
+// the recorded rejection count, and notes it for Submit when it hits the
+// arriving job.
 func (p *EDF) reject(now float64, job workload.Job, reason string) {
 	p.Recorder.Reject(job, reason)
 	p.rejectObs(now, job, reason)
+	if job.ID == p.arriving {
+		p.arrivalReason = reason
+	}
 }
 
 // Reset empties the wait queue so the policy can drive a fresh run on a

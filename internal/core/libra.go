@@ -1,14 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-
 	"clustersched/internal/cluster"
 	"clustersched/internal/metrics"
 	"clustersched/internal/obs"
-	"clustersched/internal/sim"
-	"clustersched/internal/workload"
 )
 
 // Libra is the deadline-based proportional processor share strategy with
@@ -17,247 +12,47 @@ import (
 // (eqs. 1-2), and nodes are chosen best-fit so they saturate to their
 // maximum. Accepted jobs start immediately at their allocated share.
 type Libra struct {
-	Cluster  *cluster.TimeShared
-	Recorder *metrics.Recorder
+	// shareAdmission is the admission walk; Libra supplies its share test.
 	// Selection defaults to BestFit, the paper's Libra behaviour.
-	Selection NodeSelection
-	// DisableFastPath turns off the share-accumulation early exit and the
-	// FirstFit scan cutoff so the differential tests can prove they are
-	// behaviour-preserving.
-	DisableFastPath bool
-
-	// obsHooks carries the optional per-run tracer/metrics/audit
-	// attachments (see SetObs); all nil by default.
-	obsHooks
-
-	// fits and ids are reused across Submit calls so admission does not
-	// allocate per arrival.
-	fits []nodeFit
-	ids  []int
-
-	// pool, when attached (sharded runs), fans the admission node scan out
-	// across the shard workers; see SetAdmitPool and admitpar.go.
-	pool *sim.ShardPool
-	par  admitScratch
-	// parNow/parEstimate/parAbsDL stash the scan parameters and evalParH
-	// the bound-once evaluator, so the fan-out allocates no closure per
-	// arrival.
-	parNow      float64
-	parEstimate float64
-	parAbsDL    float64
-	evalParH    func(i int) (nodeFit, bool)
+	shareAdmission
 }
 
 // libraLimit is the admission share ceiling with its float tolerance.
 const libraLimit = 1 + 1e-9
 
-// SetAdmitPool attaches (or with nil detaches) the worker pool the
-// admission scan may fan out on. Implements AdmitParallel.
-func (p *Libra) SetAdmitPool(pool *sim.ShardPool) {
-	p.pool = pool
-	if pool != nil && p.evalParH == nil {
-		p.evalParH = p.evalPar
-	}
-}
-
-// evalPar is the parallel scan's per-node evaluator: the exact sequential
-// walk body for one up node, against the parameters stashed by admit.
-// LibraShareWithLimit only reads node state, so distinct nodes evaluate
-// race-free in parallel.
-func (p *Libra) evalPar(i int) (nodeFit, bool) {
-	node := p.Cluster.Node(i)
-	if node.Down() {
-		return nodeFit{}, false
-	}
-	s, ok := node.LibraShareWithLimit(p.parNow, p.parEstimate, p.parAbsDL, libraLimit)
-	if !ok {
-		return nodeFit{}, false
-	}
-	return nodeFit{id: i, share: s}, true
-}
-
-// NewLibra wires a Libra policy to a time-shared cluster and installs its
-// completion and failure-recovery hooks: a job killed by a node crash is
-// immediately resubmitted through the admission test with its remaining
-// runtime and estimate but its original deadline — the crashed node is
-// already down, so the share test prices the lost capacity.
+// NewLibra wires a Libra policy to a time-shared cluster, including its
+// completion and crash-resubmission hooks.
 func NewLibra(c *cluster.TimeShared, rec *metrics.Recorder) *Libra {
-	p := &Libra{Cluster: c, Recorder: rec, Selection: BestFit}
-	c.OnJobDone = func(_ *sim.Engine, rj *cluster.RunningJob) {
-		rec.Complete(rj.Job, rj.Finish, c.MinRuntime(rj))
-	}
-	c.OnJobKilled = func(e *sim.Engine, kj cluster.KilledJob) {
-		rec.Killed(kj.Job.Job)
-		job := kj.Job.Job
-		job.Runtime = kj.RemainingRuntime
-		// Resubmission, not a new submission: the job is still pending in
-		// the recorder and must end with exactly one final outcome.
-		p.admit(e, job, kj.RemainingEstimate, true)
-	}
+	p := &Libra{}
+	p.wire(c, rec, BestFit, p.test, "only %d of %d required nodes can hold the share")
 	return p
 }
 
 // Name implements Policy.
 func (p *Libra) Name() string { return "Libra" }
 
-// Reset prepares the policy for a fresh run on a reset cluster. Libra
-// keeps no cross-arrival state beyond its scratch buffers, so this only
-// exists to satisfy the resettable-policy contract.
-func (p *Libra) Reset() {}
-
-// Submit implements Policy: the Libra admission test and best-fit
-// placement.
-//
-// Two behaviour-preserving fast paths (proved by the differential test in
-// internal/experiment): the per-node share accumulation aborts as soon as
-// the running total exceeds the admission limit — the terms are
-// non-negative, so the node is already unsuitable — and under FirstFit
-// selection the node walk stops once NumProc suitable nodes are found.
-func (p *Libra) Submit(e *sim.Engine, job workload.Job, estimate float64) {
-	p.Recorder.Submitted(job)
-	p.arriveObs(e.Now(), job)
-	p.admit(e, job, estimate, false)
-}
-
-// reject records a rejection in both the metrics recorder and the
-// observability hooks, keeping the audit decision count exactly equal to
-// the recorded rejection count.
-func (p *Libra) reject(now float64, job workload.Job, reason string) {
-	p.Recorder.Reject(job, reason)
-	p.rejectObs(now, job, reason)
-}
-
-// admit runs the admission test and placement without registering a new
-// submission — shared by Submit and the crash-resubmission hook (resubmit
-// marks the latter in the audit log).
-func (p *Libra) admit(e *sim.Engine, job workload.Job, estimate float64, resubmit bool) {
-	now := e.Now()
-	p.beginObs(now, job, estimate, resubmit)
-	if job.NumProc > p.Cluster.Len() {
-		p.reject(now, job, fmt.Sprintf("needs %d processors, cluster has %d", job.NumProc, p.Cluster.Len()))
-		return
+// test is Libra's per-node test: the node's total share with the
+// candidate must stay within the limit. Unless audit or DisableFastPath
+// wants the full sum, the accumulation aborts as soon as the running
+// total exceeds the limit — the terms are non-negative, so the node is
+// already unsuitable.
+func (p *Libra) test(i int, n *cluster.PSNode) (nodeFit, bool) {
+	var s float64
+	var ok bool
+	if p.DisableFastPath || p.auditing() {
+		// Audit mode computes the full share even past the limit so the
+		// log shows the real number; the decision (s ≤ limit) is
+		// identical to the early-abort fast path's.
+		s = n.LibraShareWith(p.now, p.cand.RefWork, p.cand.AbsDeadline)
+		ok = s <= libraLimit
+	} else {
+		s, ok = n.LibraShareWithLimit(p.now, p.cand.RefWork, p.cand.AbsDeadline, libraLimit)
 	}
-	absDL := job.AbsDeadline()
-	const limit = libraLimit
-	auditing := p.auditing()
-	firstFit := p.Selection == FirstFit && !p.DisableFastPath
-	suitable := p.fits[:0]
-	// Fan the node walk out across the shard pool when attached, unless
-	// admission has order-sensitive observers (auditing, per-decision sim
-	// metrics) or fast paths are disabled — the parallel scan is itself a
-	// behaviour-preserving fast path. Under FirstFit a sequential prefix
-	// runs first so a shallow accept never pays the fan-out.
-	parFrom := p.Cluster.Len()
-	if p.pool != nil && !auditing && p.Sim == nil && !p.DisableFastPath &&
-		p.Cluster.Len() >= admitParMinNodes {
-		parFrom = 0
-		if firstFit {
-			parFrom = admitParPrefix
-		}
+	if p.auditing() {
+		p.Audit.Node(obs.NodeEval{Node: i, Share: obs.JSONFloat(s), Suitable: ok})
 	}
-	for i := 0; i < parFrom; i++ {
-		if p.Cluster.Node(i).Down() {
-			if auditing {
-				p.Audit.Node(obs.NodeEval{Node: i, Down: true})
-			}
-			continue
-		}
-		var s float64
-		var ok bool
-		if p.DisableFastPath || auditing {
-			// Audit mode computes the full share even past the limit so the
-			// log shows the real number; the decision (s ≤ limit) is
-			// identical to the early-abort fast path's.
-			s = p.Cluster.Node(i).LibraShareWith(now, estimate, absDL)
-			ok = s <= limit
-		} else {
-			s, ok = p.Cluster.Node(i).LibraShareWithLimit(now, estimate, absDL, limit)
-		}
-		if auditing {
-			p.Audit.Node(obs.NodeEval{Node: i, Share: obs.JSONFloat(s), Suitable: ok})
-		}
-		if ok {
-			if p.Sim != nil {
-				p.Sim.AdmitShare.Observe(s)
-			}
-			suitable = append(suitable, nodeFit{id: i, share: s})
-			if firstFit && len(suitable) == job.NumProc {
-				break
-			}
-		}
+	if ok && p.Sim != nil {
+		p.Sim.AdmitShare.Observe(s)
 	}
-	if parFrom < p.Cluster.Len() && !(firstFit && len(suitable) >= job.NumProc) {
-		// Decision-identical to continuing the walk: evaluations are pure,
-		// results merge in node-index order, and the first NumProc entries
-		// (all FirstFit uses) are exactly the ones the sequential early
-		// exit would have stopped at. A rejection evaluates every node on
-		// both paths, so rejection reasons and counts match too.
-		p.parNow, p.parEstimate, p.parAbsDL = now, estimate, absDL
-		suitable = parallelScan(p.pool, &p.par, parFrom, p.Cluster.Len(), suitable, p.evalParH)
-	}
-	p.fits = suitable
-	if len(suitable) < job.NumProc {
-		p.reject(now, job, fmt.Sprintf("only %d of %d required nodes can hold the share", len(suitable), job.NumProc))
-		return
-	}
-	orderBySelection(suitable, p.Selection)
-	if cap(p.ids) < job.NumProc {
-		p.ids = make([]int, job.NumProc)
-	}
-	ids := p.ids[:job.NumProc]
-	maxShare := 0.0
-	for i := range ids {
-		ids[i] = suitable[i].id
-		if suitable[i].share > maxShare {
-			maxShare = suitable[i].share
-		}
-	}
-	if _, err := p.Cluster.Submit(e, job, estimate, ids); err != nil {
-		// Unreachable with a correct admission test; surface as rejection
-		// rather than corrupt the metrics.
-		p.reject(now, job, "placement failed: "+err.Error())
-		return
-	}
-	p.acceptObs(now, job, ids, maxShare)
-}
-
-// nodeFit pairs a node id with the total share it would carry after
-// accepting the candidate job, plus the risk σ LibraRisk evaluated for it
-// (0 when not computed — selection never orders by it).
-type nodeFit struct {
-	id    int
-	share float64
-	sigma float64
-}
-
-// orderBySelection sorts candidate nodes per the fit strategy; ties break
-// on node id for determinism. slices.SortFunc rather than sort.Slice: the
-// comparators are total orders so the results are identical, and SortFunc
-// avoids sort.Slice's reflection-based swapper allocation on a per-arrival
-// path.
-func orderBySelection(fits []nodeFit, sel NodeSelection) {
-	switch sel {
-	case BestFit:
-		slices.SortFunc(fits, func(a, b nodeFit) int {
-			if a.share != b.share {
-				if a.share > b.share {
-					return -1
-				}
-				return 1
-			}
-			return a.id - b.id
-		})
-	case WorstFit:
-		slices.SortFunc(fits, func(a, b nodeFit) int {
-			if a.share != b.share {
-				if a.share < b.share {
-					return -1
-				}
-				return 1
-			}
-			return a.id - b.id
-		})
-	case FirstFit:
-		slices.SortFunc(fits, func(a, b nodeFit) int { return a.id - b.id })
-	}
+	return nodeFit{id: i, share: s, value: s}, ok
 }

@@ -75,6 +75,6 @@ func (o *obsHooks) acceptObs(now float64, job workload.Job, chosen []int, value 
 	}
 }
 
-// anyObs reports whether any hook is attached (used to gate audit-only
-// slow paths that compute real per-node numbers).
+// auditing reports whether an audit log is attached (used to gate
+// audit-only slow paths that compute real per-node numbers).
 func (o *obsHooks) auditing() bool { return o.Audit != nil }

@@ -10,9 +10,13 @@ import (
 // the scheduler is allowed to see (the real runtime stays hidden inside
 // the job and drives execution only). Completion and rejection outcomes
 // flow into the policy's metrics recorder.
+//
+// Submit also returns its decision: accepted is false, with the recorded
+// reason, exactly when this call rejected this job. A job a queueing
+// policy holds for a later decision counts as accepted.
 type Policy interface {
 	Name() string
-	Submit(e *sim.Engine, job workload.Job, estimate float64)
+	Submit(e *sim.Engine, job workload.Job, estimate float64) (accepted bool, reason string)
 }
 
 // NodeSelection chooses how Libra-style policies order suitable nodes.

@@ -46,12 +46,12 @@ func Wrap(inner core.Policy, rec *metrics.Recorder, p Predictor) *Wrapped {
 func (w *Wrapped) Name() string { return w.Inner.Name() + "+" + w.Predictor.Name() }
 
 // Submit implements core.Policy: replace the user's estimate with the
-// prediction, then delegate.
-func (w *Wrapped) Submit(e *sim.Engine, job workload.Job, estimate float64) {
+// prediction, then delegate, returning the inner policy's decision.
+func (w *Wrapped) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
 	w.submitted[job.ID] = job
 	w.estimates[job.ID] = estimate
 	pred := w.Predictor.Predict(job.UserID, estimate)
-	w.Inner.Submit(e, job, pred)
+	return w.Inner.Submit(e, job, pred)
 }
 
 // observe feeds completions to the predictor. Rejections carry no runtime

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -48,6 +47,7 @@ type Backfill struct {
 	DeadlineOrdered bool
 
 	queue []queued
+	arr   arrival
 }
 
 // NewBackfill wires a backfilling policy to a space-shared cluster.
@@ -72,19 +72,17 @@ func (p *Backfill) Name() string {
 func (p *Backfill) QueueLen() int { return len(p.queue) }
 
 // Submit implements core.Policy.
-func (p *Backfill) Submit(e *sim.Engine, job workload.Job, estimate float64) {
-	p.Recorder.Submitted(job)
-	if job.NumProc > p.Cluster.Len() {
-		p.Recorder.Reject(job, fmt.Sprintf("needs %d processors, cluster has %d", job.NumProc, p.Cluster.Len()))
-		return
+func (p *Backfill) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
+	if p.arr.begin(p.Recorder, job, p.Cluster.Len()) {
+		p.queue = append(p.queue, queued{job: job, estimate: estimate})
+		if p.DeadlineOrdered {
+			sort.SliceStable(p.queue, func(a, b int) bool {
+				return p.queue[a].job.AbsDeadline() < p.queue[b].job.AbsDeadline()
+			})
+		}
+		p.dispatch(e)
 	}
-	p.queue = append(p.queue, queued{job: job, estimate: estimate})
-	if p.DeadlineOrdered {
-		sort.SliceStable(p.queue, func(a, b int) bool {
-			return p.queue[a].job.AbsDeadline() < p.queue[b].job.AbsDeadline()
-		})
-	}
-	p.dispatch(e)
+	return p.arr.decision()
 }
 
 // dispatch starts every job the discipline allows to start now.
@@ -101,7 +99,7 @@ func (p *Backfill) startOne(e *sim.Engine) bool {
 	if len(p.queue) == 0 {
 		return false
 	}
-	prof := p.runningProfile(now)
+	prof := runningProfile(p.Cluster, now)
 	// Plan reservations in queue order; find the first job allowed to
 	// start now.
 	var headReservedStart float64 = math.Inf(1)
@@ -110,7 +108,8 @@ func (p *Backfill) startOne(e *sim.Engine) bool {
 		dur, ok := p.Cluster.BestPossibleRuntime(q.estimate, q.job.NumProc)
 		if !ok {
 			// Cannot ever run (guarded in Submit; defensive).
-			p.rejectAt(i, "impossible processor request")
+			p.queue = append(p.queue[:i], p.queue[i+1:]...)
+			p.arr.reject(p.Recorder, q.job, "impossible processor request")
 			return true
 		}
 		start := prof.EarliestSlot(now, dur, q.job.NumProc)
@@ -154,23 +153,17 @@ func (p *Backfill) startAt(e *sim.Engine, i int) bool {
 	q := p.queue[i]
 	p.queue = append(p.queue[:i], p.queue[i+1:]...)
 	if now >= q.job.AbsDeadline() {
-		p.Recorder.Reject(q.job, "deadline expired while queued")
+		p.arr.reject(p.Recorder, q.job, "deadline expired while queued")
 		return true
 	}
 	if rt, ok := p.Cluster.RuntimeOn(q.estimate, q.job.NumProc); ok && now+rt > q.job.AbsDeadline() {
-		p.Recorder.Reject(q.job, "deadline unreachable per runtime estimate")
+		p.arr.reject(p.Recorder, q.job, "deadline unreachable per runtime estimate")
 		return true
 	}
 	if _, err := p.Cluster.Start(e, q.job, q.estimate); err != nil {
-		p.Recorder.Reject(q.job, "start failed: "+err.Error())
+		p.arr.reject(p.Recorder, q.job, "start failed: "+err.Error())
 	}
 	return true
-}
-
-func (p *Backfill) rejectAt(i int, reason string) {
-	q := p.queue[i]
-	p.queue = append(p.queue[:i], p.queue[i+1:]...)
-	p.Recorder.Reject(q.job, reason)
 }
 
 // runningProfile builds the availability profile implied by the running
@@ -178,10 +171,10 @@ func (p *Backfill) rejectAt(i int, reason string) {
 // assumed to finish imminently, the same optimism real backfilling
 // schedulers exhibit (they kill such jobs; our substrate lets them run, so
 // misestimates surface as backfill collisions handled by canStartNow).
-func (p *Backfill) runningProfile(now float64) *Profile {
-	prof := NewProfile(p.Cluster.Len())
-	for _, rj := range p.Cluster.RunningJobs() {
-		end := p.Cluster.EstimatedFinish(rj)
+func runningProfile(c *cluster.SpaceShared, now float64) *Profile {
+	prof := NewProfile(c.Len())
+	for _, rj := range c.RunningJobs() {
+		end := c.EstimatedFinish(rj)
 		if end <= now {
 			end = now + 1e-6
 		}

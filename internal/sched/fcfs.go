@@ -24,12 +24,46 @@ type FCFS struct {
 	DeadlineAware bool
 
 	queue []queued
+	arr   arrival
 }
 
 type queued struct {
 	job      workload.Job
 	estimate float64
 }
+
+// arrival is the decision a space-shared policy's Submit returns. These
+// policies reject lazily, when a dispatch pass selects a job, so the
+// dispatch a Submit triggers can reject the arriving job inside the same
+// call; reject notes that. A job left queued counts as accepted.
+type arrival struct {
+	id     int
+	reason string // "" unless the arriving job was rejected
+}
+
+// begin registers job's submission and watches it for the rest of the
+// Submit call. It rejects, and reports false for, a job that needs more
+// processors than the cluster's procs.
+func (a *arrival) begin(rec *metrics.Recorder, job workload.Job, procs int) bool {
+	rec.Submitted(job)
+	a.id, a.reason = job.ID, ""
+	if job.NumProc > procs {
+		a.reject(rec, job, fmt.Sprintf("needs %d processors, cluster has %d", job.NumProc, procs))
+		return false
+	}
+	return true
+}
+
+// reject records a rejection, noting it when it hits the arriving job.
+func (a *arrival) reject(rec *metrics.Recorder, job workload.Job, reason string) {
+	rec.Reject(job, reason)
+	if job.ID == a.id {
+		a.reason = reason
+	}
+}
+
+// decision is what Submit returns for the watched job.
+func (a *arrival) decision() (bool, string) { return a.reason == "", a.reason }
 
 // NewFCFS wires an FCFS policy to a space-shared cluster.
 func NewFCFS(c *cluster.SpaceShared, rec *metrics.Recorder) *FCFS {
@@ -48,14 +82,12 @@ func (p *FCFS) Name() string { return "FCFS" }
 func (p *FCFS) QueueLen() int { return len(p.queue) }
 
 // Submit implements core.Policy.
-func (p *FCFS) Submit(e *sim.Engine, job workload.Job, estimate float64) {
-	p.Recorder.Submitted(job)
-	if job.NumProc > p.Cluster.Len() {
-		p.Recorder.Reject(job, fmt.Sprintf("needs %d processors, cluster has %d", job.NumProc, p.Cluster.Len()))
-		return
+func (p *FCFS) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
+	if p.arr.begin(p.Recorder, job, p.Cluster.Len()) {
+		p.queue = append(p.queue, queued{job: job, estimate: estimate})
+		p.dispatch(e)
 	}
-	p.queue = append(p.queue, queued{job: job, estimate: estimate})
-	p.dispatch(e)
+	return p.arr.decision()
 }
 
 func (p *FCFS) dispatch(e *sim.Engine) {
@@ -68,16 +100,16 @@ func (p *FCFS) dispatch(e *sim.Engine) {
 		p.queue = p.queue[1:]
 		if p.DeadlineAware {
 			if now >= head.job.AbsDeadline() {
-				p.Recorder.Reject(head.job, "deadline expired while queued")
+				p.arr.reject(p.Recorder, head.job, "deadline expired while queued")
 				continue
 			}
 			if rt, ok := p.Cluster.RuntimeOn(head.estimate, head.job.NumProc); ok && now+rt > head.job.AbsDeadline() {
-				p.Recorder.Reject(head.job, "deadline unreachable per runtime estimate")
+				p.arr.reject(p.Recorder, head.job, "deadline unreachable per runtime estimate")
 				continue
 			}
 		}
 		if _, err := p.Cluster.Start(e, head.job, head.estimate); err != nil {
-			p.Recorder.Reject(head.job, "start failed: "+err.Error())
+			p.arr.reject(p.Recorder, head.job, "start failed: "+err.Error())
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"clustersched/internal/cluster"
@@ -29,6 +28,7 @@ type QoPS struct {
 	SlackFactor float64
 
 	queue []queued
+	arr   arrival
 }
 
 // NewQoPS wires the policy to a space-shared cluster with the given slack
@@ -49,19 +49,18 @@ func (p *QoPS) Name() string { return "QoPS" }
 func (p *QoPS) QueueLen() int { return len(p.queue) }
 
 // Submit implements core.Policy: admission by schedule feasibility.
-func (p *QoPS) Submit(e *sim.Engine, job workload.Job, estimate float64) {
-	p.Recorder.Submitted(job)
-	if job.NumProc > p.Cluster.Len() {
-		p.Recorder.Reject(job, fmt.Sprintf("needs %d processors, cluster has %d", job.NumProc, p.Cluster.Len()))
-		return
+func (p *QoPS) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
+	if !p.arr.begin(p.Recorder, job, p.Cluster.Len()) {
+		return p.arr.decision()
 	}
 	trial := append(append([]queued(nil), p.queue...), queued{job: job, estimate: estimate})
-	if !p.feasible(e.Now(), trial) {
-		p.Recorder.Reject(job, "no slack-feasible schedule admits the job")
-		return
+	if p.feasible(e.Now(), trial) {
+		p.queue = trial
+		p.dispatch(e)
+	} else {
+		p.arr.reject(p.Recorder, job, "no slack-feasible schedule admits the job")
 	}
-	p.queue = trial
-	p.dispatch(e)
+	return p.arr.decision()
 }
 
 // slackedDeadline is the latest acceptable finish under the slack rule.
@@ -73,7 +72,7 @@ func (p *QoPS) slackedDeadline(q queued) float64 {
 // the current availability profile and reports whether every job's planned
 // finish meets its slacked deadline.
 func (p *QoPS) feasible(now float64, jobs []queued) bool {
-	prof := p.runningProfile(now)
+	prof := runningProfile(p.Cluster, now)
 	order := append([]queued(nil), jobs...)
 	sort.SliceStable(order, func(a, b int) bool {
 		return p.slackedDeadline(order[a]) < p.slackedDeadline(order[b])
@@ -104,7 +103,7 @@ func (p *QoPS) dispatch(e *sim.Engine) {
 		head := p.queue[0]
 		if now >= p.slackedDeadline(head) {
 			p.queue = p.queue[1:]
-			p.Recorder.Reject(head.job, "slacked deadline expired while queued")
+			p.arr.reject(p.Recorder, head.job, "slacked deadline expired while queued")
 			continue
 		}
 		if p.Cluster.FreeCount() < head.job.NumProc {
@@ -112,20 +111,7 @@ func (p *QoPS) dispatch(e *sim.Engine) {
 		}
 		p.queue = p.queue[1:]
 		if _, err := p.Cluster.Start(e, head.job, head.estimate); err != nil {
-			p.Recorder.Reject(head.job, "start failed: "+err.Error())
+			p.arr.reject(p.Recorder, head.job, "start failed: "+err.Error())
 		}
 	}
-}
-
-// runningProfile mirrors Backfill.runningProfile.
-func (p *QoPS) runningProfile(now float64) *Profile {
-	prof := NewProfile(p.Cluster.Len())
-	for _, rj := range p.Cluster.RunningJobs() {
-		end := p.Cluster.EstimatedFinish(rj)
-		if end <= now {
-			end = now + 1e-6
-		}
-		prof.Reserve(now, end, len(rj.NodeIDs))
-	}
-	return prof
 }

@@ -128,7 +128,10 @@ func (s *Server) openWAL() error {
 			if s.quotas != nil && rec.Op.Kind == "" {
 				s.quotas.forceTake(rec.Op.Tenant)
 			}
-			s.replayLocked(*rec.Op)
+			if err := s.replayLocked(*rec.Op); err != nil {
+				s.wal.Close()
+				return fmt.Errorf("serve: wal record %d: %w", r.Index, err)
+			}
 		case rec.Quota != nil:
 			if s.quotas != nil {
 				s.quotas.restore(rec.Quota)

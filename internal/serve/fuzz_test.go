@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,7 +70,7 @@ func FuzzValidateAdmit(f *testing.F) {
 		if op.NumProc <= 0 {
 			t.Fatalf("accepted numproc = %d from %q", op.NumProc, body)
 		}
-		// The job applyAdmitLocked will build from this op.
+		// The job applyLocked will submit for this op.
 		job := workload.Job{
 			ID:            1,
 			Submit:        reqT,
@@ -83,6 +85,74 @@ func FuzzValidateAdmit(f *testing.F) {
 		}
 		if job.Class != workload.HighUrgency && job.Class != workload.LowUrgency {
 			t.Fatalf("accepted class %d from %q", op.Class, body)
+		}
+	})
+}
+
+// FuzzReplayCheckpoint feeds the drain-checkpoint reader a file with a
+// correct checksum built from fuzzed op fields — a valid admit, then the
+// fuzzed op — and then the same file with one byte flipped after the
+// checksum was taken (flipXor 0 skips the flip). kind picks the op kind:
+// admit, node, or one no handler produces. Resuming must never
+// panic. It may refuse either file; when it accepts the flipped one, it
+// must replay to the same op count and audit bytes as the unflipped one.
+func FuzzReplayCheckpoint(f *testing.F) {
+	f.Add(byte(0), 2, 60.0, 60.0, 100.0, 0, 0, false, 10.0, 2, uint16(0), byte(0))
+	f.Add(byte(0), 2, 60.0, 60.0, 100.0, 1, 0, false, 10.0, 2, uint16(40), byte(1))
+	f.Add(byte(0), 9, 60.0, 30.0, 100.0, 0, 0, false, 10.0, 2, uint16(0), byte(0))
+	f.Add(byte(0), 1, -60.0, 60.0, 100.0, 0, 0, false, 10.0, 2, uint16(0), byte(0))
+	f.Add(byte(0), 1, 60.0, 60.0, 100.0, 7, 0, false, 10.0, 2, uint16(0), byte(0))
+	f.Add(byte(0), 1, 1.7976931348623157e308, 1.7976931348623157e308, 1.7976931348623157e308, 0, 0, false, 1.7976931348623157e308, 2, uint16(0), byte(0))
+	f.Add(byte(1), 0, 0.0, 0.0, 0.0, 0, 1, true, 5.0, 2, uint16(0), byte(0))
+	f.Add(byte(1), 0, 0.0, 0.0, 0.0, 0, 9, true, 5.0, 2, uint16(0), byte(0))
+	f.Add(byte(1), 0, 0.0, 0.0, 0.0, 0, -1, false, 5.0, 2, uint16(0), byte(0))
+	f.Add(byte(1), 0, 0.0, 0.0, 0.0, 0, 0, true, -5.0, 2, uint16(0), byte(0))
+	f.Add(byte(1), 0, 0.0, 0.0, 0.0, 0, 0, true, 5.0, 1, uint16(0), byte(0))
+	f.Add(byte(1), 0, 0.0, 0.0, 0.0, 0, 0, true, 5.0, 2, uint16(7), byte(' '))
+	f.Add(byte(2), 0, 0.0, 0.0, 0.0, 0, 0, false, 5.0, 2, uint16(0), byte(0))
+	f.Fuzz(func(t *testing.T, kind byte, numProc int, runtime, estimate, deadline float64, class, node int, down bool, opT float64, seq int, flipAt uint16, flipXor byte) {
+		cfg := testConfig()
+		ops := []Op{validAdmit(1, 0), {
+			Seq: seq, Kind: [...]string{"", "node", "reboot"}[kind%3], T: opT, NumProc: numProc, Runtime: runtime, Estimate: estimate,
+			Deadline: deadline, Class: class, Audited: true, Node: node, Down: down,
+		}}
+		data, err := checkpointBytes(cfg, ops)
+		if err != nil {
+			return // NaN and ±Inf have no JSON form, so no checkpoint holds them
+		}
+		dir := t.TempDir()
+		resume := func(data []byte) (int, []byte, error) {
+			path := filepath.Join(dir, "c.ckpt")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var audit bytes.Buffer
+			rcfg := cfg
+			rcfg.CheckpointPath, rcfg.Resume, rcfg.Audit = path, true, &audit
+			s, err := New(rcfg)
+			if err != nil {
+				return 0, nil, err
+			}
+			n := s.OpsApplied()
+			if err := s.Close(); err != nil {
+				t.Fatalf("close after resume: %v", err)
+			}
+			return n, audit.Bytes(), nil
+		}
+		wantOps, wantAudit, wantErr := resume(data)
+		if flipXor == 0 {
+			return
+		}
+		data[int(flipAt)%len(data)] ^= flipXor
+		gotOps, gotAudit, err := resume(data)
+		if err != nil {
+			return
+		}
+		if wantErr != nil {
+			t.Fatalf("flipped checkpoint resumed, the unflipped one was refused: %v", wantErr)
+		}
+		if gotOps != wantOps || !bytes.Equal(gotAudit, wantAudit) {
+			t.Fatalf("flipped checkpoint replayed %d ops, unflipped %d; audit equal: %v", gotOps, wantOps, bytes.Equal(gotAudit, wantAudit))
 		}
 	})
 }

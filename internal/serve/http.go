@@ -182,27 +182,8 @@ func validateAdmit(req *AdmitRequest) (Op, bool, float64, error) {
 		}
 		hasT, reqT = true, t
 	}
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{{"runtime", req.Runtime}, {"estimate", req.Estimate}, {"deadline", req.Deadline}} {
-		if math.IsInf(f.v, 0) {
-			return Op{}, false, 0, fmt.Errorf("non-finite %s", f.name)
-		}
-	}
-	probe := workload.Job{
-		ID:            1, // placeholder; the worker assigns the real sequence
-		Submit:        reqT,
-		Runtime:       req.Runtime,
-		TraceEstimate: req.Estimate,
-		NumProc:       req.NumProc,
-		Deadline:      req.Deadline,
-		Class:         class,
-	}
-	if err := probe.Validate(); err != nil {
-		return Op{}, false, 0, err
-	}
 	op := Op{
+		T:        reqT,
 		Tenant:   req.Tenant,
 		NumProc:  req.NumProc,
 		Runtime:  req.Runtime,
@@ -210,7 +191,30 @@ func validateAdmit(req *AdmitRequest) (Op, bool, float64, error) {
 		Deadline: req.Deadline,
 		Class:    int(class),
 	}
+	probe := op.job()
+	probe.ID = 1 // placeholder; the worker assigns the real sequence
+	if err := checkAdmitJob(probe); err != nil {
+		return Op{}, false, 0, err
+	}
 	return op, hasT, reqT, nil
+}
+
+// checkAdmitJob holds an admit op's job to the rules every admission
+// crosses, live or recovered: finite quantities, a known class, and a job
+// the simulator accepts.
+func checkAdmitJob(j workload.Job) error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"runtime", j.Runtime}, {"estimate", j.TraceEstimate}, {"deadline", j.Deadline}} {
+		if math.IsInf(f.v, 0) {
+			return fmt.Errorf("non-finite %s", f.name)
+		}
+	}
+	if j.Class != workload.HighUrgency && j.Class != workload.LowUrgency {
+		return fmt.Errorf("unknown class %d", j.Class)
+	}
+	return j.Validate()
 }
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
@@ -294,9 +298,8 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()}, 0)
 		return
 	}
-	if req.Node < 0 || req.Node >= s.cfg.Nodes {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("node %d out of range [0,%d)", req.Node, s.cfg.Nodes)}, 0)
+	if err := s.checkNode(req.Node); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()}, 0)
 		return
 	}
 	lvl := s.shedLevel()
@@ -332,6 +335,14 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	s.dispatch(w, r, p, func(a applied) (int, any) {
 		return http.StatusOK, NodeResponse{Node: a.op.Node, Down: a.op.Down, T: a.op.T, Killed: a.out.killed}
 	})
+}
+
+// checkNode refuses a node index outside the cluster.
+func (s *Server) checkNode(node int) error {
+	if node < 0 || node >= s.cfg.Nodes {
+		return fmt.Errorf("node %d out of range [0,%d)", node, s.cfg.Nodes)
+	}
+	return nil
 }
 
 // dispatch enqueues p and waits for the worker's answer, translating

@@ -208,6 +208,19 @@ type Op struct {
 	Down bool `json:"down,omitempty"`
 }
 
+// job is the workload job an admit op submits.
+func (op *Op) job() workload.Job {
+	return workload.Job{
+		ID:            op.Seq,
+		Submit:        op.T,
+		Runtime:       op.Runtime,
+		TraceEstimate: op.Estimate,
+		NumProc:       op.NumProc,
+		Deadline:      op.Deadline,
+		Class:         workload.Class(op.Class),
+	}
+}
+
 // opOutcome is what applying an Op produced.
 type opOutcome struct {
 	accepted bool
@@ -288,10 +301,10 @@ type Server struct {
 	shardEngines []*sim.Engine
 	detachShards func()
 	onShardPhase func(time.Duration)
-	// ops is the in-memory applied-op log backing the drain checkpoint.
-	// Durable mode drops it — the WAL is the log — so memory stays
-	// bounded no matter how long the daemon runs; opsApplied counts
-	// applied ops in both modes.
+	// ops is the in-memory applied-op log backing the drain checkpoint,
+	// kept only with CheckpointPath set: durable mode's log is the WAL,
+	// and a daemon with neither has nothing to write it to. opsApplied
+	// counts applied ops in every mode.
 	ops        []Op
 	opsApplied int
 	seq        int
@@ -735,14 +748,26 @@ func (s *Server) applyLocked(op *Op, sp *span.Span) opOutcome {
 			sp.ShardPhases = s.phaseCount
 		}
 	}
-	var out opOutcome
-	switch op.Kind {
-	case "node":
-		out = s.applyNodeLocked(op)
-	default:
-		out = s.applyAdmitLocked(op)
+	if s.audit != nil {
+		if op.Audited {
+			s.setObs(s.audit)
+		} else {
+			s.setObs(nil)
+		}
 	}
-	if s.wal == nil {
+	var out opOutcome
+	if op.Kind == "node" {
+		// Jobs killed by a crash are resubmitted by the policy's recovery
+		// hook inside this call, so the decision stream (and audit) stays
+		// deterministic.
+		out = opOutcome{accepted: true, killed: s.nodes.Down(s.eng, op.Node, op.Down)}
+	} else {
+		// A job EDF's generous admission leaves queued, to decide at
+		// selection time, counts as accepted.
+		out.accepted, out.reason = s.pol.Submit(s.eng, op.job(), op.Estimate)
+	}
+	s.streamAuditLocked()
+	if s.cfg.CheckpointPath != "" {
 		s.ops = append(s.ops, *op)
 	}
 	// The decision counters are bumped here, beside opsApplied, so a
@@ -770,55 +795,6 @@ func (s *Server) observeShardPhase(d time.Duration) {
 	s.phaseHist.Observe(d.Seconds())
 }
 
-// applyAdmitLocked submits one job to the policy and reads the decision
-// back out of the recorder delta — the one source of truth all three
-// policies share, audit on or off.
-func (s *Server) applyAdmitLocked(op *Op) opOutcome {
-	if s.audit != nil {
-		if op.Audited {
-			s.setObs(s.audit)
-		} else {
-			s.setObs(nil)
-		}
-	}
-	job := workload.Job{
-		ID:            op.Seq,
-		Submit:        op.T,
-		Runtime:       op.Runtime,
-		TraceEstimate: op.Estimate,
-		NumProc:       op.NumProc,
-		Deadline:      op.Deadline,
-		Class:         workload.Class(op.Class),
-	}
-	n0 := len(s.rec.Results())
-	s.pol.Submit(s.eng, job, op.Estimate)
-	s.streamAuditLocked()
-	for _, r := range s.rec.Results()[n0:] {
-		if r.JobID == op.Seq && r.Outcome == metrics.Rejected {
-			return opOutcome{accepted: false, reason: r.Reason}
-		}
-	}
-	// Accepted into the cluster (Libra/LibraRisk) or the dispatch queue
-	// (EDF, whose generous admission decides at selection time).
-	return opOutcome{accepted: true}
-}
-
-// applyNodeLocked crashes or repairs one node. Jobs killed by a crash
-// are resubmitted by the policy's recovery hook inside this call, so the
-// decision stream (and audit) stays deterministic.
-func (s *Server) applyNodeLocked(op *Op) opOutcome {
-	if s.audit != nil {
-		if op.Audited {
-			s.setObs(s.audit)
-		} else {
-			s.setObs(nil)
-		}
-	}
-	killed := s.nodes.Down(s.eng, op.Node, op.Down)
-	s.streamAuditLocked()
-	return opOutcome{accepted: true, killed: killed}
-}
-
 // setObs swaps the policy's audit attachment (nil detaches).
 func (s *Server) setObs(a *obs.AuditLog) {
 	type obsPolicy interface {
@@ -841,14 +817,41 @@ func (s *Server) streamAuditLocked() {
 // replayLocked re-applies one recovered op — checkpoint or WAL — through
 // the path live traffic takes, raises the sequence high-water mark past
 // it, and writes its audit at once: the op is already persisted, so there
-// is no ack to wait for.
-func (s *Server) replayLocked(op Op) {
-	s.applyLocked(&op, nil)
-	if op.Seq > s.seq {
-		s.seq = op.Seq
+// is no ack to wait for. An op checkRecovered refuses is not applied.
+func (s *Server) replayLocked(op Op) error {
+	if err := s.checkRecovered(op); err != nil {
+		return err
 	}
+	s.applyLocked(&op, nil)
+	s.seq = op.Seq
 	s.writeAuditLocked(s.auditPending)
 	s.auditPending = s.auditPending[:0]
+	return nil
+}
+
+// checkRecovered holds a recovered op to the rules the live path applies
+// before an op reaches the engine: the handlers' node range and admit
+// checks, a valid time, and a sequence number above every earlier op's. A
+// checksum proves the bytes are the ones written, not that they form an
+// op the handlers would have let through.
+func (s *Server) checkRecovered(op Op) error {
+	var err error
+	switch {
+	case op.Seq <= s.seq:
+		err = fmt.Errorf("does not follow seq %d", s.seq)
+	case !(op.T >= 0):
+		err = fmt.Errorf("invalid t %g", op.T)
+	case op.Kind == "node":
+		err = s.checkNode(op.Node)
+	case op.Kind == "":
+		err = checkAdmitJob(op.job())
+	default:
+		err = fmt.Errorf("unknown kind %q", op.Kind)
+	}
+	if err != nil {
+		return fmt.Errorf("op seq %d: %w", op.Seq, err)
+	}
+	return nil
 }
 
 // writeAuditLocked appends decisions to the audit stream. A write
@@ -1064,7 +1067,9 @@ func (s *Server) replayCheckpoint() error {
 		}
 		switch {
 		case ln.Op != nil:
-			s.replayLocked(*ln.Op)
+			if err := s.replayLocked(*ln.Op); err != nil {
+				return fmt.Errorf("serve: checkpoint %s: line %d: %w", path, i+2, err)
+			}
 			ops++
 		case ln.Quota != nil:
 			if s.quotas != nil {
