@@ -73,7 +73,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzValidateAdmit$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzReplayCheckpoint$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzPredictWithinMatchesNaive$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run xxx -fuzz 'FuzzProvablyRisky$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run xxx -fuzz 'FuzzWALRecover$$' -fuzztime 10s ./internal/wal/
+	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime 10s ./cmd/servetrace/
 
 experiments:
 	$(GO) run ./cmd/experiments -csv results -svg results | tee results/experiments_full.txt

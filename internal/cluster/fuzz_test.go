@@ -8,11 +8,8 @@ import (
 )
 
 // FuzzPredictWithinMatchesNaive pins the bounded fast predictor to the
-// naive reference (Config.NaivePredictor) on fuzzed nodes. Each 4-byte
-// group of jobs is one slice — runtime, estimate (under-estimates
-// overrun), relative deadline, and the gap before it arrives — run on a
-// node with a fuzzed speed, MaxWeight cap and share convention until
-// elapsed seconds after the last arrival. When PredictDelaysWithin
+// naive reference (Config.NaivePredictor) on fuzzed nodes (see
+// fuzzNodes) with a fuzzed candidate and limit. When PredictDelaysWithin
 // completes its verdicts must equal the naive ones exactly; it may stop
 // early only when the naive σ of the eq. (4) values exceeds limit, and
 // the verdicts it did produce must still be the naive ones.
@@ -24,68 +21,15 @@ func FuzzPredictWithinMatchesNaive(f *testing.F) {
 	f.Add([]byte{200, 255, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(60), uint16(1000), uint16(0), uint16(0), false)
 	f.Add([]byte{10, 64, 16, 0, 10, 64, 16, 0, 10, 64, 16, 0}, uint8(0), uint8(0), uint16(5), uint16(0), uint16(40), uint16(0), false)
 	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork, candSlack uint16, strict bool) {
-		cfg := DefaultConfig()
-		cfg.WorkConserving = !strict
-		if maxWeightPct > 0 {
-			cfg.MaxWeight = float64(maxWeightPct%100+1) / 100
-		}
-		naiveCfg := cfg
-		naiveCfg.NaivePredictor = true
-		fast, err := NewTimeShared(1, 168, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := NewTimeShared(1, 168, naiveCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ef, en := sim.NewEngine(), sim.NewEngine()
-		ef.MaxEvents, en.MaxEvents = 1_000_000, 1_000_000
-		runTo := func(at float64) {
-			for _, e := range []*sim.Engine{ef, en} {
-				e.SetHorizon(at)
-				if err := e.Run(); err != nil {
-					t.Fatal(err)
-				}
-				e.AdvanceTo(at)
-			}
-		}
-		if speedPct > 0 {
-			speed := float64(speedPct) / 100
-			fast.SetNodeSpeed(ef, 0, speed)
-			naive.SetNodeSpeed(en, 0, speed)
-		}
-		if len(jobs) > 48 {
-			jobs = jobs[:48] // 12 slices: past that the predictor's per-node cost is all the fuzzer would measure
-		}
-		now := 0.0
-		for i := 0; i+4 <= len(jobs); i += 4 {
-			b := jobs[i : i+4]
-			now += float64(b[3] % 64)
-			runTo(now)
-			runtime := 1 + float64(b[0])*4
-			estimate := runtime * float64(1+int(b[1])) / 64
-			j := workload.Job{
-				ID: i/4 + 1, Submit: now, Runtime: runtime, TraceEstimate: estimate,
-				NumProc: 1, Deadline: runtime * float64(16+int(b[2])) / 32,
-			}
-			if _, err := fast.Submit(ef, j, estimate, []int{0}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := naive.Submit(en, j, estimate, []int{0}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now += float64(elapsed % 2000)
-		runTo(now)
+		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict)
 		var cand *Candidate
 		if candWork > 0 {
 			cand = &Candidate{JobID: 1000, RefWork: float64(candWork % 2000), AbsDeadline: now + float64(candSlack%3000)}
 		}
 		limit := float64(limitMilli) / 1000
 
-		want := naive.Node(0).PredictDelays(now, cand)
-		got, ok := fast.Node(0).PredictDelaysWithin(now, cand, limit)
+		want := naive.PredictDelays(now, cand)
+		got, ok := fast.PredictDelaysWithin(now, cand, limit)
 		if ok && len(got) != len(want) {
 			t.Fatalf("%d verdicts, naive has %d", len(got), len(want))
 		}
@@ -108,4 +52,95 @@ func FuzzPredictWithinMatchesNaive(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzProvablyRisky holds exit (5) to the naive reference: on a fuzzed
+// node (the fuzzNodes builder) with a fuzzed candidate, whose deadline may
+// already have passed, and a fuzzed limit, whenever ProvablyRisky says
+// risky the naive predictor's σ of the eq. (4) values must exceed limit.
+func FuzzProvablyRisky(f *testing.F) {
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5, 99, 10, 60, 0}, uint8(0), uint8(0), uint16(1200), uint16(0), uint16(400), int16(800), false)
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5}, uint8(40), uint8(30), uint16(900), uint16(50), uint16(80), int16(-90), false)
+	f.Add([]byte{200, 8, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(1500), uint16(500), uint16(9000), int16(-4000), false)
+	f.Add([]byte{10, 4, 16, 0, 10, 64, 16, 0, 10, 4, 16, 0}, uint8(0), uint8(0), uint16(300), uint16(0), uint16(40), int16(0), true)
+	f.Add([]byte{30, 2, 0, 0}, uint8(0), uint8(0), uint16(400), uint16(500), uint16(3), int16(-2000), false)
+	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork uint16, candOffset int16, strict bool) {
+		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict)
+		cand := &Candidate{JobID: 1000, RefWork: float64(candWork) / 4, AbsDeadline: now + float64(candOffset)/8}
+		limit := float64(limitMilli) / 1000
+		if !fast.ProvablyRisky(now, cand, limit) {
+			return
+		}
+		var w sim.Welford
+		for _, pd := range naive.PredictDelays(now, cand) {
+			w.Add(DeadlineDelay(pd.Delay, pd.AbsDeadline-now))
+		}
+		if sigma := w.StdDevPop(); !(sigma > limit) {
+			t.Fatalf("ProvablyRisky at limit %g, but the naive σ is %g", limit, sigma)
+		}
+	})
+}
+
+// fuzzNodes builds one node twice, once on the fast predictor and once on
+// the naive one, from fuzzed bytes: each 4-byte group of jobs is one
+// slice — runtime, estimate (under-estimates overrun), relative deadline,
+// and the gap before it arrives — run on a node with a fuzzed speed,
+// MaxWeight cap and share convention until elapsed seconds after the last
+// arrival, which is the instant it returns.
+func fuzzNodes(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed uint16, strict bool) (fast, naive *PSNode, now float64) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.WorkConserving = !strict
+	if maxWeightPct > 0 {
+		cfg.MaxWeight = float64(maxWeightPct%100+1) / 100
+	}
+	naiveCfg := cfg
+	naiveCfg.NaivePredictor = true
+	fc, err := NewTimeShared(1, 168, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := NewTimeShared(1, 168, naiveCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef, en := sim.NewEngine(), sim.NewEngine()
+	ef.MaxEvents, en.MaxEvents = 1_000_000, 1_000_000
+	runTo := func(at float64) {
+		for _, e := range []*sim.Engine{ef, en} {
+			e.SetHorizon(at)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			e.AdvanceTo(at)
+		}
+	}
+	if speedPct > 0 {
+		speed := float64(speedPct) / 100
+		fc.SetNodeSpeed(ef, 0, speed)
+		nc.SetNodeSpeed(en, 0, speed)
+	}
+	if len(jobs) > 48 {
+		jobs = jobs[:48] // 12 slices: past that the predictor's per-node cost is all the fuzzer would measure
+	}
+	for i := 0; i+4 <= len(jobs); i += 4 {
+		b := jobs[i : i+4]
+		now += float64(b[3] % 64)
+		runTo(now)
+		runtime := 1 + float64(b[0])*4
+		estimate := runtime * float64(1+int(b[1])) / 64
+		j := workload.Job{
+			ID: i/4 + 1, Submit: now, Runtime: runtime, TraceEstimate: estimate,
+			NumProc: 1, Deadline: runtime * float64(16+int(b[2])) / 32,
+		}
+		if _, err := fc.Submit(ef, j, estimate, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Submit(en, j, estimate, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now += float64(elapsed % 2000)
+	runTo(now)
+	return fc.Node(0), nc.Node(0), now
 }

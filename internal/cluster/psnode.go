@@ -81,11 +81,19 @@ type PSNode struct {
 	speed float64
 
 	// version counts state mutations: it is bumped whenever advance
-	// accrues progress, a slice is added, or a completed slice is retired.
+	// accrues progress, a slice is added, a completed slice is retired,
+	// SetSpeed changes the speed, markDown drops the slices, markUp
+	// revives the node, or removeJobSlices drops a killed job's slices.
 	// Consumers key caches of derived quantities (fluid predictions, risk
-	// aggregates) on it; an unchanged version guarantees the slice set,
-	// remaining-work values and rates are all unchanged since last read.
+	// aggregates, the risk summary below) on it; an unchanged version
+	// guarantees the slice set, remaining-work values, rates and speed are
+	// all unchanged since last read. reset zeroes it, so reset must also
+	// drop every cache the node itself keys on it.
 	version uint64
+
+	// risk is ProvablyRisky's summary of the slices, valid while its
+	// version matches.
+	risk riskSummary
 
 	// busyIntegral accumulates ∫Σrates dt — the exact node-seconds of
 	// work served, for utilization accounting.
@@ -347,6 +355,7 @@ func (n *PSNode) reset() {
 	n.down = false
 	n.speed = 1
 	n.version = 0
+	n.risk = riskSummary{}
 	n.busyIntegral = 0
 	// Sharding is a per-run attachment; a reset node always reverts to the
 	// sequential single-engine mode until AttachShards runs again.
@@ -428,6 +437,70 @@ func (n *PSNode) PredictionStable() bool {
 	default:
 		return false
 	}
+}
+
+// riskSummary is what ProvablyRisky reads of a node's slices, derived
+// from accrued state (believedWork, not its projection) at one version:
+// the earliest deadline among slices whose believed work is exhausted
+// (+Inf when none) and the believed backlog Σ max(0, believedWork). Both
+// bound the predictor's view at any now ≥ lastT until the version moves,
+// because between mutations believed work only falls: an exhausted slice
+// stays exhausted and the backlog only shrinks.
+type riskSummary struct {
+	version   uint64
+	valid     bool
+	exhausted float64
+	backlog   float64
+}
+
+// ProvablyRisky reports, without simulating, that the eq. (4) values
+// PredictDelays(now, cand) would yield have a population σ above limit,
+// so the node is unsuitable for cand. It is O(1) while the node's version
+// is unchanged.
+//
+// The proof: a slice whose believed work is exhausted and whose deadline
+// d has passed is retired by the predictor at now whatever the candidate,
+// with value v = DeadlineDelay(now−d, d−now). On a work-conserving node
+// the items share all of the node's speed, so every item, the candidate
+// included, finishes by now + (backlog + candidate work)/speed, plus a
+// margin for float dust and the predictor's epsTime step floor. That caps
+// the candidate's own value at u, and v − u beyond PredictDelaysWithin's
+// stopping spread proves σ > limit the same way the bound does there.
+//
+// False means only "not proven". Strict shares (the node may idle), the
+// naive predictor, a nil candidate and now before the node's last accrual
+// point never prove anything.
+func (n *PSNode) ProvablyRisky(now float64, cand *Candidate, limit float64) bool {
+	if cand == nil || !n.cfg.WorkConserving || n.cfg.NaivePredictor || now < n.lastT || len(n.slices) == 0 {
+		return false
+	}
+	if !n.risk.valid || n.risk.version != n.version {
+		n.summarizeRisk()
+	}
+	d := n.risk.exhausted
+	if !(d < now) {
+		return false
+	}
+	v := DeadlineDelay(now-d, d-now)
+	items := float64(len(n.slices) + 1)
+	finish := now + (n.risk.backlog+clampNonNegative(n.WorkToNodeSeconds(cand.RefWork)))/n.speed
+	finish += 1e-9*math.Abs(finish) + items*epsTime
+	u := DeadlineDelay(finish-cand.AbsDeadline, cand.AbsDeadline-now)
+	return v-u > 2*limit*math.Sqrt(2*items)+1e-12*v
+}
+
+// summarizeRisk rebuilds the risk summary at the current version.
+func (n *PSNode) summarizeRisk() {
+	s := riskSummary{version: n.version, valid: true, exhausted: math.Inf(1)}
+	for _, sl := range n.slices {
+		if sl.believedWork <= epsWork {
+			if d := sl.job.Job.AbsDeadline(); d < s.exhausted {
+				s.exhausted = d
+			}
+		}
+		s.backlog += clampNonNegative(sl.believedWork)
+	}
+	n.risk = s
 }
 
 func libraShare(believed, remDeadline float64) float64 {

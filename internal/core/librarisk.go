@@ -78,9 +78,9 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 // evalNode applies Algorithm 1's suitability test to one node, returning
 // whether it is suitable and, when computed is true, the node's µ/σ.
 //
-// Two fast paths skip work without changing the decision; both apply only
-// under the σ rule with fast paths enabled, and neither when forceRisk
-// (audit mode) wants the real µ/σ. The σ bound is also off while
+// Three fast paths skip work without changing the decision; all apply only
+// under the σ rule with fast paths enabled, and none when forceRisk
+// (audit mode) wants the real µ/σ. The last two are also off while
 // per-decision sim metrics observe every computed σ:
 //
 //   - An empty node is always suitable without running the fluid
@@ -88,6 +88,9 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 //     observation, whose population standard deviation is exactly 0 ≤ any
 //     non-negative threshold. (The µ rule depends on the candidate's own
 //     predicted delay, so it always runs the simulation.)
+//   - An overdue exhausted slice: cluster.PSNode.ProvablyRisky proves
+//     σ > SigmaThreshold + sigmaTolerance from the node's version-keyed
+//     summary, and the node is unsuitable without a simulation.
 //   - The σ bound: the simulation stops as soon as its verdicts prove
 //     σ > SigmaThreshold + sigmaTolerance (see
 //     cluster.PSNode.PredictDelaysWithin), and the node is unsuitable.
@@ -99,6 +102,9 @@ func (p *LibraRisk) evalNode(now float64, n *cluster.PSNode, cand *cluster.Candi
 	}
 	stop := math.Inf(1)
 	if fast && p.Sim == nil {
+		if n.ProvablyRisky(now, cand, limit) {
+			return 0, 0, false, false
+		}
 		stop = limit
 	}
 	mu, sigma, ok := nodeRiskWithin(now, n, cand, stop)

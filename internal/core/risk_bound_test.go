@@ -56,13 +56,14 @@ func boundNodes(t *testing.T, rng *rand.Rand) (*cluster.TimeShared, float64) {
 	return c, now
 }
 
-// TestBoundedRiskDecisionIdentical proves the σ bound decision-identical:
-// on seeded random nodes, for every threshold, the bounded evalNode must
-// agree with the full NodeRisk on suitability, and whenever it runs the
-// simulation to completion its µ and σ must be NodeRisk's to the bit.
+// TestBoundedRiskDecisionIdentical proves the σ bound and exit (5)
+// decision-identical: on seeded random nodes, for every threshold, the
+// bounded evalNode must agree with the full NodeRisk on suitability, and
+// whenever it runs the simulation to completion its µ and σ must be
+// NodeRisk's to the bit. Exit (5) must fire on some of the nodes.
 func TestBoundedRiskDecisionIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var stopped, completed, accepted, huge int
+	var stopped, completed, accepted, huge, proven int
 	for trial := 0; trial < 200; trial++ {
 		c, now := boundNodes(t, rng)
 		p := NewLibraRisk(c, metrics.NewRecorder())
@@ -83,6 +84,9 @@ func TestBoundedRiskDecisionIdentical(t *testing.T) {
 					p.SigmaThreshold = thr
 					wantMu, wantSigma := p.NodeRisk(now, node, cand)
 					want := wantSigma <= thr+sigmaTolerance
+					if node.ProvablyRisky(now, cand, thr+sigmaTolerance) {
+						proven++
+					}
 					mu, sigma, suitable, computed := p.evalNode(now, node, cand, false)
 					if suitable != want {
 						t.Fatalf("trial %d node %d rd %g thr %g: bounded suitable = %v, full σ = %v", trial, n, rd, thr, suitable, wantSigma)
@@ -103,10 +107,10 @@ func TestBoundedRiskDecisionIdentical(t *testing.T) {
 			}
 		}
 	}
-	if stopped == 0 || completed == 0 || accepted == 0 || huge == 0 {
-		t.Fatalf("property inputs too narrow: %d stopped early, %d completed, %d suitable, %d with eq. (4) values ≥ 1e6", stopped, completed, accepted, huge)
+	if stopped == 0 || completed == 0 || accepted == 0 || huge == 0 || proven == 0 {
+		t.Fatalf("property inputs too narrow: %d stopped early, %d completed, %d suitable, %d with eq. (4) values ≥ 1e6, %d proven risky by exit (5)", stopped, completed, accepted, huge, proven)
 	}
-	t.Logf("%d stopped early, %d completed, %d suitable, %d candidates with eq. (4) values ≥ 1e6", stopped, completed, accepted, huge)
+	t.Logf("%d stopped early (%d by exit (5)), %d completed, %d suitable, %d candidates with eq. (4) values ≥ 1e6", stopped, proven, completed, accepted, huge)
 }
 
 // TestBoundedRiskAtTheBound pins the bound's edge on a hand-built node:
@@ -164,5 +168,123 @@ func TestBoundedRiskAtTheBound(t *testing.T) {
 				t.Fatalf("µ/σ = %v/%v, full %v/%v", mu, sigma, wantMu, wantSigma)
 			}
 		})
+	}
+}
+
+// overdueNode returns a one-node LibraRisk harness at t = now whose node
+// holds the given jobs, each submitted at t = 0 with its estimate.
+func overdueNode(t *testing.T, now float64, jobs []workload.Job) (*LibraRisk, *cluster.PSNode) {
+	t.Helper()
+	e, p, _ := newRiskHarness(t, 1)
+	for _, j := range jobs {
+		if _, err := p.Cluster.Submit(e, j, j.TraceEstimate, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.SetHorizon(now)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return p, p.Cluster.Node(0)
+}
+
+// TestOverdueExitAtTheBound pins exit (5)'s edge on hand-built nodes at
+// SigmaThreshold 0.5. At t = 60 job 1 has overrun its estimate and is
+// past its deadline, so the predictor retires it at once with value v
+// (1e7 + 1 when 10 s overdue). The candidate's deadline has passed too, and
+// its finish is chosen to put its value u a set distance below v:
+//
+//   - "inside": u = v − 0.5, so σ = 0.25 and the node is suitable; the
+//     exit must not fire, which needs its cap on the candidate's value;
+//   - "beyond": u = v − 3, so σ = 1.5 and the exit must fire, since
+//     v − u clears 2·limit·√(2·2) ≈ 2 with the float margins to spare;
+//   - "behind a backlog": a second overdue job 2, not yet exhausted,
+//     shares the node with the candidate, and both finish at values
+//     within dust of v, so σ ≈ 0; the exit must not fire, which needs
+//     job 2's backlog in its horizon.
+//
+// Each decision must match the full NodeRisk.
+func TestOverdueExitAtTheBound(t *testing.T) {
+	const (
+		thr = 0.5
+		now = 60.0
+	)
+	limit := thr + sigmaTolerance
+	overrun := workload.Job{ID: 1, Runtime: 200, TraceEstimate: 50, NumProc: 1, Deadline: 50}
+	for _, tc := range []struct {
+		name   string
+		cand   func(t *testing.T, node *cluster.PSNode) *cluster.Candidate
+		jobs   []workload.Job
+		proven bool
+	}{
+		{"inside", func(*testing.T, *cluster.PSNode) *cluster.Candidate {
+			// Alone after job 1 retires, it finishes at 65: 10 s − 0.5 µs late.
+			return &cluster.Candidate{JobID: 3, RefWork: 5, AbsDeadline: 55 + 0.5e-6}
+		}, []workload.Job{overrun}, false},
+		{"beyond", func(*testing.T, *cluster.PSNode) *cluster.Candidate {
+			return &cluster.Candidate{JobID: 3, RefWork: 5, AbsDeadline: 55 + 3e-6}
+		}, []workload.Job{overrun}, true},
+		{"behind a backlog", func(t *testing.T, node *cluster.PSNode) *cluster.Candidate {
+			// Job 1 (deadline 10) is 50 s overdue. Job 2 (deadline 60)
+			// has b s of believed work left and shares the node with a
+			// candidate of w = 50 − b at rate ½ each until the candidate
+			// is done at now + 2w, then runs alone until now + w + b =
+			// now + 50. Both are 50 s late, the candidate with deadline
+			// 10 + 2w.
+			var b float64
+			for _, pr := range node.PredictDelaysScratch(now, nil) {
+				if pr.JobID == 2 {
+					b = pr.Finish - now
+				}
+			}
+			w := 50 - b
+			if !(w > 0 && w < b) {
+				t.Fatalf("job 2 has %g s of believed work left, want it in (25, 50)", b)
+			}
+			return &cluster.Candidate{JobID: 3, RefWork: w, AbsDeadline: 10 + 2*w}
+		}, []workload.Job{
+			{ID: 1, Runtime: 1000, TraceEstimate: 10, NumProc: 1, Deadline: 10},
+			{ID: 2, Runtime: 1000, TraceEstimate: 90, NumProc: 1, Deadline: 60},
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, node := overdueNode(t, now, tc.jobs)
+			p.SigmaThreshold = thr
+			cand := tc.cand(t, node)
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, pr := range node.PredictDelaysScratch(now, cand) {
+				v := cluster.DeadlineDelay(pr.Delay, pr.AbsDeadline-now)
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
+			if hi-lo > 4 {
+				t.Fatalf("eq. (4) values [%v, %v], want all near the overdue slice's", lo, hi)
+			}
+			_, wantSigma := p.NodeRisk(now, node, cand)
+			if wantSigma > limit == !tc.proven {
+				t.Fatalf("full σ = %v (values [%v, %v]), want unsuitable = %v", wantSigma, lo, hi, tc.proven)
+			}
+			if got := node.ProvablyRisky(now, cand, limit); got != tc.proven {
+				t.Fatalf("ProvablyRisky = %v, want %v (full σ = %v)", got, tc.proven, wantSigma)
+			}
+			if _, _, suitable, _ := p.evalNode(now, node, cand, false); suitable != (wantSigma <= limit) {
+				t.Fatalf("evalNode suitable = %v, full σ = %v", suitable, wantSigma)
+			}
+		})
+	}
+}
+
+// TestEvalNodeDoomedAllocFree guards exit (5)'s hot path: once a doomed
+// node's summary is built, evaluating it again allocates nothing.
+func TestEvalNodeDoomedAllocFree(t *testing.T) {
+	p, node := overdueNode(t, 60, []workload.Job{{ID: 1, Runtime: 200, TraceEstimate: 50, NumProc: 1, Deadline: 50}})
+	cand := &cluster.Candidate{JobID: 2, RefWork: 5, AbsDeadline: 1000}
+	if !node.ProvablyRisky(60, cand, sigmaTolerance) {
+		t.Fatal("the node is not proven risky")
+	}
+	if _, _, suitable, _ := p.evalNode(60, node, cand, false); suitable {
+		t.Fatal("the doomed node is suitable")
+	}
+	if n := testing.AllocsPerRun(100, func() { p.evalNode(60, node, cand, false) }); n != 0 {
+		t.Fatalf("evalNode on a doomed node: %v allocs, want 0", n)
 	}
 }
