@@ -1,14 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-compare bench-gate cover fuzz experiments examples chaos-smoke resume-smoke shard-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
-
-# bench-gate regression thresholds, overridable per invocation:
-# allocs/op is nearly deterministic so the gate is tight; ns/op varies
-# with the machine (CI runners differ from the baseline host), so its
-# default only catches order-of-magnitude blowups. Tighten locally with
-# e.g. `make bench-gate BENCH_MAX_NS_RATIO=1.3`.
-BENCH_MAX_NS_RATIO ?= 3.0
-BENCH_MAX_ALLOC_RATIO ?= 1.15
+.PHONY: all build vet test test-short bench cover fuzz experiments examples chaos-smoke resume-smoke shard-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
 
 all: build vet test
 
@@ -29,40 +21,11 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# bench runs the Go benchmarks, the per-layer probes; TestAllocationBudgets
+# holds their allocation counts in tier-1. Numbers a change may cite come
+# from the repo benchmark: `sh bench/run.sh`, see bench/README.md.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json reruns the admission-control and predictor benchmarks and
-# writes results/bench_new.txt plus the machine-readable comparison
-# against the committed pre-optimization baseline (results/bench_seed.txt)
-# into BENCH_admission.json. End-to-end serving numbers come from the repo
-# benchmark instead: `sh bench/run.sh`, see bench/README.md.
-bench-json:
-	$(GO) test -run xxx -bench 'Admission|PredictorScaling|PolicyLibraRiskFullScale|PolicyLibraFullScale|ShardedLibraRisk|ServeAdmit' \
-		-benchmem -count 5 . | tee results/bench_new.txt
-	$(GO) run ./cmd/benchjson -old results/bench_seed.txt -new results/bench_new.txt \
-		> BENCH_admission.json
-	@echo wrote BENCH_admission.json
-
-# bench-gate reruns the benchmark group behind BENCH_admission.json and
-# fails if any shared benchmark regressed beyond the thresholds above
-# relative to the committed baseline's "new" side. CI runs this as the
-# bench smoke, so an accidental allocation regression on the admission
-# hot path fails the build instead of landing silently.
-bench-gate:
-	$(GO) test -run xxx -bench 'Admission|PredictorScaling|PolicyLibraRiskFullScale|PolicyLibraFullScale|ShardedLibraRisk|ServeAdmit' \
-		-benchmem -count 2 . | tee results/bench_gate.txt
-	$(GO) run ./cmd/benchjson -gate BENCH_admission.json -new results/bench_gate.txt \
-		-max-ns-ratio $(BENCH_MAX_NS_RATIO) -max-alloc-ratio $(BENCH_MAX_ALLOC_RATIO)
-
-# bench-compare renders the same old/new pair with benchstat when it is
-# installed (no network installs here; `go install
-# golang.org/x/perf/cmd/benchstat@latest` on a connected machine).
-bench-compare:
-	@command -v benchstat >/dev/null 2>&1 \
-		&& benchstat results/bench_seed.txt results/bench_new.txt \
-		|| { echo "benchstat not found; falling back to benchjson ratios"; \
-		     $(GO) run ./cmd/benchjson -old results/bench_seed.txt -new results/bench_new.txt; }
 
 cover:
 	$(GO) test -cover ./...

@@ -7,7 +7,7 @@
 // executes exactly the pre-observability instruction stream plus one
 // pointer comparison per would-be emission — no allocations, no virtual
 // calls (the zero-overhead contract is enforced by
-// testing.AllocsPerRun-based tests and the bench-gate CI target).
+// testing.AllocsPerRun-based tests, the root allocation budgets among them).
 //
 // Three layers, composable independently:
 //
