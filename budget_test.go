@@ -58,10 +58,10 @@ func TestAllocationBudgets(t *testing.T) {
 		{"AdmissionObsDisabledSubmit", submitRejectOp(128, 4, true), 100, 1, exact, true},
 		{"AdmissionLibraShareScan", libraShareScanOp, 100, 0, exact, false},
 		{"AdmissionFirstFitAccept", firstFitAcceptOp, 100, 0, exact, false},
-		{"PolicyLibraFullScale", runOp(experiment.DefaultBase(), experiment.Libra), 2, 2981, slack, true},
-		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 3674, slack, true},
-		{"ShardedLibraRiskSeq", runOp(shardedBase(512, 10_000, 0), experiment.LibraRisk), 1, 13586, slack, false},
-		{"ShardedLibraRiskShards8", runOp(shardedBase(512, 10_000, 8), experiment.LibraRisk), 1, 20024, slack, false},
+		{"PolicyLibraFullScale", runOp(experiment.DefaultBase(), experiment.Libra), 2, 2812, slack, true},
+		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 3480, slack, true},
+		{"ShardedLibraRiskSeq", runOp(shardedBase(512, 10_000, 0), experiment.LibraRisk), 1, 12873, slack, false},
+		{"ShardedLibraRiskShards8", runOp(shardedBase(512, 10_000, 8), experiment.LibraRisk), 1, 19309, slack, false},
 		{"ServeAdmit", serveAdmitOp(0, false, false), 200, 41, exact, true},
 		{"ServeAdmitSharded", serveAdmitOp(4, false, false), 200, 41, exact, true},
 		{"ServeAdmitDurable", serveAdmitOp(0, true, false), 200, 45, exact, true},

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"clustersched/internal/sim"
 	"clustersched/internal/workload"
@@ -10,7 +11,9 @@ import (
 
 // RunningJob is a job instance admitted to a cluster. It is created by the
 // engines' Submit/Start methods and handed back through completion
-// callbacks.
+// callbacks. A time-shared cluster recycles its storage once the job's
+// done or killed handler returns, so no pointer to one may be kept past
+// that (copy the fields instead).
 type RunningJob struct {
 	Job workload.Job
 	// Estimate is the runtime estimate in effect when the job was
@@ -83,7 +86,7 @@ type PSNode struct {
 	// version counts state mutations: it is bumped whenever advance
 	// accrues progress, a slice is added, a completed slice is retired,
 	// SetSpeed changes the speed, markDown drops the slices, markUp
-	// revives the node, or removeJobSlices drops a killed job's slices.
+	// revives the node, or removeJobSlice drops a killed job's slice.
 	// Consumers key caches of derived quantities (fluid predictions, risk
 	// aggregates, the risk summary below) on it; an unchanged version
 	// guarantees the slice set, remaining-work values, rates and speed are
@@ -551,38 +554,22 @@ func (n *PSNode) markUp() {
 	n.version++
 }
 
-// removeJobSlices drops every slice belonging to rj (a job killed
-// elsewhere in its gang) and returns the remaining real and believed work
-// of the dropped slices in reference seconds. Rates are re-derived for the
-// survivors.
-func (n *PSNode) removeJobSlices(e *sim.Engine, rj *RunningJob) (remReal, remBelieved float64, found bool) {
+// removeJobSlice drops rj's slice (rj was killed elsewhere in its gang),
+// with its progress accrued up to now, and returns it; nil when the node
+// holds none (a gang has at most one slice per node). Rates are re-derived
+// for the survivors.
+func (n *PSNode) removeJobSlice(e *sim.Engine, rj *RunningJob) *slice {
 	n.advance(e.Now())
-	kept := n.slices[:0]
-	for _, sl := range n.slices {
-		if sl.job != rj {
-			kept = append(kept, sl)
-			continue
-		}
-		found = true
-		if w := n.NodeSecondsToWork(math.Max(0, sl.realWork)); w > remReal {
-			remReal = w
-		}
-		if w := n.NodeSecondsToWork(math.Max(0, sl.believedWork)); w > remBelieved {
-			remBelieved = w
-		}
+	i := slices.IndexFunc(n.slices, func(sl *slice) bool { return sl.job == rj })
+	if i < 0 {
+		return nil
 	}
-	// Zero the tail so dropped slices do not leak through the backing
-	// array.
-	for i := len(kept); i < len(n.slices); i++ {
-		n.slices[i] = nil
-	}
-	n.slices = kept
-	if found {
-		n.version++
-		n.recompute(e.Now())
-		n.reschedule(e)
-	}
-	return remReal, remBelieved, found
+	dropped := n.slices[i]
+	n.slices = slices.Delete(n.slices, i, i+1)
+	n.version++
+	n.recompute(e.Now())
+	n.reschedule(e)
+	return dropped
 }
 
 // Utilization returns the fraction of capacity currently allocated

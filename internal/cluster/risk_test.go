@@ -41,8 +41,8 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 	}, n0, n1)
 	step("SetSpeed", func() { c.SetNodeSpeed(e, 1, 0.5) }, n1)
 	// Crashing node 0 drops its slice (markDown) and the gang's slice on
-	// node 1 (removeJobSlices), both at t = 0.
-	step("markDown and removeJobSlices", func() { c.SetNodeDown(e, 0, true) }, n0, n1)
+	// node 1 (removeJobSlice), both at t = 0.
+	step("markDown and removeJobSlice", func() { c.SetNodeDown(e, 0, true) }, n0, n1)
 	step("markUp", func() { c.SetNodeDown(e, 0, false) }, n0)
 }
 

@@ -24,7 +24,8 @@ type ssRunning struct {
 
 	// c and h make the completion handler persistent: h is the method value
 	// r.fire, created once the first time this arena slot is used and kept
-	// across arena resets, so scheduling a completion allocates no closure.
+	// across the slot's reuse, so scheduling a completion allocates no
+	// closure.
 	c *SpaceShared
 	h sim.Handler
 }
@@ -51,11 +52,12 @@ type SpaceShared struct {
 
 	// OnJobDone fires when a job completes and its nodes are already
 	// released, so the handler observes the post-completion free count.
+	// rj is valid only until the handler returns.
 	OnJobDone func(e *sim.Engine, rj *RunningJob)
 
 	// OnJobKilled fires for each job torn down by SetNodeDown, after the
 	// gang's surviving nodes are released and the crashed node is marked
-	// down.
+	// down. kj.Job is valid only until the handler returns.
 	OnJobKilled func(e *sim.Engine, kj KilledJob)
 
 	// OnNodeUp fires when a crashed node recovers.
@@ -71,8 +73,9 @@ type SpaceShared struct {
 	killed  int
 	runs    []*ssRunning
 
-	// Per-run arenas and scratch buffers; see arena.go. Reclaimed wholesale
-	// by Reset so steady-state Start/finish traffic never touches the heap.
+	// Arenas and scratch buffers; see arena.go. A run's slots are recycled
+	// when it finishes or is killed, so steady-state Start/finish traffic
+	// never touches the heap.
 	rjArena     arena[RunningJob]
 	runArena    arena[ssRunning]
 	idArena     intArena
@@ -137,7 +140,6 @@ func (c *SpaceShared) Reset() {
 	c.runs = c.runs[:0]
 	c.rjArena.reset()
 	c.runArena.reset()
-	c.idArena.reset()
 }
 
 // Len returns the number of nodes.
@@ -221,11 +223,12 @@ func (c *SpaceShared) Start(e *sim.Engine, job workload.Job, estimate float64) (
 	c.free -= len(ids)
 	c.running++
 	rj := c.rjArena.alloc()
+	nodeIDs := c.idArena.fitIDs(rj.NodeIDs, ids)
 	*rj = RunningJob{
 		Job:      job,
 		Estimate: estimate,
 		Start:    e.Now(),
-		NodeIDs:  c.idArena.copyOf(ids),
+		NodeIDs:  nodeIDs,
 	}
 	r := c.runArena.alloc()
 	h := r.h // survives the arena slot's previous life; nil on first use
@@ -254,6 +257,7 @@ func (c *SpaceShared) finish(e *sim.Engine, r *ssRunning) {
 	c.free += len(rj.NodeIDs)
 	c.running--
 	c.dropRun(r)
+	c.runArena.release(r)
 	rj.done = true
 	rj.Finish = e.Now()
 	if c.Trace != nil || c.Metrics != nil {
@@ -262,6 +266,7 @@ func (c *SpaceShared) finish(e *sim.Engine, r *ssRunning) {
 	if c.OnJobDone != nil {
 		c.OnJobDone(e, rj)
 	}
+	c.rjArena.release(rj)
 }
 
 // emitFinish reports a completed job to the observability hooks, with the
@@ -361,10 +366,10 @@ func (c *SpaceShared) SetNodeSpeed(e *sim.Engine, id int, factor float64) {
 // cancelled, its surviving nodes are released, and OnJobKilled fires with
 // the remaining real/believed work in reference seconds. Recovery returns
 // the node to the free pool and fires OnNodeUp. Both directions are
-// idempotent.
-func (c *SpaceShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob {
+// idempotent. It returns the number of jobs killed (0 or 1).
+func (c *SpaceShared) SetNodeDown(e *sim.Engine, id int, down bool) int {
 	if down == c.down[id] {
-		return nil
+		return 0
 	}
 	if !down {
 		c.down[id] = false
@@ -378,7 +383,7 @@ func (c *SpaceShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob 
 		if c.OnNodeUp != nil {
 			c.OnNodeUp(e, id)
 		}
-		return nil
+		return 0
 	}
 	c.down[id] = true
 	if c.Trace != nil {
@@ -389,7 +394,7 @@ func (c *SpaceShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob 
 	}
 	if !c.busy[id] {
 		c.free--
-		return nil
+		return 0
 	}
 	// Find the gang occupying the node and tear it down.
 	var victim *ssRunning
@@ -420,6 +425,7 @@ func (c *SpaceShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob 
 		RemainingRuntime:  math.Max(0, victim.remaining),
 		RemainingEstimate: math.Max(1e-6, victim.estRemaining),
 	}
+	c.runArena.release(victim)
 	if c.Trace != nil {
 		c.Trace.Emit(obs.Event{Time: e.Now(), Kind: obs.KindKill, Job: rj.Job.ID, Node: id, Value: kj.RemainingRuntime})
 	}
@@ -429,7 +435,8 @@ func (c *SpaceShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob 
 	if c.OnJobKilled != nil {
 		c.OnJobKilled(e, kj)
 	}
-	return []KilledJob{kj}
+	c.rjArena.release(rj)
+	return 1
 }
 
 // CheckInvariants validates the cluster's structural invariants: the free
@@ -479,7 +486,7 @@ func gangContains(ids []int, id int) bool {
 
 // pickFree returns the ids of the fastest numproc idle up nodes, or nil.
 // The returned slice aliases pickScratch and is only valid until the next
-// pickFree call; Start copies it into the id arena before retaining it.
+// pickFree call; Start copies it into the job's node-ID storage.
 func (c *SpaceShared) pickFree(numproc int) []int {
 	if numproc <= 0 || numproc > c.free {
 		return nil

@@ -31,13 +31,14 @@ type TimeShared struct {
 	nodes []*PSNode
 
 	// OnJobDone, if set, is invoked when the last slice of a job
-	// completes.
+	// completes. rj is valid only until the handler returns: its storage
+	// is then recycled for a later job.
 	OnJobDone func(e *sim.Engine, rj *RunningJob)
 
 	// OnJobKilled, if set, is invoked for each job torn down by
 	// SetNodeDown, after all node state has been cleaned up (so a handler
 	// that resubmits immediately sees the crashed node as down and its
-	// survivors re-timed).
+	// survivors re-timed). kj.Job is valid only until the handler returns.
 	OnJobKilled func(e *sim.Engine, kj KilledJob)
 
 	// OnNodeUp, if set, is invoked when a crashed node recovers.
@@ -52,9 +53,12 @@ type TimeShared struct {
 	running int
 	killed  int
 
-	// Per-run allocation arenas and scratch. RunningJob, slice and gang
-	// node-ID storage is bump-allocated and reclaimed wholesale by Reset,
-	// so steady-state Submit traffic never touches the heap.
+	// Allocation arenas and scratch. A slice's slot is recycled when the
+	// slice retires or is dropped by a kill, and a RunningJob's once its
+	// done or killed handler returns, so the slots in use are bounded by
+	// the jobs running at once and steady-state Submit traffic never
+	// touches the heap. A RunningJob slot keeps its node-ID storage for
+	// every job it holds.
 	rjArena arena[RunningJob]
 	slArena arena[slice]
 	idArena intArena
@@ -97,9 +101,9 @@ func NewTimeSharedHetero(ratings []float64, cfg Config) (*TimeShared, error) {
 
 // Reset returns the cluster to its freshly constructed state in place:
 // every node comes back up, empty and at nominal speed, counters zero, and
-// the per-run arenas rewind so their chunks are reused by the next run.
-// Callbacks (OnJobDone etc.) are left installed. Every *RunningJob handed
-// out before the Reset is invalidated — its storage will be reused.
+// the arenas rewind so their chunks are reused by the next run. Callbacks
+// (OnJobDone etc.) are left installed. Every *RunningJob handed out before
+// the Reset is invalidated — its storage will be reused.
 //
 // Reset must run AFTER the owning engine's Reset (or on an idle engine):
 // it drops node update-event references without cancelling them, relying on
@@ -110,7 +114,6 @@ func (c *TimeShared) Reset() {
 	}
 	c.rjArena.reset()
 	c.slArena.reset()
-	c.idArena.reset()
 	c.running, c.killed = 0, 0
 	// Sharding is a per-run attachment (node resets above already dropped
 	// the per-node engine routing).
@@ -172,11 +175,11 @@ func (c *TimeShared) SetNodeSpeed(e *sim.Engine, id int, factor float64) {
 // OnJobKilled fires once per job after all cluster state is consistent —
 // so a handler that resubmits immediately cannot land on the dead node.
 // Recovery brings the node back empty and fires OnNodeUp. Both directions
-// are idempotent.
-func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob {
+// are idempotent. It returns the number of jobs killed.
+func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) int {
 	node := c.nodes[id]
 	if down == node.down {
-		return nil
+		return 0
 	}
 	if !down {
 		node.markUp()
@@ -189,7 +192,7 @@ func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob {
 		if c.OnNodeUp != nil {
 			c.OnNodeUp(e, id)
 		}
-		return nil
+		return 0
 	}
 	if c.Trace != nil {
 		c.Trace.Emit(obs.Event{Time: e.Now(), Kind: obs.KindNodeDown, Job: -1, Node: id})
@@ -206,19 +209,21 @@ func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob {
 			RemainingRuntime:  node.NodeSecondsToWork(math.Max(0, sl.realWork)),
 			RemainingEstimate: node.NodeSecondsToWork(math.Max(0, sl.believedWork)),
 		}
-		// Tear down the rest of the gang; each sibling node reports the
-		// remaining work of the slice it dropped and the gang-wide
-		// remainder is the maximum (the job must redo its longest slice).
+		c.slArena.release(sl)
+		// Tear down the rest of the gang; the gang-wide remainder is the
+		// maximum over its slices (the job must redo its longest slice).
 		for _, nid := range rj.NodeIDs {
 			if nid == id {
 				continue
 			}
-			remReal, remBelieved, found := c.nodes[nid].removeJobSlices(e, rj)
-			if !found {
+			sib := c.nodes[nid]
+			dropped := sib.removeJobSlice(e, rj)
+			if dropped == nil {
 				continue
 			}
-			kj.RemainingRuntime = math.Max(kj.RemainingRuntime, remReal)
-			kj.RemainingEstimate = math.Max(kj.RemainingEstimate, remBelieved)
+			kj.RemainingRuntime = math.Max(kj.RemainingRuntime, sib.NodeSecondsToWork(math.Max(0, dropped.realWork)))
+			kj.RemainingEstimate = math.Max(kj.RemainingEstimate, sib.NodeSecondsToWork(math.Max(0, dropped.believedWork)))
+			c.slArena.release(dropped)
 		}
 		if kj.RemainingEstimate < 1e-6 {
 			kj.RemainingEstimate = 1e-6
@@ -237,8 +242,9 @@ func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) []KilledJob {
 		if c.OnJobKilled != nil {
 			c.OnJobKilled(e, kj)
 		}
+		c.rjArena.release(kj.Job)
 	}
-	return killed
+	return len(killed)
 }
 
 // CheckInvariants validates the cluster's structural invariants: a down
@@ -302,11 +308,12 @@ func (c *TimeShared) Submit(e *sim.Engine, job workload.Job, estimate float64, n
 		return nil, checkErr
 	}
 	rj := c.rjArena.alloc()
+	ids := c.idArena.fitIDs(rj.NodeIDs, nodeIDs)
 	*rj = RunningJob{
 		Job:             job,
 		Estimate:        estimate,
 		Start:           e.Now(),
-		NodeIDs:         c.idArena.copyOf(nodeIDs),
+		NodeIDs:         ids,
 		remainingSlices: len(nodeIDs),
 	}
 	for _, id := range nodeIDs {
@@ -344,9 +351,11 @@ func (c *TimeShared) sliceDone(e *sim.Engine, sl *slice) {
 // countdown and, on the last slice, job finish bookkeeping, observability
 // and the completion callback. t is the simulated time the slice actually
 // completed at — under sharding that is a shard-engine timestamp that may
-// precede the global clock.
+// precede the global clock. The slice's storage is recycled, and on the
+// last slice the job's too, once OnJobDone returns.
 func (c *TimeShared) finishSlice(e *sim.Engine, t float64, sl *slice) {
 	rj := sl.job
+	c.slArena.release(sl)
 	rj.remainingSlices--
 	if rj.remainingSlices > 0 {
 		return
@@ -360,6 +369,7 @@ func (c *TimeShared) finishSlice(e *sim.Engine, t float64, sl *slice) {
 	if c.OnJobDone != nil {
 		c.OnJobDone(e, rj)
 	}
+	c.rjArena.release(rj)
 }
 
 // emitFinish reports a completed job to the observability hooks: a finish

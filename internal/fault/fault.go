@@ -113,13 +113,13 @@ func ClusterOf(ts *cluster.TimeShared, ss *cluster.SpaceShared) Cluster {
 	if ts != nil {
 		return Cluster{
 			Nodes: ts.Len(),
-			Down:  func(e *sim.Engine, id int, down bool) int { return len(ts.SetNodeDown(e, id, down)) },
+			Down:  ts.SetNodeDown,
 			Speed: ts.SetNodeSpeed,
 		}
 	}
 	return Cluster{
 		Nodes: ss.Len(),
-		Down:  func(e *sim.Engine, id int, down bool) int { return len(ss.SetNodeDown(e, id, down)) },
+		Down:  ss.SetNodeDown,
 		Speed: ss.SetNodeSpeed,
 	}
 }

@@ -65,6 +65,13 @@ type pendingSlot struct {
 // Recorder accumulates job results during a simulation. It is not
 // goroutine-safe; each simulation owns one.
 //
+// Every finalized result (rejection, completion or flush) is folded into
+// running aggregates as it is recorded, so Summarize, Pending and
+// ConservationError cost O(1) and need no history. A recorder from
+// NewRecorder also keeps every result for Results; one from
+// NewStreamingRecorder keeps none, and its memory is bounded by the jobs
+// still pending.
+//
 // Pending jobs live in a dense slice indexed by (ID - denseBase) rather
 // than a map: workload IDs are consecutive in practice, so the hot
 // Submitted/Complete path becomes a slice index instead of a map operation
@@ -72,43 +79,63 @@ type pendingSlot struct {
 // window (more than ~8x the submitted count) spill to an overflow map so
 // adversarial ID patterns stay bounded in memory.
 type Recorder struct {
+	// keep retains every finalized result in results.
+	keep    bool
 	results []JobResult
 	// pendingDense holds jobs without a final outcome, indexed by
 	// ID - denseBase; haveBase latches denseBase on the first submission.
+	// Every slot below head is finalized. A streaming recorder slides
+	// denseBase past that prefix, so the table spans the pending window
+	// rather than every ID seen.
 	pendingDense    []pendingSlot
 	denseBase       int
+	head            int
 	haveBase        bool
 	pendingOverflow map[int]workload.Job
 	pendingCount    int
-	rejected        int
-	// submitted counts Submitted calls independently of the result list,
-	// so the conservation invariant (submitted = finalized + pending) can
-	// detect double-finalization or lost jobs.
+	// submitted counts Submitted calls independently of the finalized
+	// results, so the conservation invariant (submitted = finalized +
+	// pending) can detect double-finalization or lost jobs.
 	submitted int
 	// kills counts node-crash job kills. A killed job stays pending — the
 	// policy resubmits it and it still ends as exactly one final result.
 	kills int
+	// sum holds the counts of every finalized result (its Submitted field
+	// is the finalized count) and the accumulators below its means, all in
+	// recording order.
+	sum                 Summary
+	sdMet, sdAll, delay sim.Welford
 	// Observer, if set, is invoked with every finalized result (rejection
 	// or completion) as it is recorded. Online runtime predictors hook it
 	// to learn from completions.
 	Observer func(JobResult)
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder that keeps every result.
 func NewRecorder() *Recorder {
+	return &Recorder{keep: true}
+}
+
+// NewStreamingRecorder returns an empty recorder that keeps no finalized
+// results: Results is always empty, everything else works as for
+// NewRecorder. A long-lived server records through one, so its memory
+// stays bounded by the jobs in flight.
+func NewStreamingRecorder() *Recorder {
 	return &Recorder{}
 }
 
-// Reset returns the recorder to its NewRecorder state in place, keeping the
-// grown result and pending storage so a reused recorder records its next
-// run without touching the heap. The Observer is cleared; reinstall it
+// Reset returns the recorder to its constructor state in place, keeping
+// the grown result and pending storage so a reused recorder records its
+// next run without touching the heap. The Observer is cleared; reinstall it
 // after Reset if the next run needs one.
 func (r *Recorder) Reset() {
 	r.results = r.results[:0]
 	r.pendingDense = r.pendingDense[:0]
 	clear(r.pendingOverflow)
-	r.denseBase, r.haveBase = 0, false
-	r.pendingCount, r.rejected, r.submitted, r.kills = 0, 0, 0, 0
+	r.denseBase, r.head, r.haveBase = 0, 0, false
+	r.pendingCount, r.submitted, r.kills = 0, 0, 0
+	r.sum = Summary{}
+	r.sdMet, r.sdAll, r.delay = sim.Welford{}, sim.Welford{}, sim.Welford{}
 	r.Observer = nil
 }
 
@@ -133,6 +160,7 @@ func (r *Recorder) Submitted(j workload.Job) {
 			r.pendingCount++
 		}
 		slot.job, slot.present = j, true
+		r.head = min(r.head, idx)
 		return
 	}
 	if r.pendingOverflow == nil {
@@ -152,6 +180,9 @@ func (r *Recorder) clearPending(id int) {
 		if idx := id - r.denseBase; idx >= 0 && idx < len(r.pendingDense) && r.pendingDense[idx].present {
 			r.pendingDense[idx].present = false
 			r.pendingCount--
+			if !r.keep {
+				r.slide()
+			}
 			return
 		}
 	}
@@ -159,6 +190,25 @@ func (r *Recorder) clearPending(id int) {
 		delete(r.pendingOverflow, id)
 		r.pendingCount--
 	}
+}
+
+// slide moves head past the finalized prefix of the dense table and, once
+// that prefix is at least half the table, drops it by rebasing. head only
+// moves forward between rebases and a rebase copies fewer slots than it
+// drops, so the cost is amortised O(1) per finalization. Only a streaming
+// recorder slides: Flush visits the dense table before the overflow map,
+// and a kept result list must stay in the order it always had.
+func (r *Recorder) slide() {
+	for r.head < len(r.pendingDense) && !r.pendingDense[r.head].present {
+		r.head++
+	}
+	if r.head == 0 || 2*r.head < len(r.pendingDense) {
+		return
+	}
+	n := copy(r.pendingDense, r.pendingDense[r.head:])
+	r.pendingDense = r.pendingDense[:n]
+	r.denseBase += r.head
+	r.head = 0
 }
 
 // Killed records that a running job was torn down by a node crash. The job
@@ -175,22 +225,59 @@ func (r *Recorder) Kills() int { return r.kills }
 // job is either finalized (one result) or still pending — no job lost, none
 // finalized twice. Returns nil while the books balance.
 func (r *Recorder) ConservationError() error {
-	if got := len(r.results) + r.pendingCount; got != r.submitted {
+	if got := r.sum.Submitted + r.pendingCount; got != r.submitted {
 		return fmt.Errorf("metrics: %d submitted, but %d finalized + %d pending = %d",
-			r.submitted, len(r.results), r.pendingCount, got)
+			r.submitted, r.sum.Submitted, r.pendingCount, got)
 	}
 	return nil
+}
+
+// finalize folds one final result into the aggregates and, when the
+// recorder keeps results, appends it.
+func (r *Recorder) finalize(res JobResult) {
+	s := &r.sum
+	s.Submitted++
+	switch res.Class {
+	case workload.HighUrgency:
+		s.SubmittedHigh++
+	case workload.LowUrgency:
+		s.SubmittedLow++
+	}
+	switch res.Outcome {
+	case Rejected:
+		s.Rejected++
+	case Unfinished:
+		s.Unfinished++
+	case Met:
+		s.Completed++
+		s.Met++
+		r.sdMet.Add(res.Slowdown)
+		r.sdAll.Add(res.Slowdown)
+		switch res.Class {
+		case workload.HighUrgency:
+			s.MetHigh++
+		case workload.LowUrgency:
+			s.MetLow++
+		}
+	case Missed:
+		s.Completed++
+		s.Missed++
+		r.sdAll.Add(res.Slowdown)
+		r.delay.Add(res.Delay)
+	}
+	if r.keep {
+		r.results = append(r.results, res)
+	}
 }
 
 // Reject records an admission-control rejection.
 func (r *Recorder) Reject(j workload.Job, reason string) {
 	r.clearPending(j.ID)
-	r.rejected++
 	res := JobResult{
 		JobID: j.ID, Class: j.Class, NumProc: j.NumProc,
 		Outcome: Rejected, Submit: j.Submit, Reason: reason,
 	}
-	r.results = append(r.results, res)
+	r.finalize(res)
 	if r.Observer != nil {
 		r.Observer(res)
 	}
@@ -214,7 +301,7 @@ func (r *Recorder) Complete(j workload.Job, finish, minRuntime float64) {
 		res.Outcome = Missed
 		res.Delay = res.Response - j.Deadline
 	}
-	r.results = append(r.results, res)
+	r.finalize(res)
 	if r.Observer != nil {
 		r.Observer(res)
 	}
@@ -231,7 +318,7 @@ func (r *Recorder) Flush() {
 		}
 		slot.present = false
 		j := slot.job
-		r.results = append(r.results, JobResult{
+		r.finalize(JobResult{
 			JobID: j.ID, Class: j.Class, NumProc: j.NumProc,
 			Outcome: Unfinished, Submit: j.Submit,
 		})
@@ -244,7 +331,7 @@ func (r *Recorder) Flush() {
 		slices.Sort(ids)
 		for _, id := range ids {
 			j := r.pendingOverflow[id]
-			r.results = append(r.results, JobResult{
+			r.finalize(JobResult{
 				JobID: j.ID, Class: j.Class, NumProc: j.NumProc,
 				Outcome: Unfinished, Submit: j.Submit,
 			})
@@ -254,7 +341,8 @@ func (r *Recorder) Flush() {
 	r.pendingCount = 0
 }
 
-// Results returns the accumulated records (unsorted).
+// Results returns the accumulated records (unsorted); empty for a
+// streaming recorder.
 func (r *Recorder) Results() []JobResult { return r.results }
 
 // Pending returns the number of jobs without a final outcome yet.
@@ -295,46 +383,14 @@ type Summary struct {
 // Summarize computes the aggregate metrics. Unfinished jobs count as
 // submitted but not fulfilled, mirroring the paper's metric definition.
 func (r *Recorder) Summarize() Summary {
-	var s Summary
+	s := r.sum
 	s.Killed = r.kills
-	var sdMet, sdAll, delay sim.Welford
-	for _, res := range r.results {
-		s.Submitted++
-		switch res.Class {
-		case workload.HighUrgency:
-			s.SubmittedHigh++
-		case workload.LowUrgency:
-			s.SubmittedLow++
-		}
-		switch res.Outcome {
-		case Rejected:
-			s.Rejected++
-		case Unfinished:
-			s.Unfinished++
-		case Met:
-			s.Completed++
-			s.Met++
-			sdMet.Add(res.Slowdown)
-			sdAll.Add(res.Slowdown)
-			switch res.Class {
-			case workload.HighUrgency:
-				s.MetHigh++
-			case workload.LowUrgency:
-				s.MetLow++
-			}
-		case Missed:
-			s.Completed++
-			s.Missed++
-			sdAll.Add(res.Slowdown)
-			delay.Add(res.Delay)
-		}
-	}
 	if s.Submitted > 0 {
 		s.PctFulfilled = 100 * float64(s.Met) / float64(s.Submitted)
 		s.AcceptanceRate = float64(s.Completed+s.Unfinished) / float64(s.Submitted)
 	}
-	s.AvgSlowdownMet = sdMet.Mean()
-	s.AvgSlowdownCompleted = sdAll.Mean()
-	s.MeanDelayMissed = delay.Mean()
+	s.AvgSlowdownMet = r.sdMet.Mean()
+	s.AvgSlowdownCompleted = r.sdAll.Mean()
+	s.MeanDelayMissed = r.delay.Mean()
 	return s
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"clustersched/internal/workload"
@@ -201,5 +202,69 @@ func TestRecorderSteadyStateAllocationFree(t *testing.T) {
 	run() // grow the dense table and result storage
 	if avg := testing.AllocsPerRun(10, run); avg > 0 {
 		t.Fatalf("steady-state recorder allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestStreamingRecorderMatchesKeepingRecorder records one seeded stream —
+// jobs finalized out of order after a short window, rejections, kills,
+// far-out IDs and a final flush — into a keeping and a streaming recorder.
+// Both must report the identical summary, pending count and observed
+// results; the streaming one keeps no results, and its dense pending table
+// spans the pending window, not the 100 000 IDs it has seen.
+func TestStreamingRecorderMatchesKeepingRecorder(t *testing.T) {
+	keep, stream := NewRecorder(), NewStreamingRecorder()
+	var kept, streamed []JobResult
+	keep.Observer = func(r JobResult) { kept = append(kept, r) }
+	stream.Observer = func(r JobResult) { streamed = append(streamed, r) }
+	both := func(f func(*Recorder)) { f(keep); f(stream) }
+	rng := rand.New(rand.NewSource(1))
+	var window []workload.Job
+	maxTable := 0
+	for i := 0; i < 100_000; i++ {
+		id := i
+		if i%1000 == 999 {
+			id = 1_000_000_000 + i // spills to the overflow map
+		}
+		class := workload.Class(rng.Intn(2))
+		j := wjob(id, float64(i), 50, 100+50*rng.Float64(), class)
+		both(func(r *Recorder) { r.Submitted(j) })
+		if rng.Intn(4) == 0 {
+			both(func(r *Recorder) { r.Reject(j, "full") })
+		} else {
+			window = append(window, j)
+		}
+		if rng.Intn(50) == 0 && len(window) > 0 {
+			k := window[rng.Intn(len(window))]
+			both(func(r *Recorder) { r.Killed(k) })
+		}
+		for len(window) > 20 {
+			k := rng.Intn(len(window))
+			done := window[k]
+			window = append(window[:k], window[k+1:]...)
+			finish := done.Submit + 30 + 150*rng.Float64()
+			both(func(r *Recorder) { r.Complete(done, finish, 50) })
+		}
+		maxTable = max(maxTable, len(stream.pendingDense))
+	}
+	both(func(r *Recorder) { r.Flush() })
+	if got, want := stream.Summarize(), keep.Summarize(); got != want {
+		t.Fatalf("streaming summary %+v, keeping summary %+v", got, want)
+	}
+	if stream.Pending() != keep.Pending() || len(streamed) != len(kept) {
+		t.Fatalf("pending %d vs %d, observed %d vs %d results", stream.Pending(), keep.Pending(), len(streamed), len(kept))
+	}
+	for i := range kept {
+		if streamed[i] != kept[i] {
+			t.Fatalf("observed result %d: streaming %+v, keeping %+v", i, streamed[i], kept[i])
+		}
+	}
+	if err := stream.ConservationError(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(stream.Results()); n != 0 {
+		t.Fatalf("streaming recorder kept %d results", n)
+	}
+	if maxTable > 1000 {
+		t.Fatalf("streaming pending table grew to %d slots for a window of about 20 jobs", maxTable)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"time"
 
@@ -556,6 +557,26 @@ func (s *Server) syncRegistryLocked(draining bool) {
 		r.Gauge("serve_shards", "Shard engines attached to the serving cluster.").Set(float64(len(s.shardEngines)))
 		r.Gauge("serve_shards_pending", "Node events pending across the shard engines.").Set(float64(s.ts.ShardsPending()))
 	}
+	s.syncProcessLocked()
+}
+
+// syncProcessLocked reads process health from runtime/metrics into the
+// registry. It runs at scrape time only, so the admission path pays
+// nothing for it.
+func (s *Server) syncProcessLocked() {
+	samples := []rtmetrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/goroutines:goroutines"},
+	}
+	rtmetrics.Read(samples)
+	r := s.reg
+	r.Gauge("serve_heap_inuse_bytes", "Bytes in in-use heap spans: live and unswept objects plus their spans' free space.").
+		Set(float64(samples[0].Value.Uint64() + samples[1].Value.Uint64()))
+	gc := r.Counter("serve_gc_cycles_total", "Completed garbage-collection cycles.")
+	gc.Add(float64(samples[2].Value.Uint64()) - gc.Value())
+	r.Gauge("serve_goroutines", "Live goroutines.").Set(float64(samples[3].Value.Uint64()))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,10 @@ import (
 // zero with burst positive is a fixed budget that never refills, which
 // is the shape the exactness tests pin down (exactly burst admits, no
 // timing dependence).
+//
+// The table stays bounded however many tenants pass through it: once it
+// reaches sweepAt buckets, the next new tenant first sweeps out every
+// bucket that has refilled to burst (see sweep).
 type quotaTable struct {
 	rate  float64
 	burst float64
@@ -19,7 +23,11 @@ type quotaTable struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	sweepAt int
 }
+
+// quotaSweepMin is the smallest table size that triggers a sweep.
+const quotaSweepMin = 4096
 
 type bucket struct {
 	tokens float64
@@ -37,7 +45,40 @@ func newQuotaTable(rate, burst float64, now func() time.Time) *quotaTable {
 		burst:   burst,
 		now:     now,
 		buckets: make(map[string]*bucket),
+		sweepAt: quotaSweepMin,
 	}
+}
+
+// bucketFor returns tenant's bucket, creating it full at t. Creating one in
+// a table of sweepAt buckets sweeps the table first.
+func (q *quotaTable) bucketFor(tenant string, t time.Time) *bucket {
+	b := q.buckets[tenant]
+	if b == nil {
+		if len(q.buckets) >= q.sweepAt {
+			q.sweep(t)
+		}
+		b = &bucket{tokens: q.burst, last: t}
+		q.buckets[tenant] = b
+	}
+	return b
+}
+
+// sweep deletes every bucket that has refilled to burst by t. Such a
+// bucket is indistinguishable from an absent one: take refills it to
+// exactly burst, and an absent tenant's bucket is created at burst. A
+// rate-0 budget never refills, so its bucket is the only record of what
+// the tenant has spent and is always remembered. The next sweep waits
+// until the table doubles past what survived, so sweeping costs amortised
+// O(1) per new tenant.
+func (q *quotaTable) sweep(t time.Time) {
+	if q.rate > 0 {
+		for tenant, b := range q.buckets {
+			if b.tokens+t.Sub(b.last).Seconds()*q.rate >= q.burst {
+				delete(q.buckets, tenant)
+			}
+		}
+	}
+	q.sweepAt = max(quotaSweepMin, 2*len(q.buckets))
 }
 
 // take consumes one token from tenant's bucket. When the bucket is
@@ -48,11 +89,8 @@ func (q *quotaTable) take(tenant string) (ok bool, retryAfter time.Duration) {
 	t := q.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	b := q.buckets[tenant]
-	if b == nil {
-		b = &bucket{tokens: q.burst, last: t}
-		q.buckets[tenant] = b
-	} else if q.rate > 0 {
+	b := q.bucketFor(tenant, t)
+	if q.rate > 0 {
 		dt := t.Sub(b.last).Seconds()
 		if dt > 0 {
 			b.tokens += dt * q.rate
@@ -125,11 +163,7 @@ func (q *quotaTable) restore(entries []quotaEntry) {
 func (q *quotaTable) forceTake(tenant string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	b := q.buckets[tenant]
-	if b == nil {
-		b = &bucket{tokens: q.burst, last: q.now()}
-		q.buckets[tenant] = b
-	}
+	b := q.bucketFor(tenant, q.now())
 	b.tokens--
 	if b.tokens < 0 {
 		b.tokens = 0

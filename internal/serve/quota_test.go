@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -131,5 +132,46 @@ func TestQuotaZeroConfigDisablesQuotas(t *testing.T) {
 	defer s.Close()
 	if s.quotas != nil {
 		t.Fatal("quota table built with no quota configured")
+	}
+}
+
+// TestQuotaTableStaysBounded pins the sweep: 100 k distinct tenants, each
+// taking one token a millisecond apart, leave the table bounded, because
+// a bucket refilled to burst is swept out. A swept tenant comes back with
+// a full bucket, exactly as if it had been remembered. Rate-0 budgets are
+// never swept.
+func TestQuotaTableStaysBounded(t *testing.T) {
+	now := time.Now()
+	q := newQuotaTable(10, 2, func() time.Time { return now }) // 10/s: full again 100 ms after a take
+	peak := 0
+	for i := 0; i < 100_000; i++ {
+		if ok, _ := q.take(fmt.Sprintf("tenant-%d", i)); !ok {
+			t.Fatalf("first take of tenant %d refused", i)
+		}
+		peak = max(peak, q.tenants())
+		now = now.Add(time.Millisecond)
+	}
+	if peak > 2*quotaSweepMin {
+		t.Fatalf("table peaked at %d buckets, want at most %d", peak, 2*quotaSweepMin)
+	}
+	for i := 0; i < 2; i++ {
+		if ok, _ := q.take("tenant-0"); !ok {
+			t.Fatalf("swept tenant's take %d refused: its bucket must come back full", i)
+		}
+	}
+	if ok, _ := q.take("tenant-0"); ok {
+		t.Fatal("swept tenant got more than burst")
+	}
+
+	fixed := newQuotaTable(0, 1, func() time.Time { return now })
+	for i := 0; i <= quotaSweepMin; i++ {
+		fixed.take(fmt.Sprintf("tenant-%d", i))
+		now = now.Add(time.Hour)
+	}
+	if got := fixed.tenants(); got != quotaSweepMin+1 {
+		t.Fatalf("rate-0 table holds %d buckets, want all %d", got, quotaSweepMin+1)
+	}
+	if ok, _ := fixed.take("tenant-0"); ok {
+		t.Fatal("rate-0 budget forgotten by a sweep")
 	}
 }

@@ -388,7 +388,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		start:   cfg.now(),
 		eng:     sim.NewEngine(),
-		rec:     metrics.NewRecorder(),
+		rec:     metrics.NewStreamingRecorder(),
 		reg:     obs.NewRegistry(),
 		queue:   make(chan *pending, cfg.QueueDepth),
 		shed:    newShedder(cfg.Shed, cfg.ShedLog, cfg.now),

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -246,7 +247,37 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// Process health is read from the runtime at scrape time: a running
+	// server has a non-empty heap and at least its apply worker and this
+	// test's goroutine. The GC count may still be zero.
+	for _, series := range []struct {
+		name string
+		min  float64
+	}{
+		{"serve_heap_inuse_bytes", 1},
+		{"serve_gc_cycles_total", 0},
+		{"serve_goroutines", 2},
+	} {
+		v, ok := metricValue(body, series.name)
+		if !ok {
+			t.Errorf("/metrics missing %s", series.name)
+		} else if v < series.min {
+			t.Errorf("%s = %v, want at least %v", series.name, v, series.min)
+		}
+	}
 	_ = s
+}
+
+// metricValue returns the value of an unlabelled series in a Prometheus
+// text exposition.
+func metricValue(body, name string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
 
 func TestPoolCountersOnMetrics(t *testing.T) {
