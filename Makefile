@@ -134,7 +134,11 @@ trace-smoke:
 # (must exit 0 and checkpoint), then resume a fresh SEQUENTIAL daemon
 # from the checkpoint and drain it again (exit 0) — the resumed audit
 # stream must be byte-identical to the sharded run's, which is the
-# sharded-apply determinism pin on the real binaries.
+# sharded-apply determinism pin on the real binaries. Each drain must
+# remove its op-journal spool (drain.ckpt.ops). A third daemon resumes,
+# takes 200 requests and is SIGKILLed: the checkpoint it resumed from must
+# be untouched, and a fourth daemon must resume from it, drain (exit 0)
+# and leave it byte-identical.
 serve-smoke:
 	$(GO) test -race -run 'TestAdmit|TestQuota|TestShed|TestOverload|TestDrain|TestResume|TestNoGoroutineLeak|TestShard|TestServeModel' \
 		./internal/serve/
@@ -158,6 +162,7 @@ serve-smoke:
 	code=0; wait $$pid || code=$$?; \
 	[ $$code -eq 0 ] || { echo "serve-smoke: drained daemon exit code $$code, want 0"; cat $$tmp/daemon1.out; exit 1; }; \
 	[ -s $$tmp/drain.ckpt ] || { echo "serve-smoke: no drain checkpoint"; exit 1; }; \
+	[ ! -e $$tmp/drain.ckpt.ops ] || { echo "serve-smoke: drain left its op-journal spool behind"; exit 1; }; \
 	$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 \
 		-audit $$tmp/audit2.jsonl -checkpoint $$tmp/drain.ckpt -resume \
 		> $$tmp/daemon2.out 2>&1 & pid=$$!; \
@@ -167,6 +172,25 @@ serve-smoke:
 	[ $$code -eq 0 ] || { echo "serve-smoke: resumed daemon exit code $$code, want 0"; cat $$tmp/daemon2.out; exit 1; }; \
 	cmp $$tmp/audit1.jsonl $$tmp/audit2.jsonl \
 		|| { echo "serve-smoke: resumed audit stream differs from the original"; exit 1; }; \
+	cp $$tmp/drain.ckpt $$tmp/drain.copy; \
+	$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 \
+		-checkpoint $$tmp/drain.ckpt -resume > $$tmp/daemon3.out 2>&1 & pid=$$!; \
+	for i in $$(seq 100); do grep -q 'listening on' $$tmp/daemon3.out 2>/dev/null && break; sleep 0.1; done; \
+	url=$$(sed -n 's/^admissiond: listening on //p' $$tmp/daemon3.out); \
+	[ -n "$$url" ] || { echo "serve-smoke: resumed daemon never listened"; cat $$tmp/daemon3.out; exit 1; }; \
+	$$tmp/admitload -url $$url -jobs 200 -concurrency 8 -virtual -adf 0.05 -t-offset 1000000 > /dev/null; \
+	kill -KILL $$pid; wait $$pid || true; \
+	cmp $$tmp/drain.ckpt $$tmp/drain.copy \
+		|| { echo "serve-smoke: a killed daemon changed the checkpoint it resumed from"; exit 1; }; \
+	$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 \
+		-checkpoint $$tmp/drain.ckpt -resume > $$tmp/daemon4.out 2>&1 & pid=$$!; \
+	for i in $$(seq 100); do grep -q 'listening on' $$tmp/daemon4.out 2>/dev/null && break; sleep 0.1; done; \
+	kill -TERM $$pid; \
+	code=0; wait $$pid || code=$$?; \
+	[ $$code -eq 0 ] || { echo "serve-smoke: daemon resumed after a kill exit code $$code, want 0"; cat $$tmp/daemon4.out; exit 1; }; \
+	cmp $$tmp/drain.ckpt $$tmp/drain.copy \
+		|| { echo "serve-smoke: resume → drain with no new ops changed the checkpoint"; exit 1; }; \
+	[ ! -e $$tmp/drain.ckpt.ops ] || { echo "serve-smoke: drain after a kill left the stale spool behind"; exit 1; }; \
 	echo "serve-smoke: ok"
 
 # spans-smoke proves serving-path request tracing end to end: race-run

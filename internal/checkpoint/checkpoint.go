@@ -1,24 +1,30 @@
-// Package checkpoint persists completed sweep cells as a JSONL journal so
-// an interrupted parameter study resumes instead of restarting.
+// Package checkpoint holds the repository's atomic-file primitives and
+// the sweep journal built on them.
 //
-// Each record carries an opaque content-hash key computed by the caller
-// from everything that determines the cell's result (base configuration,
-// run spec, workload digest). A journal therefore survives config edits
+// WriteFileAtomic streams content from a fill callback into a buffered
+// sibling temp file, fsyncs it, renames it over the target and fsyncs the
+// directory, so the file on disk is always either the complete old one
+// or the complete new one — a process killed mid-write never leaves a
+// torn file, and the rename itself survives power loss. ForEachLine is
+// its reading half: it streams a JSONL file line by line with physical
+// line numbers and no cap on line length. Neither holds a whole file in
+// memory; the admission daemon's drain checkpoint is written and resumed
+// through them, however many operations it carries.
+//
+// The sweep journal persists completed sweep cells as JSONL so an
+// interrupted parameter study resumes instead of restarting. Each record
+// carries an opaque content-hash key computed by the caller from
+// everything that determines the cell's result (base configuration, run
+// spec, workload digest). A journal therefore survives config edits
 // safely: a changed configuration changes every key, and stale records
-// are simply never matched rather than silently reused.
+// are simply never matched rather than silently reused. The journal is
+// rewritten atomically on every append; sweeps checkpoint tens to a few
+// thousand cells, each worth seconds to minutes of simulation, so the
+// O(n) rewrite per append is noise against the work it protects.
 //
-// Durability model: the journal is rewritten atomically on every append
-// via a temp file in the same directory followed by rename and a
-// directory fsync, so the file on disk is always a complete, parseable
-// JSONL document and the rename itself survives power loss — a process
-// killed mid-append leaves either the previous journal or the new one,
-// never a torn line. Sweeps checkpoint tens to a few thousand cells, each
-// worth seconds to minutes of simulation, so the O(n) rewrite per append
-// is noise against the work it protects.
-//
-// All file I/O goes through the wal.FS seam, so tests inject fsync
+// All file writes go through the wal.FS seam, so tests inject fsync
 // failures, rename failures and short writes deterministically and
-// assert the previous journal is always left intact.
+// assert the previous file is always left intact.
 package checkpoint
 
 import (
@@ -92,7 +98,7 @@ func OpenFS(fsys wal.FS, path string) (*Journal, error) {
 }
 
 func (j *Journal) load(r io.Reader) error {
-	return forEachLine(r, func(line int, raw []byte) error {
+	return ForEachLine(r, func(line int, raw []byte) error {
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
@@ -179,22 +185,22 @@ func createTemp(fsys wal.FS, path string) (wal.File, error) {
 // path, and the parent directory is fsynced so the rename itself survives
 // power loss. The file on disk is always a complete, parseable JSONL
 // document — a process killed mid-write leaves either the old state or
-// the new one, never a torn line. This is the durability primitive behind
-// both the sweep journal and the admission daemon's drain checkpoint.
+// the new one, never a torn line.
 func WriteFileJSONL[T any](path string, recs []T) error {
 	return WriteFileJSONLFS(wal.OSFS{}, path, recs)
 }
 
 // WriteFileJSONLFS is WriteFileJSONL through an injected filesystem.
 func WriteFileJSONLFS[T any](fsys wal.FS, path string, recs []T) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
+	return WriteFileAtomic(fsys, path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for i := range recs {
+			if err := enc.Encode(&recs[i]); err != nil {
+				return err
+			}
 		}
-	}
-	return writeFileAtomic(fsys, path, buf.Bytes())
+		return nil
+	})
 }
 
 // WriteFileLines atomically replaces path with the given raw lines (each
@@ -203,25 +209,41 @@ func WriteFileJSONLFS[T any](fsys wal.FS, path string, recs []T) error {
 // that need byte-exact content — e.g. a checksummed checkpoint — use this
 // instead of re-encoding through a JSON encoder.
 func WriteFileLines(fsys wal.FS, path string, lines [][]byte) error {
-	var buf bytes.Buffer
-	for _, ln := range lines {
-		buf.Write(ln)
-		buf.WriteByte('\n')
-	}
-	return writeFileAtomic(fsys, path, buf.Bytes())
+	return WriteFileAtomic(fsys, path, func(w io.Writer) error {
+		for _, ln := range lines {
+			if _, err := w.Write(ln); err != nil {
+				return err
+			}
+			if _, err := w.Write(newline); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// writeFileAtomic lands data at path via temp file, fsync, rename, and
-// directory fsync. On any failure the previous file at path is left
-// untouched.
-func writeFileAtomic(fsys wal.FS, path string, data []byte) error {
+var newline = []byte{'\n'}
+
+// WriteFileAtomic lands whatever fill writes at path: fill streams the
+// content into a buffered sibling temp file, which is fsynced and renamed
+// over path before the parent directory is fsynced. Nothing holds the
+// whole content in memory. On any failure — fill's included — the
+// previous file at path is left untouched. This is the durability
+// primitive behind the sweep journal and the admission daemon's drain
+// checkpoint.
+func WriteFileAtomic(fsys wal.FS, path string, fill func(w io.Writer) error) error {
 	tmp, err := createTemp(fsys, path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer fsys.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
+	bw := bufio.NewWriterSize(tmp, 64*1024)
+	if err := fill(bw); err != nil {
+		tmp.Close()
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -241,15 +263,26 @@ func writeFileAtomic(fsys wal.FS, path string, data []byte) error {
 	return nil
 }
 
-// forEachLine streams r line by line with no bound on line length,
-// calling fn for every non-empty line. Unlike a bufio.Scanner there is
-// no token-size cap: a record larger than any fixed buffer still reads
-// back intact.
-func forEachLine(r io.Reader, fn func(line int, raw []byte) error) error {
+// ForEachLine streams r line by line with no bound on line length,
+// calling fn for every non-empty line with its physical 1-based line
+// number (blank lines count) and its bytes, "\r\n" or "\n" stripped.
+// raw is valid only during the call: fn copies what it keeps. Unlike a
+// bufio.Scanner there is no token-size cap: a record larger than any
+// fixed buffer still reads back intact.
+func ForEachLine(r io.Reader, fn func(line int, raw []byte) error) error {
 	br := bufio.NewReaderSize(r, 64*1024)
+	var long []byte // a line longer than br's buffer, reassembled
 	line := 0
 	for {
-		raw, err := br.ReadBytes('\n')
+		raw, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], raw...)
+			for err == bufio.ErrBufferFull {
+				raw, err = br.ReadSlice('\n')
+				long = append(long, raw...)
+			}
+			raw = long
+		}
 		if len(raw) > 0 {
 			line++
 			trimmed := bytes.TrimRight(raw, "\r\n")
@@ -279,7 +312,7 @@ func ReadFileJSONL[T any](path string) ([]T, error) {
 	}
 	defer f.Close()
 	var out []T
-	err = forEachLine(f, func(line int, raw []byte) error {
+	err = ForEachLine(f, func(line int, raw []byte) error {
 		var rec T
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
@@ -303,7 +336,7 @@ func ReadFileLines(path string) ([][]byte, error) {
 	}
 	defer f.Close()
 	var out [][]byte
-	err = forEachLine(f, func(line int, raw []byte) error {
+	err = ForEachLine(f, func(line int, raw []byte) error {
 		out = append(out, append([]byte(nil), raw...))
 		return nil
 	})

@@ -66,10 +66,7 @@ type walRecord struct {
 // identity, and replays every recovered record. Called from New before
 // the worker starts, so no locking is needed for the replay itself.
 func (s *Server) openWAL() error {
-	fsys := s.cfg.WALFS
-	if fsys == nil {
-		fsys = wal.OSFS{}
-	}
+	fsys := s.cfg.fs()
 	metaPath := filepath.Join(s.cfg.WALDir, walMetaName)
 	existing, haveMeta := false, false
 	if entries, err := fsys.ReadDir(s.cfg.WALDir); err == nil {

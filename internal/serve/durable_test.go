@@ -460,8 +460,8 @@ func TestDurableGroupCommitBatches(t *testing.T) {
 }
 
 // TestDurableSegmentsStayBounded: with tiny segments, rotation+fold
-// keeps the directory at {meta, compact, one active segment} and the
-// in-memory op slice empty, no matter how many ops flow through.
+// keeps the directory at {meta, compact, one active segment}, with no
+// op journal or spool beside the log, no matter how many ops flow through.
 func TestDurableSegmentsStayBounded(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	cfg := durableConfig(dir)
@@ -479,12 +479,10 @@ func TestDurableSegmentsStayBounded(t *testing.T) {
 			t.Fatalf("admit %d failed", i)
 		}
 	}
-	s.mu.RLock()
-	opsLen := len(s.ops)
-	s.mu.RUnlock()
-	if opsLen != 0 {
-		t.Fatalf("durable mode kept %d ops in memory", opsLen)
+	if s.journal != nil {
+		t.Fatal("durable mode keeps an op journal beside its WAL")
 	}
+	assertNoSpool(t, dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -40,8 +40,10 @@
 // Drain stops intake, applies every queued request (each in-flight
 // request still gets a decision), flushes the audit stream, and
 // checkpoints the applied-operation log through internal/checkpoint's
-// atomic JSONL writer. A daemon restarted with Resume replays that log —
-// byte-identically, including the audit stream — and continues serving.
+// atomic writer. The log is spooled to disk as it grows, not kept in
+// memory (journal.go), so the drain streams it into the checkpoint. A
+// daemon restarted with Resume replays that log — byte-identically,
+// including the audit stream — and continues serving.
 package serve
 
 import (
@@ -51,13 +53,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"clustersched/internal/checkpoint"
 	"clustersched/internal/cluster"
 	"clustersched/internal/core"
 	"clustersched/internal/fault"
@@ -114,6 +114,9 @@ type Config struct {
 	// streamed incrementally (the in-memory log is drained per decision).
 	Audit io.Writer
 	// CheckpointPath, when set, is where Drain writes the applied-op log.
+	// Until the drain, the log is spooled, unsynced, to CheckpointPath+".ops":
+	// New creates that file, truncating any a killed run left, so a path
+	// the daemon cannot write fails New; a successful Drain removes it.
 	CheckpointPath string
 	// Resume replays CheckpointPath (or the WALDir log) at startup when
 	// one exists.
@@ -128,7 +131,8 @@ type Config struct {
 	// WALSegmentBytes is the log's segment size (zero means the wal
 	// package default, 4 MiB).
 	WALSegmentBytes int64
-	// WALFS overrides the log's filesystem in tests (fault injection).
+	// WALFS overrides the filesystem the log, or the checkpoint and its
+	// spool, are written through, in tests (fault injection).
 	WALFS wal.FS
 	// Shed tunes the load-shedding ladder.
 	Shed ShedConfig
@@ -182,6 +186,14 @@ func (c Config) withDefaults() Config {
 		c.now = time.Now
 	}
 	return c
+}
+
+// fs is the filesystem the server writes its log or checkpoint through.
+func (c Config) fs() wal.FS {
+	if c.WALFS == nil {
+		return wal.OSFS{}
+	}
+	return c.WALFS
 }
 
 // Op is one state-mutating operation applied to the cluster, in apply
@@ -301,11 +313,11 @@ type Server struct {
 	shardEngines []*sim.Engine
 	detachShards func()
 	onShardPhase func(time.Duration)
-	// ops is the in-memory applied-op log backing the drain checkpoint,
-	// kept only with CheckpointPath set: durable mode's log is the WAL,
-	// and a daemon with neither has nothing to write it to. opsApplied
-	// counts applied ops in every mode.
-	ops        []Op
+	// journal is the on-disk applied-op log behind the drain checkpoint,
+	// kept only with CheckpointPath set (journal.go): durable mode's log is
+	// the WAL, and a daemon with neither has nothing to write it to.
+	// opsApplied counts applied ops in every mode.
+	journal    *opJournal
 	opsApplied int
 	seq        int
 	// wal is non-nil in durable mode; walErr latches the first
@@ -439,10 +451,17 @@ func New(cfg Config) (*Server, error) {
 		"Admission decision latency from dequeue to decision.",
 		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
 	s.storeClocks(0, math.NaN())
-	if cfg.Resume && cfg.CheckpointPath != "" {
-		if err := s.replayCheckpoint(); err != nil {
+	if cfg.CheckpointPath != "" {
+		if s.journal, err = openJournal(cfg.fs(), cfg.CheckpointPath); err != nil {
 			s.detachShards()
 			return nil, err
+		}
+		if cfg.Resume {
+			if err := s.replayCheckpoint(); err != nil {
+				s.journal.discard()
+				s.detachShards()
+				return nil, err
+			}
 		}
 	}
 	if cfg.WALDir != "" {
@@ -671,6 +690,13 @@ func (s *Server) decideBatch(batch []*pending, answers []answer) (cb commitBatch
 			applyT0 = s.now()
 		}
 		out := s.applyLocked(&p.op, p.sp)
+		// Only live ops are encoded into the journal: resume copies the
+		// recovered lines into it verbatim.
+		if s.journal != nil {
+			if err := s.journal.append(&p.op); err != nil && s.applyErr == nil {
+				s.applyErr = err
+			}
+		}
 		a := answer{p: p, out: out}
 		if p.sp != nil {
 			a.decided = s.now()
@@ -767,9 +793,6 @@ func (s *Server) applyLocked(op *Op, sp *span.Span) opOutcome {
 		out.accepted, out.reason = s.pol.Submit(s.eng, op.job(), op.Estimate)
 	}
 	s.streamAuditLocked()
-	if s.cfg.CheckpointPath != "" {
-		s.ops = append(s.ops, *op)
-	}
 	// The decision counters are bumped here, beside opsApplied, so a
 	// replayed op counts exactly like a live one and the totals survive a
 	// restart.
@@ -907,7 +930,7 @@ func (s *Server) Drain(ctx context.Context) error {
 				s.applyErr = fmt.Errorf("serve: audit flush: %w", err)
 			}
 		}
-		if s.cfg.CheckpointPath != "" {
+		if s.journal != nil {
 			if err := s.writeCheckpointLocked(); err != nil {
 				s.drainErr = err
 				return
@@ -935,152 +958,4 @@ func (s *Server) OpsApplied() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.opsApplied
-}
-
-// checkpointVersion is the drain-checkpoint format: version 2 added the
-// body checksum and the quota snapshot line.
-const checkpointVersion = 2
-
-// checkpointMeta identifies the configuration a checkpoint belongs to; a
-// resume under a different cluster shape must fail loudly, not replay.
-// The same struct doubles as the WAL directory's meta.json sidecar
-// (with Ops and CRC zero — a log has no fixed length to pin).
-type checkpointMeta struct {
-	Version int     `json:"version"`
-	Policy  string  `json:"policy"`
-	Nodes   int     `json:"nodes"`
-	Rating  float64 `json:"rating"`
-	Sigma   float64 `json:"sigma"`
-	Ops     int     `json:"ops"`
-	// CRC is CRC32C over every body line after the header, trailing
-	// newline included, so a truncated or edited checkpoint is refused
-	// before any of it replays.
-	CRC uint32 `json:"crc"`
-}
-
-// checkpointLine is one line of the drain checkpoint: a meta header, an
-// op, or the final quota snapshot.
-type checkpointLine struct {
-	Meta  *checkpointMeta `json:"meta,omitempty"`
-	Op    *Op             `json:"op,omitempty"`
-	Quota []quotaEntry    `json:"quota,omitempty"`
-}
-
-func (s *Server) metaLocked() checkpointMeta {
-	return checkpointMeta{
-		Version: checkpointVersion,
-		Policy:  s.cfg.Policy,
-		Nodes:   s.cfg.Nodes,
-		Rating:  s.cfg.Rating,
-		Sigma:   s.cfg.SigmaThreshold,
-		Ops:     s.opsApplied,
-	}
-}
-
-// writeCheckpointLocked persists the applied-op log atomically: op
-// lines, then the quota snapshot, headed by a meta line whose CRC
-// covers every body byte. The body is marshaled once and written raw so
-// the checksum is over exactly the bytes on disk.
-func (s *Server) writeCheckpointLocked() error {
-	body := make([][]byte, 0, len(s.ops)+1)
-	crc := uint32(0)
-	addLine := func(ln checkpointLine) error {
-		raw, err := json.Marshal(ln)
-		if err != nil {
-			return fmt.Errorf("serve: checkpoint: %w", err)
-		}
-		body = append(body, raw)
-		crc = wal.ChecksumAdd(crc, raw)
-		crc = wal.ChecksumAdd(crc, []byte{'\n'})
-		return nil
-	}
-	for i := range s.ops {
-		if err := addLine(checkpointLine{Op: &s.ops[i]}); err != nil {
-			return err
-		}
-	}
-	if s.quotas != nil {
-		if entries := s.quotas.snapshot(); len(entries) > 0 {
-			if err := addLine(checkpointLine{Quota: entries}); err != nil {
-				return err
-			}
-		}
-	}
-	meta := s.metaLocked()
-	meta.CRC = crc
-	hdr, err := json.Marshal(checkpointLine{Meta: &meta})
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	lines := make([][]byte, 0, len(body)+1)
-	lines = append(lines, hdr)
-	lines = append(lines, body...)
-	return checkpoint.WriteFileLines(wal.OSFS{}, s.cfg.CheckpointPath, lines)
-}
-
-// replayCheckpoint loads CheckpointPath, verifies the header checksum
-// over the raw body bytes, and re-applies its ops against the freshly
-// built state. Each op carries the exact virtual time and audit
-// attachment of the original run, so the replayed decision stream —
-// including the audit JSONL — is byte-identical to the one the drained
-// daemon produced. A missing file is a fresh start, not an error.
-func (s *Server) replayCheckpoint() error {
-	path := s.cfg.CheckpointPath
-	raw, err := checkpoint.ReadFileLines(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	if len(raw) == 0 {
-		return fmt.Errorf("serve: checkpoint %s: missing meta header", path)
-	}
-	var hdr checkpointLine
-	if err := json.Unmarshal(raw[0], &hdr); err != nil || hdr.Meta == nil {
-		return fmt.Errorf("serve: checkpoint %s: missing meta header", path)
-	}
-	meta := *hdr.Meta
-	if meta.Version != checkpointVersion {
-		return fmt.Errorf("serve: checkpoint %s: unsupported version %d (want %d)", path, meta.Version, checkpointVersion)
-	}
-	crc := uint32(0)
-	for _, ln := range raw[1:] {
-		crc = wal.ChecksumAdd(crc, ln)
-		crc = wal.ChecksumAdd(crc, []byte{'\n'})
-	}
-	if crc != meta.CRC {
-		return fmt.Errorf("serve: checkpoint %s: body checksum %08x does not match header %08x: refusing to replay a corrupt checkpoint",
-			path, crc, meta.CRC)
-	}
-	want := s.metaLocked()
-	want.Ops, want.CRC = meta.Ops, meta.CRC
-	if meta != want {
-		return fmt.Errorf("serve: checkpoint %s was written by config %+v, current config is %+v",
-			path, meta, want)
-	}
-	ops := 0
-	for i, rawLn := range raw[1:] {
-		var ln checkpointLine
-		if err := json.Unmarshal(rawLn, &ln); err != nil {
-			return fmt.Errorf("serve: checkpoint %s: line %d: %w", path, i+2, err)
-		}
-		switch {
-		case ln.Op != nil:
-			if err := s.replayLocked(*ln.Op); err != nil {
-				return fmt.Errorf("serve: checkpoint %s: line %d: %w", path, i+2, err)
-			}
-			ops++
-		case ln.Quota != nil:
-			if s.quotas != nil {
-				s.quotas.restore(ln.Quota)
-			}
-		default:
-			return fmt.Errorf("serve: checkpoint %s: line %d is neither meta, op nor quota", path, i+2)
-		}
-	}
-	if ops != meta.Ops {
-		return fmt.Errorf("serve: checkpoint %s: header claims %d ops, file has %d", path, meta.Ops, ops)
-	}
-	return s.applyErr
 }

@@ -16,18 +16,19 @@ const heapSlopeBudget = 16
 // jobs, not its history: the live heap after 20 000 admissions is no
 // larger than after 5 000, give or take heapSlopeBudget per admission.
 // Both runs use the ServeAdmit op (request-driven time, one job a second
-// with a 30 s runtime, so about 30 run at once), with no persistence and
-// with a write-ahead log.
+// with a 30 s runtime, so about 30 run at once), with no persistence, with
+// a write-ahead log and with the op journal a drain checkpoints.
 func TestServeHeapSlope(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		durable bool
+		persist persistence
 	}{
-		{"memory", false},
-		{"durable", true},
+		{"memory", inMemory},
+		{"durable", durableWAL},
+		{"checkpoint", drainCheckpoint},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			op := serveAdmitOp(0, tc.durable, false)(t)
+			op := serveAdmitOp(0, tc.persist, false)(t)
 			admits := 300 // serveAdmitOp warms up with 300 admissions
 			heapAt := func(n int) uint64 {
 				for ; admits < n; admits++ {

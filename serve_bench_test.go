@@ -5,9 +5,19 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"clustersched/internal/serve"
+)
+
+// persistence is how a ServeAdmit server keeps its applied ops.
+type persistence int
+
+const (
+	inMemory        persistence = iota // no persistence
+	durableWAL                         // a write-ahead log, fsynced before each answer
+	drainCheckpoint                    // the op journal a drain checkpoints
 )
 
 // serveAdmitOp is one admission straight through the handler of a
@@ -15,10 +25,11 @@ import (
 // round-trip through the apply worker, virtual-time advance, policy
 // Submit — without a network in the way. Every ServeAdmit variant starts
 // from the same config, so their numbers compare directly: shards > 0
-// partitions the serving cluster, durable adds the write-ahead log and
-// spans turns request tracing on. Virtual time advances one second per
-// request so the cluster reaches a steady state instead of filling up.
-func serveAdmitOp(shards int, durable, spans bool) func(testing.TB) func() {
+// partitions the serving cluster, persist picks how the server keeps its
+// applied ops, and spans turns request tracing on. Virtual time advances
+// one second per request so the cluster reaches a steady state instead
+// of filling up.
+func serveAdmitOp(shards int, persist persistence, spans bool) func(testing.TB) func() {
 	return func(tb testing.TB) func() {
 		cfg := serve.Config{
 			Policy:     "librarisk",
@@ -28,8 +39,11 @@ func serveAdmitOp(shards int, durable, spans bool) func(testing.TB) func() {
 			Shards:     shards,
 			Spans:      spans,
 		}
-		if durable {
+		switch persist {
+		case durableWAL:
 			cfg.WALDir = tb.TempDir()
+		case drainCheckpoint:
+			cfg.CheckpointPath = filepath.Join(tb.TempDir(), "drain.ckpt")
 		}
 		s, err := serve.New(cfg)
 		if err != nil {
@@ -71,32 +85,37 @@ func serveAdmitOp(shards int, durable, spans bool) func(testing.TB) func() {
 }
 
 // BenchmarkServeAdmit measures the sequential full HTTP admission path.
-func BenchmarkServeAdmit(b *testing.B) { benchOp(b, serveAdmitOp(0, false, false)) }
+func BenchmarkServeAdmit(b *testing.B) { benchOp(b, serveAdmitOp(0, inMemory, false)) }
 
 // BenchmarkServeAdmitSharded is the same path with the serving cluster
 // partitioned across 4 shard engines: the admit scan and completion
 // advancement fan out, the apply worker keeps single-writer ordering.
 // On a single-core host this measures pure coordination overhead; the
 // speedup only shows with GOMAXPROCS > 1.
-func BenchmarkServeAdmitSharded(b *testing.B) { benchOp(b, serveAdmitOp(4, false, false)) }
+func BenchmarkServeAdmitSharded(b *testing.B) { benchOp(b, serveAdmitOp(4, inMemory, false)) }
 
 // BenchmarkServeAdmitDurable adds the write-ahead log: every op is
 // fsynced before its response through the two-stage pipeline (decide
 // overlaps the previous batch's group-commit fsync). Dominated by
 // fsync latency on real disks.
-func BenchmarkServeAdmitDurable(b *testing.B) { benchOp(b, serveAdmitOp(0, true, false)) }
+func BenchmarkServeAdmitDurable(b *testing.B) { benchOp(b, serveAdmitOp(0, durableWAL, false)) }
+
+// BenchmarkServeAdmitCheckpoint runs the sequential path in checkpoint
+// mode: every applied op is encoded into the on-disk op journal a drain
+// checkpoints, buffered and never fsynced.
+func BenchmarkServeAdmitCheckpoint(b *testing.B) { benchOp(b, serveAdmitOp(0, drainCheckpoint, false)) }
 
 // BenchmarkServeAdmitShardedDurable combines both: the sharded apply
 // path feeding the pipelined group commit.
-func BenchmarkServeAdmitShardedDurable(b *testing.B) { benchOp(b, serveAdmitOp(4, true, false)) }
+func BenchmarkServeAdmitShardedDurable(b *testing.B) { benchOp(b, serveAdmitOp(4, durableWAL, false)) }
 
 // BenchmarkServeAdmitSpans measures the sequential path with request
 // tracing on: one span allocation per request, contiguous stage stamps,
 // a lock-free ring publish, and the stage-histogram fold. Its delta
 // against BenchmarkServeAdmit is the whole cost of observability; the
 // spans-OFF cost is pinned at zero by TestSpanHelpersZeroAllocWhenDisabled.
-func BenchmarkServeAdmitSpans(b *testing.B) { benchOp(b, serveAdmitOp(0, false, true)) }
+func BenchmarkServeAdmitSpans(b *testing.B) { benchOp(b, serveAdmitOp(0, inMemory, true)) }
 
 // BenchmarkServeAdmitDurableSpans traces the full durable pipeline:
 // gather/append/commit stamps ride the group-commit batches.
-func BenchmarkServeAdmitDurableSpans(b *testing.B) { benchOp(b, serveAdmitOp(0, true, true)) }
+func BenchmarkServeAdmitDurableSpans(b *testing.B) { benchOp(b, serveAdmitOp(0, durableWAL, true)) }
