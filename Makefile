@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short bench cover fuzz experiments examples chaos-smoke resume-smoke shard-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
+.PHONY: all build vet test test-short bench cover fuzz experiments examples chaos-smoke resume-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
 
 all: build vet test
 
@@ -58,24 +58,6 @@ chaos-smoke:
 			|| exit 1; \
 	done
 
-# shard-smoke proves the sharded parallel engine byte-identical to the
-# sequential one under the race detector: the K = 1/2/4/8 differential
-# tests (paper figures, chaos sweep, fault/cancellation edge cases) plus
-# the shard-pool and shard-routing unit tests, and a real-binary K=4
-# differential on cmd/clustersim with faults and the invariant checker.
-shard-smoke:
-	$(GO) test -race -run 'TestShard|TestSharded|TestPeekNext|TestSetHorizonKey|TestAttachShards' \
-		./internal/sim/ ./internal/cluster/ ./internal/experiment/
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	args="-policy librarisk -nodes 64 -jobs 800 -check-invariants \
-		-fault-seed 7 -fault-mtbf 1000000 -fault-correlated-mtbf 2000000"; \
-	$(GO) run ./cmd/clustersim $$args > $$tmp/seq.txt; \
-	$(GO) run ./cmd/clustersim $$args -shards 4 > $$tmp/sharded.txt; \
-	diff -u $$tmp/seq.txt $$tmp/sharded.txt \
-		|| { echo "shard-smoke: sharded output differs from sequential"; exit 1; }; \
-	echo "shard-smoke: ok"
-
 # resume-smoke proves interrupt-then-resume end to end on the real
 # binary: a journaled figure regeneration is SIGINT'd once the first
 # sweep cells are checkpointed, must exit 130, and the resumed run must
@@ -128,25 +110,25 @@ trace-smoke:
 	echo "trace-smoke: ok"
 
 # serve-smoke proves the online admission daemon end to end on the real
-# binaries: race-run the serve overload/quota/shed/drain/shard tests and
-# the sequential-model differential (TestServeModel), boot admissiond with a sharded serving cluster (-serve-shards 4),
+# binaries: race-run the serve overload/quota/shed/drain tests and the
+# sequential-model differential (TestServeModel), boot admissiond,
 # drive 1k requests through admitload, scrape /metrics, SIGTERM-drain
-# (must exit 0 and checkpoint), then resume a fresh SEQUENTIAL daemon
-# from the checkpoint and drain it again (exit 0) — the resumed audit
-# stream must be byte-identical to the sharded run's, which is the
-# sharded-apply determinism pin on the real binaries. Each drain must
+# (must exit 0 and checkpoint), then resume a fresh daemon from the
+# checkpoint and drain it again (exit 0) — the resumed audit stream
+# must be byte-identical to the first run's, which is the replay
+# determinism pin on the real binaries. Each drain must
 # remove its op-journal spool (drain.ckpt.ops). A third daemon resumes,
 # takes 200 requests and is SIGKILLed: the checkpoint it resumed from must
 # be untouched, and a fourth daemon must resume from it, drain (exit 0)
 # and leave it byte-identical.
 serve-smoke:
-	$(GO) test -race -run 'TestAdmit|TestQuota|TestShed|TestOverload|TestDrain|TestResume|TestNoGoroutineLeak|TestShard|TestServeModel' \
+	$(GO) test -race -run 'TestAdmit|TestQuota|TestShed|TestOverload|TestDrain|TestResume|TestNoGoroutineLeak|TestServeModel' \
 		./internal/serve/
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/admissiond ./cmd/admissiond; \
 	$(GO) build -o $$tmp/admitload ./cmd/admitload; \
-	$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 -serve-shards 4 \
+	$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 \
 		-audit $$tmp/audit1.jsonl -checkpoint $$tmp/drain.ckpt \
 		> $$tmp/daemon1.out 2>&1 & pid=$$!; \
 	for i in $$(seq 100); do grep -q 'listening on' $$tmp/daemon1.out 2>/dev/null && break; sleep 0.1; done; \
@@ -195,7 +177,7 @@ serve-smoke:
 
 # spans-smoke proves serving-path request tracing end to end: race-run
 # the span/debug/tenant-metric test suites, then boot admissiond with
-# -spans over the durable sharded pipeline, flood 1k deterministic
+# -spans over the durable pipeline, flood 1k deterministic
 # virtual-time requests, scrape /debug/spans and /metrics, and run
 # servetrace with the 95% stage-coverage gate plus a validated Chrome
 # export. A second daemon replays the identical load with spans OFF and
@@ -213,7 +195,7 @@ spans-smoke:
 	$(GO) build -o $$tmp/tracedump ./cmd/tracedump; \
 	for spans in on off; do \
 		sarg=""; [ $$spans = on ] && sarg="-spans"; \
-		$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 -serve-shards 4 \
+		$$tmp/admissiond -addr 127.0.0.1:0 -nodes 16 -time-scale 0 \
 			-durable $$tmp/wal_$$spans -audit $$tmp/audit_$$spans.jsonl $$sarg \
 			> $$tmp/daemon_$$spans.out 2> $$tmp/daemon_$$spans.err & pid=$$!; \
 		for i in $$(seq 100); do grep -q 'listening on' $$tmp/daemon_$$spans.out 2>/dev/null && break; sleep 0.1; done; \
@@ -251,9 +233,8 @@ spans-smoke:
 # (seeded), restarting with -resume each time and asserting that no
 # acknowledged admission is lost, no sequence is reused, the audit
 # stream is prefix-consistent across every crash, and the serve_wal_*
-# metrics are live — finishing with a graceful SIGTERM drain. The
-# daemon runs with -serve-shards 4, so every SIGKILL lands on the
-# sharded apply path with the pipelined committer's fsync in flight.
+# metrics are live — finishing with a graceful SIGTERM drain. Every
+# SIGKILL lands with the pipelined committer's fsync in flight.
 crash-smoke:
 	$(GO) test -race -run 'TestWAL|TestCheckpoint|TestDurable|TestJournal|TestReadFile' \
 		./internal/wal/ ./internal/checkpoint/ ./internal/serve/
@@ -264,7 +245,7 @@ crash-smoke:
 	$(GO) build -o $$tmp/admitload ./cmd/admitload; \
 	$(GO) build -o $$tmp/crashfuzz ./cmd/crashfuzz; \
 	$$tmp/crashfuzz -admissiond $$tmp/admissiond -admitload $$tmp/admitload \
-		-cycles 5 -seed 7 -serve-shards 4 -dir $$tmp/fuzz; \
+		-cycles 5 -seed 7 -dir $$tmp/fuzz; \
 	echo "crash-smoke: ok"
 
 examples:

@@ -556,16 +556,14 @@ func firstFitAcceptOp(tb testing.TB) func() {
 // BenchmarkAdmissionFirstFitAccept measures the FirstFit acceptance scan.
 func BenchmarkAdmissionFirstFitAccept(b *testing.B) { benchOp(b, firstFitAcceptOp) }
 
-// --- Sharded engine ------------------------------------------------------
+// --- Datacenter scale ----------------------------------------------------
 
-// shardedBase scales the paper configuration up to a larger cluster,
+// scaledBase scales the paper configuration up to a larger cluster,
 // keeping per-node load constant by shrinking the mean interarrival in
-// proportion to the node count, and runs it on the given number of
-// engine shards (sequential when shards <= 1).
-func shardedBase(nodes, jobs, shards int) experiment.BaseConfig {
+// proportion to the node count.
+func scaledBase(nodes, jobs int) experiment.BaseConfig {
 	base := experiment.DefaultBase()
 	base.Nodes = nodes
-	base.Shards = shards
 	gen := workload.DefaultGeneratorConfig()
 	gen.Jobs = jobs
 	gen.MaxProcs = 64
@@ -574,18 +572,9 @@ func shardedBase(nodes, jobs, shards int) experiment.BaseConfig {
 	return base
 }
 
-// BenchmarkShardedLibraRiskSeq is the sequential baseline for the sharded
-// engine at moderate datacenter scale (512 nodes, 10k jobs). The sequential
-// and sharded variants run the exact same simulation (the differential
-// tests prove byte-identity), so their ratio is the sharding speedup on
-// this machine — on a single-core host the sharded run instead measures
-// pure barrier/coordination overhead.
+// BenchmarkShardedLibraRiskSeq runs LibraRisk at moderate datacenter
+// scale (512 nodes, 10k jobs). The name predates the one-engine design;
+// it is kept so the budget row and recorded numbers stay comparable.
 func BenchmarkShardedLibraRiskSeq(b *testing.B) {
-	benchOp(b, runOp(shardedBase(512, 10_000, 0), experiment.LibraRisk))
-}
-
-// BenchmarkShardedLibraRiskShards8 runs the identical simulation on eight
-// engine shards.
-func BenchmarkShardedLibraRiskShards8(b *testing.B) {
-	benchOp(b, runOp(shardedBase(512, 10_000, 8), experiment.LibraRisk))
+	benchOp(b, runOp(scaledBase(512, 10_000), experiment.LibraRisk))
 }

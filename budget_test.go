@@ -60,15 +60,12 @@ func TestAllocationBudgets(t *testing.T) {
 		{"AdmissionFirstFitAccept", firstFitAcceptOp, 100, 0, exact, false},
 		{"PolicyLibraFullScale", runOp(experiment.DefaultBase(), experiment.Libra), 2, 2812, slack, true},
 		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 3480, slack, true},
-		{"ShardedLibraRiskSeq", runOp(shardedBase(512, 10_000, 0), experiment.LibraRisk), 1, 12873, slack, false},
-		{"ShardedLibraRiskShards8", runOp(shardedBase(512, 10_000, 8), experiment.LibraRisk), 1, 19309, slack, false},
-		{"ServeAdmit", serveAdmitOp(0, inMemory, false), 200, 41, exact, true},
-		{"ServeAdmitSharded", serveAdmitOp(4, inMemory, false), 200, 41, exact, true},
-		{"ServeAdmitCheckpoint", serveAdmitOp(0, drainCheckpoint, false), 200, 41, exact, true},
-		{"ServeAdmitDurable", serveAdmitOp(0, durableWAL, false), 200, 45, exact, true},
-		{"ServeAdmitShardedDurable", serveAdmitOp(4, durableWAL, false), 200, 45, exact, true},
-		{"ServeAdmitSpans", serveAdmitOp(0, inMemory, true), 200, 42, exact, true},
-		{"ServeAdmitDurableSpans", serveAdmitOp(0, durableWAL, true), 200, 46, exact, true},
+		{"ShardedLibraRiskSeq", runOp(scaledBase(512, 10_000), experiment.LibraRisk), 1, 12873, slack, false},
+		{"ServeAdmit", serveAdmitOp(inMemory, false), 200, 41, exact, true},
+		{"ServeAdmitCheckpoint", serveAdmitOp(drainCheckpoint, false), 200, 41, exact, true},
+		{"ServeAdmitDurable", serveAdmitOp(durableWAL, false), 200, 45, exact, true},
+		{"ServeAdmitSpans", serveAdmitOp(inMemory, true), 200, 42, exact, true},
+		{"ServeAdmitDurableSpans", serveAdmitOp(durableWAL, true), 200, 46, exact, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if raceEnabled && row.racy {

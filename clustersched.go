@@ -162,14 +162,6 @@ type Options struct {
 	// (default 50M). Replicate and the figure builder refuse it: their
 	// experiment harness always runs with the default budget.
 	MaxEvents uint64
-	// Shards > 1 runs time-shared policies (libra, librarisk) on the
-	// sharded parallel engine: nodes are partitioned into Shards
-	// contiguous groups whose completion events advance concurrently
-	// between admission barriers. Results are byte-identical to the
-	// sequential engine at any shard count. Values ≤ 1 (and all
-	// space-shared policies) use the sequential engine; counts above the
-	// node count are clamped.
-	Shards int
 }
 
 // faultConfig assembles the internal fault configuration, defaulting the
@@ -330,8 +322,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("clustersched: RiskSigmaThreshold = %g, want >= 0", o.RiskSigmaThreshold)
 	case o.QoPSSlackFactor < 0 || math.IsNaN(o.QoPSSlackFactor):
 		return fmt.Errorf("clustersched: QoPSSlackFactor = %g, want >= 0", o.QoPSSlackFactor)
-	case o.Shards < 0:
-		return fmt.Errorf("clustersched: Shards = %d, want >= 0", o.Shards)
 	}
 	switch o.Policy {
 	case PolicyEDF, PolicyLibra, PolicyLibraRisk,
@@ -626,20 +616,7 @@ func runSimulation(ctx context.Context, o Options, jobs []workload.Job) (*metric
 	if o.MaxEvents > 0 {
 		e.MaxEvents = o.MaxEvents
 	}
-	// Sharded execution for time-shared policies; space-shared policies
-	// stay sequential (every completion there is a dispatch decision).
-	pool, detach, err := core.AttachShards(ts, o.Shards, nil, pol, mon)
-	if err != nil {
-		return nil, mon, err
-	}
-	defer detach()
-	if pool != nil {
-		var drv core.ArrivalDriver
-		err = core.RunSimulationSharded(ctx, e, ts, pool, pol, rec, jobs, o.InaccuracyPct, &drv)
-	} else {
-		err = core.RunSimulationContext(ctx, e, pol, rec, jobs, o.InaccuracyPct)
-	}
-	if err != nil {
+	if err := core.RunSimulationContext(ctx, e, pol, rec, jobs, o.InaccuracyPct); err != nil {
 		return nil, mon, err
 	}
 	if chk != nil {
@@ -1156,7 +1133,6 @@ func buildBase(o Options) experiment.BaseConfig {
 	base.Deadline.Ratio = o.DeadlineRatio
 	base.Params = o.policyParams()
 	base.CheckInvariants = o.CheckInvariants
-	base.Shards = o.Shards
 	return base
 }
 

@@ -53,7 +53,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	reqTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request admission deadline")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant sustained admissions/sec (0 with no burst = unlimited)")
 	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant burst credit (bucket depth)")
-	serveShards := fs.Int("serve-shards", 0, "shard engines for the serving cluster: completion advancement and the admit scan fan out across this many workers (0/1 = sequential)")
 	auditPath := fs.String("audit", "", "stream admission decisions to this JSONL file")
 	ckptPath := fs.String("checkpoint", "", "write the drain checkpoint to this file")
 	resume := fs.Bool("resume", false, "replay the checkpoint or WAL at startup when one exists")
@@ -77,7 +76,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		RequestTimeout:  *reqTimeout,
 		QuotaRate:       *quotaRate,
 		QuotaBurst:      *quotaBurst,
-		Shards:          *serveShards,
 		CheckpointPath:  *ckptPath,
 		Resume:          *resume,
 		WALDir:          *durableDir,

@@ -64,7 +64,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	faultHorizon := fs.Float64("fault-horizon", 0, "stop injecting faults after this simulated time (0 = last job arrival)")
 	checkInv := fs.Bool("check-invariants", false, "re-validate model invariants after every event (slower; fails on first violation)")
 	maxEvents := fs.Uint64("max-events", 0, "override the engine's runaway-loop event budget (0 = default 50M)")
-	shards := fs.Int("shards", 0, "run time-shared policies on N parallel engine shards (0/1 = sequential; results are identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -102,7 +101,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	o.FaultHorizon = *faultHorizon
 	o.CheckInvariants = *checkInv
 	o.MaxEvents = *maxEvents
-	o.Shards = *shards
 
 	if *report && *trace == "" {
 		out, err := clustersched.Report(o)

@@ -53,7 +53,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	nodes := fs.Int("nodes", 8, "daemon cluster size")
 	policy := fs.String("policy", "librarisk", "admission policy under test")
 	segBytes := fs.Int64("wal-segment-bytes", 16<<10, "small segments so rotation+compaction are exercised")
-	shards := fs.Int("serve-shards", 0, "shard engines for the daemon's serving cluster (0 = sequential)")
 	dirFlag := fs.String("dir", "", "scratch directory (default: a temp dir, removed on success)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +79,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		d, err := startDaemon(ctx, *daemonBin, daemonArgs{
 			walDir: walDir, audit: auditPath,
 			policy: *policy, nodes: *nodes, segBytes: *segBytes,
-			shards: *shards,
 		})
 		if err != nil {
 			return fmt.Errorf("crashfuzz: cycle %d: %w", cycle, err)

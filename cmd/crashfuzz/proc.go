@@ -20,7 +20,6 @@ type daemonArgs struct {
 	policy   string
 	nodes    int
 	segBytes int64
-	shards   int // -serve-shards: sharded live apply path (0 = sequential)
 }
 
 // daemon is one live admissiond process with its stdout under watch.
@@ -54,9 +53,6 @@ func startDaemon(ctx context.Context, bin string, a daemonArgs) (*daemon, error)
 	}
 	if a.segBytes > 0 {
 		args = append(args, "-wal-segment-bytes", strconv.FormatInt(a.segBytes, 10))
-	}
-	if a.shards > 0 {
-		args = append(args, "-serve-shards", strconv.Itoa(a.shards))
 	}
 	cmd := exec.Command(bin, args...)
 	d := &daemon{cmd: cmd, scanDone: make(chan struct{})}

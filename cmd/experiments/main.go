@@ -65,7 +65,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	metricsFormat := fs.String("metrics-format", "prom", "metrics output format: prom (Prometheus text) | json")
 	auditOut := fs.String("audit", "", "record every admission decision (per-node σ/share, rejection reason) to `file` as JSONL; paper figures and chaos only")
 	summaryFormat := fs.String("summary-format", "text", "figure and table output format on stdout: text | json (timing chatter moves to stderr)")
-	shards := fs.Int("shards", 0, "run time-shared policies on N parallel engine shards (0/1 = sequential; results are identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,7 +98,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	o.Jobs = *jobs
 	o.Nodes = *nodes
 	o.Seed = *seed
-	o.Shards = *shards
 
 	if *replicate > 0 {
 		return runReplication(ctx, stdout, o, *replicate)

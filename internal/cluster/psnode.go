@@ -118,15 +118,6 @@ type PSNode struct {
 	// onSliceDone is installed by the owning TimeShared cluster.
 	onSliceDone func(e *sim.Engine, sl *slice)
 
-	// eng, when non-nil, is the shard engine this node's update events are
-	// scheduled on (see TimeShared.AttachShards). Nil means events go to
-	// whatever engine invoked the mutation — the sequential single-engine
-	// mode.
-	eng *sim.Engine
-	// shard is the node's shard index while sharding is attached, so the
-	// cluster can route deferred completions without a lookup.
-	shard int
-
 	// updateH is the bound-once method value for onUpdate: evaluating
 	// n.onUpdate at each reschedule would allocate a fresh closure per
 	// event on the hot path.
@@ -298,16 +289,7 @@ func (n *PSNode) reschedule(e *sim.Engine) {
 	if n.updateH == nil {
 		n.updateH = n.onUpdate
 	}
-	// Under sharding the node's timer lives on its shard engine. The due
-	// time is still relative to the mutating engine's clock: during a shard
-	// phase that IS the shard engine, and at a barrier it is the global
-	// engine, whose clock never trails a shard's next-event time — so the
-	// absolute time below can never be in the shard engine's past.
-	eng := e
-	if n.eng != nil {
-		eng = n.eng
-	}
-	n.update = eng.At(e.Now()+next, sim.PriorityCompletion, n.updateH)
+	n.update = e.At(e.Now()+next, sim.PriorityCompletion, n.updateH)
 }
 
 // onUpdate is the node's event handler: accrue progress, retire completed
@@ -360,10 +342,6 @@ func (n *PSNode) reset() {
 	n.version = 0
 	n.risk = riskSummary{}
 	n.busyIntegral = 0
-	// Sharding is a per-run attachment; a reset node always reverts to the
-	// sequential single-engine mode until AttachShards runs again.
-	n.eng = nil
-	n.shard = 0
 }
 
 // addSlice places a new slice on the node and re-derives rates.

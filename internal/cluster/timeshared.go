@@ -63,10 +63,6 @@ type TimeShared struct {
 	slArena arena[slice]
 	idArena intArena
 	seen    []bool // Submit duplicate-detection scratch, always all-false between calls
-
-	// shards, when non-nil, holds the space-partitioned execution state
-	// installed by AttachShards (see shard.go). Nil in sequential mode.
-	shards *shardRuntime
 }
 
 // NewTimeShared builds a homogeneous cluster of n nodes with the given
@@ -115,9 +111,6 @@ func (c *TimeShared) Reset() {
 	c.rjArena.reset()
 	c.slArena.reset()
 	c.running, c.killed = 0, 0
-	// Sharding is a per-run attachment (node resets above already dropped
-	// the per-node engine routing).
-	c.shards = nil
 }
 
 // Len returns the number of nodes.
@@ -333,27 +326,12 @@ func (c *TimeShared) Submit(e *sim.Engine, job workload.Job, estimate float64, n
 	return rj, nil
 }
 
-// sliceDone is installed as every node's completion callback. In the
-// sequential mode it finishes the slice immediately; during a sharded
-// phase (multiple shard engines running concurrently) job-level accounting
-// must not touch shared state, so the completion is parked in the calling
-// shard's deferral buffer and applied by EndShardPhase on the coordinator.
+// sliceDone is installed as every node's completion callback: it runs the
+// job-level half of a slice completion — gang countdown and, on the last
+// slice, job finish bookkeeping, observability and the completion
+// callback. The slice's storage is recycled, and on the last slice the
+// job's too, once OnJobDone returns.
 func (c *TimeShared) sliceDone(e *sim.Engine, sl *slice) {
-	if sr := c.shards; sr != nil && sr.inPhase {
-		s := sr.index[e]
-		sr.deferred[s] = append(sr.deferred[s], deferredDone{time: e.Now(), sl: sl})
-		return
-	}
-	c.finishSlice(e, e.Now(), sl)
-}
-
-// finishSlice runs the job-level half of a slice completion: gang
-// countdown and, on the last slice, job finish bookkeeping, observability
-// and the completion callback. t is the simulated time the slice actually
-// completed at — under sharding that is a shard-engine timestamp that may
-// precede the global clock. The slice's storage is recycled, and on the
-// last slice the job's too, once OnJobDone returns.
-func (c *TimeShared) finishSlice(e *sim.Engine, t float64, sl *slice) {
 	rj := sl.job
 	c.slArena.release(sl)
 	rj.remainingSlices--
@@ -361,7 +339,7 @@ func (c *TimeShared) finishSlice(e *sim.Engine, t float64, sl *slice) {
 		return
 	}
 	rj.done = true
-	rj.Finish = t
+	rj.Finish = e.Now()
 	c.running--
 	if c.Trace != nil || c.Metrics != nil {
 		c.emitFinish(e, rj)

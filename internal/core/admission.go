@@ -23,8 +23,8 @@ type shareAdmission struct {
 	// Selection orders the suitable nodes a job is allocated to.
 	Selection NodeSelection
 	// DisableFastPath turns off the behaviour-preserving fast paths (the
-	// FirstFit early exit, the parallel scan and each test's own) so the
-	// differential tests can prove they change no decision.
+	// FirstFit early exit and each test's own) so the differential tests
+	// can prove they change no decision.
 	DisableFastPath bool
 
 	// obsHooks carries the optional per-run tracer/metrics/audit
@@ -46,13 +46,6 @@ type shareAdmission struct {
 	ids  []int
 	now  float64
 	cand cluster.Candidate
-
-	// pool, when attached (sharded runs), fans the node walk out across the
-	// shard workers; see SetAdmitPool and admitpar.go. evalParH is evalPar
-	// bound once, so the fan-out allocates no closure per arrival.
-	pool     *sim.ShardPool
-	par      admitScratch
-	evalParH func(i int) (nodeFit, bool)
 }
 
 // nodeFit is one suitable node: share, the total share it would carry
@@ -85,27 +78,14 @@ func (a *shareAdmission) wire(c *cluster.TimeShared, rec *metrics.Recorder, sel 
 	}
 }
 
-// SetAdmitPool attaches (or with nil detaches) the worker pool the
-// admission scan may fan out on. Implements AdmitParallel.
-func (a *shareAdmission) SetAdmitPool(pool *sim.ShardPool) {
-	a.pool = pool
-	if pool != nil && a.evalParH == nil {
-		a.evalParH = a.evalPar
-	}
-}
-
 // Reset prepares the policy for a fresh run on a reset cluster. The walk
 // keeps no cross-arrival state beyond its scratch buffers, so this only
 // exists to satisfy the resettable-policy contract.
 func (a *shareAdmission) Reset() {}
 
-// evalPar is the walk body for node i: a down node is unsuitable (and
-// audited as down), an up one goes to the policy's test. The sequential
-// walk runs it inline and the parallel scan on the pool workers; the scan
-// runs only with no audit or sim metrics attached, and every test only
-// reads node state and the node's own scratch, so distinct nodes evaluate
-// race-free in parallel.
-func (a *shareAdmission) evalPar(i int) (nodeFit, bool) {
+// eval is the walk body for node i: a down node is unsuitable (and
+// audited as down), an up one goes to the policy's test.
+func (a *shareAdmission) eval(i int) (nodeFit, bool) {
 	n := a.Cluster.Node(i)
 	if n.Down() {
 		if a.auditing() {
@@ -118,18 +98,14 @@ func (a *shareAdmission) evalPar(i int) (nodeFit, bool) {
 
 // Submit implements Policy: the admission test and placement.
 //
-// The walk carries these fast paths, all behaviour-preserving (the
-// differential test in internal/experiment runs paper-scale simulations
-// with and without them and asserts identical per-job decisions), on top
-// of each policy's own test fast paths:
-//
-//   - FirstFit early exit: the walk is in node-index order and FirstFit
-//     takes the first NumProc suitable nodes, so once that many are found
-//     the remaining nodes cannot change the outcome and the walk stops.
-//     Rejections still visit every node, keeping the recorded rejection
-//     reason identical.
-//   - With a shard pool attached, the walk fans out across it (see
-//     admitpar.go).
+// On top of each policy's own test fast paths the walk carries one
+// behaviour-preserving fast path (the differential test in
+// internal/experiment runs paper-scale simulations with and without it
+// and asserts identical per-job decisions): the FirstFit early exit. The
+// walk is in node-index order and FirstFit takes the first NumProc
+// suitable nodes, so once that many are found the remaining nodes cannot
+// change the outcome and the walk stops. Rejections still visit every
+// node, keeping the recorded rejection reason identical.
 func (a *shareAdmission) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
 	a.Recorder.Submitted(job)
 	a.arriveObs(e.Now(), job)
@@ -159,33 +135,13 @@ func (a *shareAdmission) admit(e *sim.Engine, job workload.Job, estimate float64
 	a.cand = cluster.Candidate{JobID: job.ID, RefWork: estimate, AbsDeadline: job.AbsDeadline()}
 	firstFit := a.Selection == FirstFit && !a.DisableFastPath
 	fits := a.fits[:0]
-	// Fan the walk out across the shard pool when attached, unless
-	// admission has order-sensitive observers (auditing, per-decision sim
-	// metrics) or fast paths are disabled — the parallel scan is itself a
-	// behaviour-preserving fast path. Under FirstFit a sequential prefix
-	// runs first so a shallow accept never pays the fan-out.
-	parFrom := nodes
-	if a.pool != nil && !a.auditing() && a.Sim == nil && !a.DisableFastPath && nodes >= admitParMinNodes {
-		parFrom = 0
-		if firstFit {
-			parFrom = admitParPrefix
-		}
-	}
-	for i := 0; i < parFrom; i++ {
-		if fit, ok := a.evalPar(i); ok {
+	for i := 0; i < nodes; i++ {
+		if fit, ok := a.eval(i); ok {
 			fits = append(fits, fit)
 			if firstFit && len(fits) == job.NumProc {
 				break
 			}
 		}
-	}
-	if parFrom < nodes && !(firstFit && len(fits) >= job.NumProc) {
-		// Decision-identical to continuing the walk: evaluations are pure,
-		// results merge in node-index order, and the first NumProc entries
-		// (all FirstFit uses) are exactly the ones the sequential early
-		// exit would have stopped at. A rejection evaluates every node on
-		// both paths, so rejection reasons and counts match too.
-		fits = parallelScan(a.pool, &a.par, parFrom, nodes, fits, a.evalParH)
 	}
 	a.fits = fits
 	if len(fits) < job.NumProc {
@@ -214,7 +170,7 @@ func (a *shareAdmission) admit(e *sim.Engine, job workload.Job, estimate float64
 
 // orderBySelection sorts candidate nodes per the fit strategy; ties break
 // on node id for determinism. FirstFit keeps the walk's order, which is
-// ascending node id on both the sequential and the parallel path.
+// ascending node id.
 // slices.SortFunc rather than sort.Slice: the comparators are total orders
 // so the results are identical, and SortFunc avoids sort.Slice's
 // reflection-based swapper allocation on a per-arrival path.

@@ -50,21 +50,6 @@ type Monitor struct {
 	// DisableCache turns off the per-node baseline prediction cache so
 	// tests can compare cached against recomputed sample series.
 	DisableCache bool
-	// PendingExtra, when set, reports live events outside the engine the
-	// monitor ticks on. Sharded runs point it at the shard engines' summed
-	// backlog (cluster.TimeShared.ShardsPending): node events then live off
-	// the global calendar, and without the hook the monitor would stop
-	// sampling while jobs are still running — diverging from the sequential
-	// reference, whose single calendar keeps the tick armed.
-	PendingExtra func() int
-	// Pool, when non-nil with more than one worker, fans each tick's
-	// per-node baseline sampling across the pool (sharded runs hand the
-	// monitor the same pool the barrier phases use; the tick fires at a
-	// barrier, so the pool is idle). Every per-node figure is computed
-	// with exactly the serial walk's arithmetic and the fold back into a
-	// sample runs serially in node-index order, so the emitted series is
-	// byte-identical to the serial path.
-	Pool *sim.ShardPool
 
 	samples []MonitorSample
 
@@ -78,23 +63,6 @@ type Monitor struct {
 	cache []baselineCache
 	// dds is the scratch buffer for per-node deadline-delay values.
 	dds []float64
-	// stats and wdds are the pool path's scratch: one nodeStat per node,
-	// one deadline-delay buffer per worker.
-	stats []nodeStat
-	wdds  [][]float64
-}
-
-// nodeStat is one node's contribution to a sample, computed in the
-// parallel phase and folded serially.
-type nodeStat struct {
-	down     bool
-	util     float64
-	busy     bool
-	delayed  int
-	mu       float64
-	sigma    float64
-	hasJobs  bool
-	zeroRisk bool
 }
 
 // baselineCache is one node's cached baseline prediction.
@@ -152,15 +120,12 @@ func (m *Monitor) tick(e *sim.Engine) {
 	}
 	// Keep sampling only while something else is pending: the monitor's
 	// own event is the only one left when the workload has drained.
-	if e.Pending() > 0 || (m.PendingExtra != nil && m.PendingExtra() > 0) {
+	if e.Pending() > 0 {
 		e.After(m.Interval, sim.PriorityMonitor, m.tick)
 	}
 }
 
 func (m *Monitor) sample(now float64) MonitorSample {
-	if m.Pool != nil && m.Pool.Workers() > 1 {
-		return m.samplePooled(now)
-	}
 	s := MonitorSample{Time: now, RunningJobs: m.Cluster.Running()}
 	n := m.Cluster.Len()
 	var utilSum, sigmaSum, muSum float64
@@ -199,93 +164,6 @@ func (m *Monitor) sample(now float64) MonitorSample {
 			muNodes++
 		}
 		if ZeroRisk(sigma) {
-			s.ZeroRiskNodes++
-		}
-	}
-	if upNodes > 0 {
-		s.Utilization = utilSum / float64(upNodes)
-		s.MeanSigma = sigmaSum / float64(upNodes)
-	}
-	if muNodes > 0 {
-		s.MeanMu = muSum / float64(muNodes)
-	}
-	return s
-}
-
-// samplePooled is the fan-out counterpart of the serial walk in sample:
-// workers compute disjoint contiguous node ranges into per-node stats
-// (the baseline cache entries are per-node, the prediction scratch is
-// per-node, and each worker carries its own deadline-delay buffer, so
-// the phase is race-free), then one serial fold accumulates them in node
-// index order with the identical floating-point operation sequence.
-func (m *Monitor) samplePooled(now float64) MonitorSample {
-	n := m.Cluster.Len()
-	k := m.Pool.Workers()
-	if m.cache == nil {
-		m.cache = make([]baselineCache, n)
-	}
-	if cap(m.stats) < n {
-		m.stats = make([]nodeStat, n)
-	}
-	stats := m.stats[:n]
-	if len(m.wdds) < k {
-		m.wdds = make([][]float64, k)
-	}
-	m.Pool.Run(func(w int) {
-		lo, hi := w*n/k, (w+1)*n/k
-		dds := m.wdds[w]
-		for i := lo; i < hi; i++ {
-			node := m.Cluster.Node(i)
-			st := &stats[i]
-			*st = nodeStat{}
-			if node.Down() {
-				st.down = true
-				continue
-			}
-			st.util = node.Utilization()
-			st.busy = node.NumSlices() > 0
-			preds := m.baseline(i, node, now)
-			if cap(dds) < len(preds) {
-				dds = make([]float64, len(preds))
-			}
-			dd := dds[:len(preds)]
-			for j, pr := range preds {
-				dd[j] = cluster.DeadlineDelay(pr.Delay, pr.AbsDeadline-now)
-				if pr.Delay > 0 {
-					st.delayed++
-				}
-			}
-			st.mu, st.sigma = RiskOfDelay(dd)
-			st.hasJobs = len(dd) > 0
-			st.zeroRisk = ZeroRisk(st.sigma)
-		}
-		m.wdds[w] = dds
-	})
-	s := MonitorSample{Time: now, RunningJobs: m.Cluster.Running()}
-	var utilSum, sigmaSum, muSum float64
-	muNodes := 0
-	upNodes := 0
-	for i := range stats {
-		st := &stats[i]
-		if st.down {
-			s.DownNodes++
-			continue
-		}
-		upNodes++
-		utilSum += st.util
-		if st.busy {
-			s.BusyNodes++
-		}
-		s.DelayedJobs += st.delayed
-		sigmaSum += st.sigma
-		if st.hasJobs {
-			muSum += st.mu
-			muNodes++
-		} else {
-			muSum++
-			muNodes++
-		}
-		if st.zeroRisk {
 			s.ZeroRiskNodes++
 		}
 	}

@@ -200,43 +200,3 @@ func TestLibraRiskMeanRuleOnWorkload(t *testing.T) {
 		t.Fatalf("µ rule rejected %d < σ rule %d", mu.Rejected, sigma.Rejected)
 	}
 }
-
-// TestMonitorPooledSampleByteIdentical compares the pool-driven sample
-// path against the serial walk on a mid-run cluster carrying the full mix
-// of states — idle, busy, delayed and down nodes — at every pool width.
-// Samples must match exactly: the fold replays the serial arithmetic in
-// node-index order, so even the floating-point rounding is identical.
-func TestMonitorPooledSampleByteIdentical(t *testing.T) {
-	c, err := cluster.NewTimeShared(16, 168, cluster.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := metrics.NewRecorder()
-	p := NewLibraRisk(c, rec)
-	e := sim.NewEngine()
-	// A spread of under- and over-estimated jobs: some overrun their
-	// deadlines (delayed, µ > 1), some finish early, some nodes stay idle.
-	for i := 0; i < 40; i++ {
-		real := float64(200 + (i*137)%900)
-		est := real * (0.4 + float64(i%4)*0.5)
-		deadline := real * 1.2
-		p.Submit(e, tsJob(i+1, 0, real, deadline, 1+i%2), est)
-	}
-	e.SetHorizon(500)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c.SetNodeDown(e, 3, true)
-	now := e.Now() + 10
-	for _, k := range []int{2, 3, 4, 8, 16, 32} {
-		pool := sim.NewShardPool(k)
-		pooled := &Monitor{Cluster: c, Interval: 1, Pool: pool}
-		serial := &Monitor{Cluster: c, Interval: 1}
-		got := pooled.sample(now)
-		want := serial.sample(now)
-		pool.Close()
-		if got != want {
-			t.Errorf("workers=%d: pooled sample diverges\npooled %+v\nserial %+v", k, got, want)
-		}
-	}
-}

@@ -43,10 +43,10 @@ func WorkloadDigest(jobs []workload.Job) string {
 
 // baseKeyView enumerates exactly the BaseConfig fields that determine a
 // cell's result. Supervision knobs (Workers, RunTimeout, Progress,
-// Journal), the test hooks disableReuse and disableFastPaths, and Shards
-// are deliberately absent: re-running a sweep with a different worker
-// count, watchdog, context-reuse setting, fast-path setting or shard count
-// must still match its journal — each is byte-identical to its reference
+// Journal) and the test hooks disableReuse and disableFastPaths are
+// deliberately absent: re-running a sweep with a different worker count,
+// watchdog, context-reuse setting or fast-path setting must still match
+// its journal — each is byte-identical to its reference
 // by construction (asserted by the differential tests).
 type baseKeyView struct {
 	Nodes           int

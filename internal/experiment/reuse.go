@@ -44,10 +44,6 @@ type runScratch struct {
 	ctxs   map[PolicyKind]*policyContext
 	jobs   []workload.Job
 	driver core.ArrivalDriver
-	// shardEngines caches the per-shard engines of sharded runs
-	// (base.Shards > 1) so their event freelists and queue storage survive
-	// across cells just like the main engine's.
-	shardEngines []*sim.Engine
 	// dirty marks the scratch as possibly corrupt: it is set before every
 	// attempt that uses the scratch and cleared only when the attempt
 	// returns (even with an error — every component's Reset recovers from
@@ -181,24 +177,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		}
 		mon.Start(e)
 	}
-	// Sharded execution for time-shared policies, on shard engines cached
-	// in the scratch so sharded sweep cells reuse queue storage and event
-	// freelists run over run.
-	var engines *[]*sim.Engine
-	if sc != nil {
-		engines = &sc.shardEngines
-	}
-	pool, detach, err := core.AttachShards(ts, base.Shards, engines, pol, mon)
-	if err != nil {
-		return metrics.Summary{}, nil, err
-	}
-	defer detach()
-	var runErr error
-	if pool != nil {
-		runErr = core.RunSimulationSharded(ctx, e, ts, pool, pol, rec, jobs, spec.InaccuracyPct, drv)
-	} else {
-		runErr = core.RunSimulationReusing(ctx, e, pol, rec, jobs, spec.InaccuracyPct, drv)
-	}
+	runErr := core.RunSimulationReusing(ctx, e, pol, rec, jobs, spec.InaccuracyPct, drv)
 	if runErr != nil {
 		return metrics.Summary{}, mon, runErr
 	}

@@ -81,9 +81,8 @@ type BaseConfig struct {
 	// disableFastPaths turns off the admission fast paths in the Libra and
 	// LibraRisk policies (combine with Cluster.NaivePredictor to also use
 	// the reference fluid predictor). The differential tests run both
-	// configurations at paper scale and assert identical summaries; like
-	// Shards it cannot affect results and is excluded from checkpoint cell
-	// keys.
+	// configurations at paper scale and assert identical summaries; it
+	// cannot affect results and is excluded from checkpoint cell keys.
 	disableFastPaths bool
 	// CheckInvariants installs a sim.InvariantChecker on every run: clock
 	// monotonicity, job conservation, and cluster structural invariants
@@ -96,19 +95,6 @@ type BaseConfig struct {
 	// — so the flag exists for those tests. Like the supervision knobs it
 	// cannot affect results and is excluded from checkpoint cell keys.
 	disableReuse bool
-	// Shards > 1 runs every time-shared cell on the space-partitioned
-	// parallel engine: nodes split into Shards contiguous groups, each
-	// advancing on its own event queue between admission barriers (see
-	// core.RunSimulationSharded). Results are byte-identical to the
-	// sequential engine at any shard count by construction — the
-	// differential tests assert it at K = 1, 2, 4, 8 — so, like
-	// disableReuse, the knob is excluded from checkpoint cell keys.
-	// Policies on space-shared clusters (EDF and the extension policies)
-	// ignore it: every completion there triggers a dispatch decision, so a
-	// barrier per event would serialize the run anyway. 0 and 1 mean
-	// sequential. Note each cell then uses Shards goroutines; combined
-	// with Workers-way sweep parallelism the products multiply.
-	Shards int
 
 	// Obs, when set, collects tracing, metrics and/or an admission audit
 	// log across the sweep's runs (see internal/obs). Like the supervision

@@ -47,8 +47,8 @@ const (
 	// Zero in non-durable mode.
 	StageAppend
 	// StageAdvance is the virtual-time advance that ran ahead of this
-	// op's decision: completions drained serially or via the sharded
-	// barrier phases.
+	// op's decision: every believed completion at or before the op's
+	// time, fired in order on the one event calendar.
 	StageAdvance
 	// StageDecide is the policy decision + state mutation inside the
 	// apply critical section, excluding the advance.
@@ -120,9 +120,6 @@ type Span struct {
 	// WALIndex is the WAL record index this op was appended at; zero
 	// when not durable or refused.
 	WALIndex uint64
-	// ShardPhases counts the sharded-advance barrier phases that ran
-	// during this op's StageAdvance; zero when unsharded.
-	ShardPhases int
 	// Start is the wall-clock handler entry time.
 	Start time.Time
 	// Total is the wall time from handler entry to response written.
@@ -135,33 +132,31 @@ type Span struct {
 // JSON is the wire form of a Span, used by /debug/spans, span JSONL
 // files, and cmd/servetrace.
 type JSON struct {
-	Seq         int                `json:"seq,omitempty"`
-	Kind        string             `json:"kind"`
-	Tenant      string             `json:"tenant,omitempty"`
-	T           float64            `json:"t,omitempty"`
-	Outcome     string             `json:"outcome"`
-	ShedLevel   int                `json:"shed_level,omitempty"`
-	WALIndex    uint64             `json:"wal_index,omitempty"`
-	ShardPhases int                `json:"shard_phases,omitempty"`
-	StartNano   int64              `json:"start_unix_nano"`
-	TotalSec    float64            `json:"total_s"`
-	Stages      map[string]float64 `json:"stages,omitempty"`
+	Seq       int                `json:"seq,omitempty"`
+	Kind      string             `json:"kind"`
+	Tenant    string             `json:"tenant,omitempty"`
+	T         float64            `json:"t,omitempty"`
+	Outcome   string             `json:"outcome"`
+	ShedLevel int                `json:"shed_level,omitempty"`
+	WALIndex  uint64             `json:"wal_index,omitempty"`
+	StartNano int64              `json:"start_unix_nano"`
+	TotalSec  float64            `json:"total_s"`
+	Stages    map[string]float64 `json:"stages,omitempty"`
 }
 
 // Wire converts a Span to its JSON wire form. Only stages with nonzero
 // duration appear in Stages.
 func (sp *Span) Wire() JSON {
 	j := JSON{
-		Seq:         sp.Seq,
-		Kind:        sp.Kind,
-		Tenant:      sp.Tenant,
-		T:           sp.T,
-		Outcome:     sp.Outcome,
-		ShedLevel:   sp.ShedLevel,
-		WALIndex:    sp.WALIndex,
-		ShardPhases: sp.ShardPhases,
-		StartNano:   sp.Start.UnixNano(),
-		TotalSec:    sp.Total.Seconds(),
+		Seq:       sp.Seq,
+		Kind:      sp.Kind,
+		Tenant:    sp.Tenant,
+		T:         sp.T,
+		Outcome:   sp.Outcome,
+		ShedLevel: sp.ShedLevel,
+		WALIndex:  sp.WALIndex,
+		StartNano: sp.Start.UnixNano(),
+		TotalSec:  sp.Total.Seconds(),
 	}
 	for i, d := range sp.Dur {
 		if d > 0 {

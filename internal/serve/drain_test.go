@@ -151,7 +151,6 @@ func TestNoGoroutineLeakAcrossServerLifecycles(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 3; cycle++ {
 		cfg := testConfig()
-		cfg.Shards = 2 // exercise the pool teardown too
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

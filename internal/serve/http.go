@@ -477,8 +477,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// syncRegistryLocked folds the HTTP-side atomic counters, the gauges and
-// the admit-pool contention counters into the registry. Callers hold the
+// syncRegistryLocked folds the HTTP-side atomic counters and the gauges
+// into the registry. Callers hold the
 // write lock (the registry is not goroutine-safe by design — it lives
 // inside the state partition).
 func (s *Server) syncRegistryLocked(draining bool) {
@@ -545,18 +545,6 @@ func (s *Server) syncRegistryLocked(draining bool) {
 		r.Gauge("serve_wal_recovery_truncated_bytes", "Bytes cut from torn WAL tails at boot.").Set(float64(m.RecoveryTruncatedBytes))
 	}
 
-	if s.pool != nil {
-		st := s.pool.Stats()
-		r.Counter("serve_admitpool_parks_total", "Admit-pool worker park events.").Add(float64(st.Parks - s.poolParks))
-		r.Counter("serve_admitpool_wakes_total", "Admit-pool worker wakeups.").Add(float64(st.Wakes - s.poolWakes))
-		r.Counter("serve_admitpool_spin_iters_total", "Admit-pool spin-wait iterations.").Add(float64(st.SpinIters - s.poolSpins))
-		s.poolParks, s.poolWakes, s.poolSpins = st.Parks, st.Wakes, st.SpinIters
-	}
-
-	if s.shardEngines != nil {
-		r.Gauge("serve_shards", "Shard engines attached to the serving cluster.").Set(float64(len(s.shardEngines)))
-		r.Gauge("serve_shards_pending", "Node events pending across the shard engines.").Set(float64(s.ts.ShardsPending()))
-	}
 	s.syncProcessLocked()
 }
 

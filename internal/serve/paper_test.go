@@ -75,17 +75,26 @@ func batchRun(t *testing.T, policy string, jobs []workload.Job, pct float64) ([]
 	return answers, rec.Summarize()
 }
 
+// persistence is how a serveRun daemon keeps its ops across the drain:
+// not at all (no drain), a drain checkpoint, or a write-ahead log.
+type persistence struct {
+	name   string
+	ckpt   string
+	walDir string
+}
+
 // serveRun sends jobs to a daemon one request at a time, at t = submit
 // and with the estimate the batch run sees, then runs its engine to the
-// end. With a checkpoint it drains after resumeAt jobs and resumes a
-// fresh daemon from the checkpoint for the rest.
-func serveRun(t *testing.T, policy string, jobs []workload.Job, pct float64, ckpt string, resumeAt int) ([]bool, metrics.Summary) {
+// end. With a checkpoint or a log it drains after resumeAt jobs and
+// resumes a fresh daemon from it for the rest.
+func serveRun(t *testing.T, policy string, jobs []workload.Job, pct float64, p persistence, resumeAt int) ([]bool, metrics.Summary) {
 	t.Helper()
 	cfg := Config{
 		Policy:         policy,
 		Nodes:          workload.SDSCSP2Nodes,
 		Rating:         workload.SDSCSP2Rating,
-		CheckpointPath: ckpt,
+		CheckpointPath: p.ckpt,
+		WALDir:         p.walDir,
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -94,7 +103,7 @@ func serveRun(t *testing.T, policy string, jobs []workload.Job, pct float64, ckp
 	h := s.Handler()
 	answers := make([]bool, len(jobs))
 	for i, j := range jobs {
-		if ckpt != "" && i == resumeAt {
+		if (p.ckpt != "" || p.walDir != "") && i == resumeAt {
 			if err := s.Drain(context.Background()); err != nil {
 				t.Fatalf("drain at job %d: %v", i, err)
 			}
@@ -141,8 +150,8 @@ func serveRun(t *testing.T, policy string, jobs []workload.Job, pct float64, ckp
 // Fed the paper-scale workload one request at a time, it answers every
 // job as the batch simulation decides it under Libra and LibraRisk, and
 // ends with the batch simulation's summary, float for float, under all
-// three policies — also across a drain to a checkpoint and a resume
-// halfway. EDF's answer is its queueing, not its dispatch decision, so
+// three policies — also across a drain to a checkpoint or to a
+// write-ahead log and a resume halfway. EDF's answer is its queueing, not its dispatch decision, so
 // only its summary is compared.
 func TestServeMatchesBatchAtPaperScale(t *testing.T) {
 	if testing.Short() {
@@ -155,22 +164,25 @@ func TestServeMatchesBatchAtPaperScale(t *testing.T) {
 				t.Run(fmt.Sprintf("seed%d/pct%g/%s", seed, pct, policy), func(t *testing.T) {
 					t.Parallel()
 					wantAns, want := batchRun(t, policy, jobs, pct)
-					variants := []string{""}
+					variants := []persistence{{name: "memory"}}
 					if seed == 1 {
-						variants = append(variants, filepath.Join(t.TempDir(), "drain.ckpt"))
+						variants = append(variants, persistence{name: "checkpoint", ckpt: filepath.Join(t.TempDir(), "drain.ckpt")})
+						if pct == 100 {
+							variants = append(variants, persistence{name: "wal", walDir: filepath.Join(t.TempDir(), "wal")})
+						}
 					}
-					for _, ckpt := range variants {
-						gotAns, got := serveRun(t, policy, jobs, pct, ckpt, len(jobs)/2)
+					for _, p := range variants {
+						gotAns, got := serveRun(t, policy, jobs, pct, p, len(jobs)/2)
 						if got != want {
-							t.Errorf("checkpoint %q: daemon summary\n%+v\nbatch summary\n%+v", ckpt, got, want)
+							t.Errorf("%s: daemon summary\n%+v\nbatch summary\n%+v", p.name, got, want)
 						}
 						if policy == "edf" {
 							continue
 						}
 						for i := range jobs {
 							if gotAns[i] != wantAns[i] {
-								t.Errorf("checkpoint %q: job %d (id %d): daemon accepted=%v, batch %v",
-									ckpt, i, jobs[i].ID, gotAns[i], wantAns[i])
+								t.Errorf("%s: job %d (id %d): daemon accepted=%v, batch %v",
+									p.name, i, jobs[i].ID, gotAns[i], wantAns[i])
 								break
 							}
 						}

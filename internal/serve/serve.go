@@ -99,17 +99,6 @@ type Config struct {
 	// fixed, non-replenishing budget.
 	QuotaRate  float64
 	QuotaBurst float64
-	// Shards > 1 attaches that many space-partitioned shard engines to
-	// the serving cluster (clamped to Nodes): advancing virtual time —
-	// firing every believed completion at or before an operation's
-	// timestamp — runs across a shard pool in barrier phases, and the
-	// same pool fans out the Libra/LibraRisk admission scan (its
-	// park/wake/spin counters are exported on /metrics). Operations are
-	// still applied and answered strictly in queue order, so the audit
-	// stream, drain checkpoint and WAL replay stay byte-identical to the
-	// single-engine path. Time-shared policies only; EDF ignores it. See
-	// shard.go.
-	Shards int
 	// Audit, when non-nil, receives every admission decision as JSONL,
 	// streamed incrementally (the in-memory log is drained per decision).
 	Audit io.Writer
@@ -186,6 +175,33 @@ func (c Config) withDefaults() Config {
 		c.now = time.Now
 	}
 	return c
+}
+
+// validate rejects a config New cannot serve. It runs after
+// withDefaults, so a zero field has already taken its default. The
+// negated comparisons also reject NaN.
+func (c Config) validate() error {
+	switch {
+	case c.Nodes <= 0 || !(c.Rating > 0) || math.IsInf(c.Rating, 1):
+		return fmt.Errorf("serve: invalid cluster size %d × rating %g", c.Nodes, c.Rating)
+	case !(c.TimeScale >= 0) || math.IsInf(c.TimeScale, 1):
+		return fmt.Errorf("serve: invalid TimeScale %g", c.TimeScale)
+	case !(c.SigmaThreshold >= 0):
+		return fmt.Errorf("serve: invalid SigmaThreshold %g, want >= 0", c.SigmaThreshold)
+	case !(c.QuotaRate >= 0) || !(c.QuotaBurst >= 0):
+		return fmt.Errorf("serve: invalid quota rate %g burst %g, want >= 0", c.QuotaRate, c.QuotaBurst)
+	case c.QueueDepth < 0:
+		return fmt.Errorf("serve: invalid QueueDepth %d, want >= 0", c.QueueDepth)
+	case c.RequestTimeout < 0:
+		return fmt.Errorf("serve: invalid RequestTimeout %v, want >= 0", c.RequestTimeout)
+	case c.SpanBuffer < 0:
+		return fmt.Errorf("serve: invalid SpanBuffer %d, want >= 0", c.SpanBuffer)
+	case c.TenantLabels < 0:
+		return fmt.Errorf("serve: invalid TenantLabels %d, want >= 0", c.TenantLabels)
+	case c.WALDir != "" && c.CheckpointPath != "":
+		return errors.New("serve: WALDir and CheckpointPath are mutually exclusive: the write-ahead log subsumes the drain checkpoint")
+	}
+	return nil
 }
 
 // fs is the filesystem the server writes its log or checkpoint through.
@@ -305,14 +321,6 @@ type Server struct {
 	reg    *obs.Registry
 	// nodes is the crash/repair surface of whichever cluster is in use.
 	nodes fault.Cluster
-	// pool and shardEngines are non-nil when Config.Shards attached a
-	// sharded serving cluster; detachShards undoes the attachment (a
-	// no-op otherwise). onShardPhase is the bound-once phase observer
-	// handed to AdvanceShards, nil with tracing off.
-	pool         *sim.ShardPool
-	shardEngines []*sim.Engine
-	detachShards func()
-	onShardPhase func(time.Duration)
 	// journal is the on-disk applied-op log behind the drain checkpoint,
 	// kept only with CheckpointPath set (journal.go): durable mode's log is
 	// the WAL, and a daemon with neither has nothing to write it to.
@@ -330,7 +338,7 @@ type Server struct {
 	// applied, so the audit file can never run ahead of what a crash
 	// recovery would regenerate.
 	auditPending []obs.Decision
-	// wal counter export state (delta pattern, like the pool counters).
+	// wal counter export state (delta pattern: the total exported so far).
 	walAppends, walAppendedBytes uint64
 	walCommits, walRotations     uint64
 	walCompactions               uint64
@@ -342,17 +350,9 @@ type Server struct {
 	spans   *span.Recorder
 	stages  *stageStats
 	tenants *tenantStats
-	// phaseHist times individual shard barrier phases (spans on +
-	// sharded only; observed under the state lock).
-	phaseHist *obs.Histogram
-	// phaseCount is applyLocked's scratch: barrier phases run during
-	// the current op's advance. Only read when spans are on.
-	phaseCount int
 	// applyErr latches the first apply-path failure (audit write error,
 	// event budget); /healthz keeps answering but /state surfaces it.
 	applyErr error
-	// pool counter export state.
-	poolParks, poolWakes, poolSpins uint64
 
 	quotas *quotaTable
 	shed   *shedder
@@ -387,14 +387,8 @@ type Server struct {
 // Close) or the worker goroutine leaks.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Nodes <= 0 || cfg.Rating <= 0 {
-		return nil, fmt.Errorf("serve: invalid cluster size %d × rating %g", cfg.Nodes, cfg.Rating)
-	}
-	if cfg.TimeScale < 0 || math.IsNaN(cfg.TimeScale) || math.IsInf(cfg.TimeScale, 0) {
-		return nil, fmt.Errorf("serve: invalid TimeScale %g", cfg.TimeScale)
-	}
-	if cfg.WALDir != "" && cfg.CheckpointPath != "" {
-		return nil, errors.New("serve: WALDir and CheckpointPath are mutually exclusive: the write-ahead log subsumes the drain checkpoint")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -425,21 +419,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s.nodes = fault.ClusterOf(s.ts, s.ss)
-	// Shards attach before any replay, so recovered operations advance
-	// time through the sharded path too — replay and live traffic share
-	// one code path.
-	s.pool, s.detachShards, err = core.AttachShards(s.ts, cfg.Shards, nil, s.pol, nil)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if s.pool != nil {
-		s.shardEngines = s.ts.ShardEngines()
-		if s.spans != nil {
-			s.phaseHist = s.reg.Histogram("serve_shard_phase_seconds",
-				"Wall time of one sharded-advance barrier phase.", stageBounds)
-			s.onShardPhase = s.observeShardPhase
-		}
-	}
 	if cfg.QuotaRate > 0 || cfg.QuotaBurst > 0 {
 		s.quotas = newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst, cfg.now)
 	}
@@ -453,20 +432,17 @@ func New(cfg Config) (*Server, error) {
 	s.storeClocks(0, math.NaN())
 	if cfg.CheckpointPath != "" {
 		if s.journal, err = openJournal(cfg.fs(), cfg.CheckpointPath); err != nil {
-			s.detachShards()
 			return nil, err
 		}
 		if cfg.Resume {
 			if err := s.replayCheckpoint(); err != nil {
 				s.journal.discard()
-				s.detachShards()
 				return nil, err
 			}
 		}
 	}
 	if cfg.WALDir != "" {
 		if err := s.openWAL(); err != nil {
-			s.detachShards()
 			return nil, err
 		}
 	}
@@ -752,26 +728,14 @@ func (s *Server) applyLocked(op *Op, sp *span.Span) opOutcome {
 		var t0 time.Time
 		if sp != nil {
 			t0 = s.now()
-			s.phaseCount = 0
 		}
-		var err error
-		if s.shardEngines != nil {
-			// Shards drain concurrently in barrier phases; see
-			// cluster.AdvanceShards. Serve mode schedules nothing on the
-			// global calendar today, but the protocol stays exact if
-			// that changes.
-			err = s.ts.AdvanceShards(context.Background(), s.eng, s.pool, op.T, s.onShardPhase)
-		} else {
-			s.eng.SetHorizon(op.T)
-			err = s.eng.Run()
-		}
-		if err != nil && s.applyErr == nil {
+		s.eng.SetHorizon(op.T)
+		if err := s.eng.Run(); err != nil && s.applyErr == nil {
 			s.applyErr = fmt.Errorf("serve: advancing to t=%g: %w", op.T, err)
 		}
 		s.eng.AdvanceTo(op.T)
 		if sp != nil {
 			sp.Dur[span.StageAdvance] = s.now().Sub(t0)
-			sp.ShardPhases = s.phaseCount
 		}
 	}
 	if s.audit != nil {
@@ -810,12 +774,14 @@ func (s *Server) applyLocked(op *Op, sp *span.Span) opOutcome {
 	return out
 }
 
-// observeShardPhase counts one barrier phase of the current op's advance
-// and times it into the phase histogram. Tracing only; runs under the
-// already-held state lock and never touches the decision path.
-func (s *Server) observeShardPhase(d time.Duration) {
-	s.phaseCount++
-	s.phaseHist.Observe(d.Seconds())
+// peekNextLocked returns the earliest pending event time — the next
+// believed completion, feeding the lock-free Retry-After cache. NaN when
+// nothing is pending.
+func (s *Server) peekNextLocked() float64 {
+	if t, _, ok := s.eng.PeekNext(); ok {
+		return t
+	}
+	return math.NaN()
 }
 
 // setObs swaps the policy's audit attachment (nil detaches).
@@ -901,9 +867,9 @@ func (s *Server) writeAuditLocked(ds []obs.Decision) {
 
 // Drain performs the graceful-shutdown protocol: stop intake, apply
 // every queued request (each still gets its decision), flush the audit
-// stream, close the admit pool, and checkpoint the op log. Drain is
-// idempotent; concurrent callers share the first run's result. The
-// context bounds the wait for the queue to empty.
+// stream, and checkpoint the op log. Drain is idempotent; concurrent
+// callers share the first run's result. The context bounds the wait for
+// the queue to empty.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.intake.Lock()
@@ -923,8 +889,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.detachShards()
-		s.pool, s.shardEngines = nil, nil
 		if s.auditW != nil {
 			if err := s.auditW.Flush(); err != nil && s.applyErr == nil {
 				s.applyErr = fmt.Errorf("serve: audit flush: %w", err)

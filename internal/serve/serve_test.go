@@ -280,29 +280,69 @@ func metricValue(body, name string) (float64, bool) {
 	return 0, false
 }
 
-func TestPoolCountersOnMetrics(t *testing.T) {
-	cfg := testConfig()
-	cfg.Nodes = 128 // the parallel admit scan only engages at full scale
-	cfg.Shards = 2
-	_, hts := newTestServer(t, cfg)
-	admitAt(t, hts.URL, 0, AdmitRequest{NumProc: 1, Runtime: 10, Deadline: 50})
-	resp, err := http.Get(hts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"serve_admitpool_parks_total",
-		"serve_admitpool_wakes_total",
-		"serve_admitpool_spin_iters_total",
+// TestNewRejectsInvalidConfig: every value New cannot serve is an
+// error, never a panic or a silently misbehaving server.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"QueueDepth", func(c *Config) { c.QueueDepth = -1 }},
+		{"Nodes", func(c *Config) { c.Nodes = -1 }},
+		{"Rating/negative", func(c *Config) { c.Rating = -1 }},
+		{"Rating/NaN", func(c *Config) { c.Rating = nan }},
+		{"Rating/+Inf", func(c *Config) { c.Rating = inf }},
+		{"Rating/-Inf", func(c *Config) { c.Rating = -inf }},
+		{"TimeScale/NaN", func(c *Config) { c.TimeScale = nan }},
+		{"SigmaThreshold/negative", func(c *Config) { c.SigmaThreshold = -0.1 }},
+		{"SigmaThreshold/NaN", func(c *Config) { c.SigmaThreshold = nan }},
+		{"QuotaRate/negative", func(c *Config) { c.QuotaRate = -1 }},
+		{"QuotaRate/NaN", func(c *Config) { c.QuotaRate = nan }},
+		{"QuotaBurst/negative", func(c *Config) { c.QuotaBurst = -1 }},
+		{"QuotaBurst/NaN", func(c *Config) { c.QuotaBurst = nan }},
+		{"RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }},
+		{"SpanBuffer", func(c *Config) { c.SpanBuffer = -1 }},
+		{"TenantLabels", func(c *Config) { c.TenantLabels = -1 }},
 	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("/metrics missing %q", want)
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.mut(&cfg)
+			s, err := New(cfg)
+			if err == nil {
+				s.Close()
+				t.Fatal("New accepted the config")
+			}
+			if !strings.HasPrefix(err.Error(), "serve: invalid ") {
+				t.Errorf("error %q, want the serve: invalid … form", err)
+			}
+		})
+	}
+}
+
+// TestSameInstantCompletionWave pins a tie wave on the advance path:
+// four identical 16-processor jobs at t=0 share every node of a 16-node
+// cluster and finish together — 64 slice completions at exactly t=120.
+// The op at t=150 must fire the whole wave before deciding and so find
+// an empty cluster.
+func TestSameInstantCompletionWave(t *testing.T) {
+	_, hts := newTestServer(t, scriptConfig())
+	for i := 0; i < 4; i++ {
+		out, resp := admitAt(t, hts.URL, 0, AdmitRequest{
+			Tenant: "tie", NumProc: 16, Runtime: 30, Deadline: 200,
+		})
+		if resp.StatusCode != http.StatusOK || !out.Accepted {
+			t.Fatalf("job %d at t=0: status %d accepted=%v %s", i, resp.StatusCode, out.Accepted, out.Reason)
 		}
+	}
+	out, resp := admitAt(t, hts.URL, 150, AdmitRequest{
+		Tenant: "tie", NumProc: 16, Runtime: 40, Deadline: 100,
+	})
+	if resp.StatusCode != http.StatusOK || !out.Accepted {
+		t.Fatalf("job at t=150 after the tie wave: status %d accepted=%v %s", resp.StatusCode, out.Accepted, out.Reason)
+	}
+	if st := stateOf(t, hts.URL); st.Admitted != 5 || st.Rejected != 0 {
+		t.Fatalf("state after the tie wave: %+v, want 5 admitted and none rejected", st)
 	}
 }
 

@@ -15,29 +15,24 @@ import (
 	"clustersched/internal/obs/span"
 )
 
-// TestSpansByteIdentityDifferential is the observability analogue of
-// the sharding differential: tracing is a read-only tap, so the same
-// request script with spans on must produce decisions, an audit
+// TestSpansByteIdentityDifferential: tracing is a read-only tap, so the
+// same request script with spans on must produce decisions, an audit
 // stream, and a /state snapshot byte-identical to spans off — across
-// the plain, sharded, and durable-pipelined execution shapes.
+// the plain and durable-pipelined execution shapes.
 func TestSpansByteIdentityDifferential(t *testing.T) {
 	type shape struct {
-		name   string
-		shards int
-		wal    bool
+		name string
+		wal  bool
 	}
 	shapes := []shape{
-		{"plain", 0, false},
-		{"sharded", 4, false},
-		{"durable", 0, true},
-		{"sharded-durable", 4, true},
+		{"plain", false},
+		{"durable", true},
 	}
 	root := t.TempDir()
 	run := func(sh shape, spans bool) ([]string, []byte, StateResponse) {
 		var audit bytes.Buffer
-		cfg := shardTestConfig()
+		cfg := scriptConfig()
 		cfg.Audit = &audit
-		cfg.Shards = sh.shards
 		cfg.Spans = spans
 		if sh.wal {
 			cfg.WALDir = filepath.Join(root, fmt.Sprintf("%s-spans-%v", sh.name, spans))
@@ -47,7 +42,7 @@ func TestSpansByteIdentityDifferential(t *testing.T) {
 			t.Fatalf("%s spans=%v: New: %v", sh.name, spans, err)
 		}
 		hts := httptest.NewServer(s.Handler())
-		lines := playShardScript(t, hts.URL, 0, shardScriptLen)
+		lines := playScript(t, hts.URL, 0, scriptLen)
 		st := stateOf(t, hts.URL)
 		hts.Close()
 		if err := s.Close(); err != nil {
@@ -108,7 +103,7 @@ func TestSpansByteIdentityDifferential(t *testing.T) {
 		{"spans-off log, spans-on replay", offDir, true},
 	} {
 		var replayAudit bytes.Buffer
-		cfg := shardTestConfig()
+		cfg := scriptConfig()
 		cfg.Audit = &replayAudit
 		cfg.WALDir = rc.dir
 		cfg.Resume = true
@@ -121,8 +116,8 @@ func TestSpansByteIdentityDifferential(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", rc.name, err)
 		}
-		if ops != shardScriptLen {
-			t.Errorf("%s: replayed %d ops, want %d", rc.name, ops, shardScriptLen)
+		if ops != scriptLen {
+			t.Errorf("%s: replayed %d ops, want %d", rc.name, ops, scriptLen)
 		}
 	}
 }
@@ -133,7 +128,7 @@ func TestSpansCheckpointByteIdentity(t *testing.T) {
 	root := t.TempDir()
 	run := func(spans bool) []byte {
 		path := filepath.Join(root, fmt.Sprintf("ckpt-%v", spans))
-		cfg := shardTestConfig()
+		cfg := scriptConfig()
 		cfg.CheckpointPath = path
 		cfg.Spans = spans
 		s, err := New(cfg)
@@ -141,7 +136,7 @@ func TestSpansCheckpointByteIdentity(t *testing.T) {
 			t.Fatalf("spans=%v: New: %v", spans, err)
 		}
 		hts := httptest.NewServer(s.Handler())
-		playShardScript(t, hts.URL, 0, 30)
+		playScript(t, hts.URL, 0, 30)
 		hts.Close()
 		if err := s.Close(); err != nil {
 			t.Fatalf("spans=%v: Close: %v", spans, err)
@@ -449,7 +444,7 @@ func TestTenantMetricsCardinalityCap(t *testing.T) {
 func TestSpanStageCoverage(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "plain"
-		cfg := shardTestConfig()
+		cfg := scriptConfig()
 		cfg.Spans = true
 		if durable {
 			name = "durable"
@@ -460,7 +455,7 @@ func TestSpanStageCoverage(t *testing.T) {
 			t.Fatalf("%s: New: %v", name, err)
 		}
 		hts := httptest.NewServer(s.Handler())
-		playShardScript(t, hts.URL, 0, 30)
+		playScript(t, hts.URL, 0, 30)
 		spans := s.spans.Snapshot()
 		hts.Close()
 		if err := s.Close(); err != nil {

@@ -29,12 +29,6 @@ type Engine struct {
 	stopped bool
 	// horizon, if finite, aborts Run once simulated time would pass it.
 	horizon float64
-	// horizonP refines the horizon to a (time, priority) key: an event at
-	// exactly horizon fires only while its priority is strictly below
-	// horizonP. SetHorizon leaves it at the inclusive sentinel so the plain
-	// time-only horizon keeps its historical "at or before t" semantics;
-	// SetHorizonKey pins it for sharded barrier phases.
-	horizonP Priority
 	// processed counts handler invocations, useful for tests and as a
 	// runaway-loop guard via MaxEvents.
 	processed uint64
@@ -59,14 +53,9 @@ var ErrEventBudget = errors.New("sim: event budget exhausted")
 // event-loop granularity.
 const ctxCheckMask = 63
 
-// horizonInclusive is the horizonP sentinel meaning "every priority at the
-// horizon time still fires" — the inclusive semantics SetHorizon has always
-// had. Priority is an int, so MaxInt compares above every real priority.
-const horizonInclusive Priority = math.MaxInt
-
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{horizon: math.Inf(1), horizonP: horizonInclusive}
+	return &Engine{horizon: math.Inf(1)}
 }
 
 // Now returns the current simulated time in seconds.
@@ -82,20 +71,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // SetHorizon limits Run to events at or before t seconds. Events scheduled
 // later stay queued; Run returns when the next event would exceed
 // the horizon.
-func (e *Engine) SetHorizon(t float64) {
-	e.horizon = t
-	e.horizonP = horizonInclusive
-}
-
-// SetHorizonKey limits Run to events strictly below the (t, p) ordering
-// key: an event fires while its time is before t, or its time equals t and
-// its priority is below p. This is the barrier horizon of the sharded
-// engine — a shard drains everything that sequentially precedes the next
-// global event without touching anything that ties with or follows it.
-func (e *Engine) SetHorizonKey(t float64, p Priority) {
-	e.horizon = t
-	e.horizonP = p
-}
+func (e *Engine) SetHorizon(t float64) { e.horizon = t }
 
 // PeekNext reports the (time, priority) key of the earliest pending event
 // in O(1) without processing it. ok is false when no event is pending. The
@@ -111,8 +87,7 @@ func (e *Engine) PeekNext() (t float64, p Priority, ok bool) {
 
 // AdvanceTo moves the clock forward to t without processing anything.
 // Moving backwards is a no-op. The caller must guarantee no pending event
-// is earlier than t (the sharded driver advances a drained shard to the
-// global clock); violating that would make a later Run panic on the
+// is earlier than t; violating that would make a later Run panic on the
 // clock-monotonicity its invariants assume.
 func (e *Engine) AdvanceTo(t float64) {
 	if math.IsNaN(t) {
@@ -177,17 +152,8 @@ func (e *Engine) Reset() {
 	e.processed = 0
 	e.stopped = false
 	e.horizon = math.Inf(1)
-	e.horizonP = horizonInclusive
 	e.MaxEvents = 0
 	e.checker = nil
-}
-
-// pastHorizon reports whether ev lies beyond the run limit: strictly after
-// the horizon time, or at the horizon time with priority at or above the
-// horizon priority (only possible under SetHorizonKey — SetHorizon leaves
-// the priority at the inclusive sentinel).
-func (e *Engine) pastHorizon(ev *Event) bool {
-	return ev.Time > e.horizon || (ev.Time == e.horizon && ev.Priority >= e.horizonP)
 }
 
 // recycle pushes a dead event onto the freelist. The handler reference is
@@ -275,7 +241,7 @@ func (e *Engine) Step() (bool, error) {
 // nil, leaving the heap untouched, when no event is pending or the head
 // lies past the horizon and must wait for a later Run with a larger one.
 func (e *Engine) next() *Event {
-	if len(e.queue.events) == 0 || e.pastHorizon(e.queue.events[0]) {
+	if len(e.queue.events) == 0 || e.queue.events[0].Time > e.horizon {
 		return nil
 	}
 	return heap.Pop(&e.queue).(*Event)

@@ -242,3 +242,67 @@ func TestEngineProcessedCountsOnlyRunHandlers(t *testing.T) {
 		t.Fatalf("Processed() = %d, want 1", got)
 	}
 }
+
+func TestPeekNextReturnsEarliestWithoutConsuming(t *testing.T) {
+	e := NewEngine()
+	e.At(5, PriorityDefault, func(*Engine) {})
+	e.At(2, PriorityCompletion, func(*Engine) {})
+	e.At(2, PriorityDefault, func(*Engine) {})
+	tm, p, ok := e.PeekNext()
+	if !ok || tm != 2 || p != PriorityCompletion {
+		t.Fatalf("PeekNext = (%g, %d, %v), want (2, %d, true)", tm, p, ok, PriorityCompletion)
+	}
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d after peek, want 3", e.Pending())
+	}
+	// A second peek sees the same head.
+	tm2, p2, ok2 := e.PeekNext()
+	if tm2 != tm || p2 != p || !ok2 {
+		t.Fatalf("second PeekNext = (%g, %d, %v), want same head", tm2, p2, ok2)
+	}
+}
+
+func TestPeekNextSkipsAndReclaimsCanceledHead(t *testing.T) {
+	// Cancelling the head removes it from the heap and recycles it at once,
+	// so PeekNext reports the next live event, never the dead one.
+	e := NewEngine()
+	dead := e.At(1, PriorityDefault, func(*Engine) { t.Fatal("canceled handler ran") })
+	e.At(4, PriorityDefault, func(*Engine) {})
+	dead.Cancel()
+	tm, _, ok := e.PeekNext()
+	if !ok || tm != 4 {
+		t.Fatalf("PeekNext = (%g, %v), want (4, true)", tm, ok)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+	if e.free != dead {
+		t.Fatal("cancelled head was not reclaimed onto the freelist")
+	}
+}
+
+func TestPeekNextEmpty(t *testing.T) {
+	e := NewEngine()
+	if _, _, ok := e.PeekNext(); ok {
+		t.Fatal("PeekNext on empty engine reported an event")
+	}
+}
+
+func TestAdvanceTo(t *testing.T) {
+	e := NewEngine()
+	e.AdvanceTo(5)
+	if e.Now() != 5 {
+		t.Fatalf("Now = %g, want 5", e.Now())
+	}
+	// Forward-only: moving back is a no-op.
+	e.AdvanceTo(3)
+	if e.Now() != 5 {
+		t.Fatalf("Now = %g after backward AdvanceTo, want 5", e.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdvanceTo(NaN) did not panic")
+		}
+	}()
+	e.AdvanceTo(math.NaN())
+}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEngineFiresInKeyOrderProperty drives the engine through seeded random
-// interleavings of At, Cancel, SetHorizon, SetHorizonKey, PeekNext, Step
+// interleavings of At, Cancel, SetHorizon, PeekNext, Step
 // and Run, with handlers that schedule and cancel further events, against
 // a reference slice of the live events. Every fired event must be the
 // reference's (time, priority, seq) minimum, and after every operation
@@ -36,7 +36,7 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 		e := NewEngine()
 		var live []entry
 		var seq uint64
-		horizon, horizonP := math.Inf(1), horizonInclusive
+		horizon := math.Inf(1)
 		// Small integer offsets and four priorities make equal-time and
 		// equal-key ties (broken by seq) common.
 		randPrio := func() Priority { return Priority(r.Intn(4)*10 - 20) }
@@ -54,7 +54,7 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 			live = live[:len(live)-1]
 		}
 		beyond := func(en entry) bool {
-			return en.time > horizon || (en.time == horizon && en.prio >= horizonP)
+			return en.time > horizon
 		}
 		check := func(op string) {
 			t.Helper()
@@ -109,14 +109,10 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 			case 2:
 				cancelOne()
 				check("Cancel")
-			case 3:
-				horizon, horizonP = e.Now()+float64(r.Intn(6)), horizonInclusive
+			case 3, 4:
+				horizon = e.Now() + float64(r.Intn(6))
 				e.SetHorizon(horizon)
 				check("SetHorizon")
-			case 4:
-				horizon, horizonP = e.Now()+float64(r.Intn(6)), randPrio()
-				e.SetHorizonKey(horizon, horizonP)
-				check("SetHorizonKey")
 			case 5:
 				h := head()
 				want := h >= 0 && !beyond(live[h])
@@ -135,7 +131,7 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 				check("Run")
 			}
 		}
-		horizon, horizonP = math.Inf(1), horizonInclusive
+		horizon = math.Inf(1)
 		e.SetHorizon(horizon)
 		if err := e.Run(); err != nil {
 			t.Fatalf("seed %d: final Run: %v", seed, err)

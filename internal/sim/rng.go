@@ -57,31 +57,6 @@ func (r *RNG) StreamInto(dst *RNG, id uint64) {
 	dst.Seed(r.s[0] ^ (id+1)*0xd1342543de82ef95)
 }
 
-// shardStreamFamily tags the per-shard stream id space so shard streams
-// can never collide with a model's own Stream ids (the fault injector, for
-// example, uses small shifted families like 1<<32 and 3<<32).
-const shardStreamFamily uint64 = 0x5a5a << 40
-
-// ShardStream derives the stream for (shard, id) under the sharded
-// engine's seeded-stream discipline: each shard draws from its own family
-// of streams, independent of every other shard's and of the parent's
-// sequence. Determinism across *different* shard counts additionally
-// requires that any randomness affecting model state be keyed on
-// shard-count-invariant ids (node ids, job ids) — which is why the model's
-// own generators (workload, faults) never key on shard indices; shard
-// streams exist for strictly shard-local consumers (self-checks,
-// diagnostics, tests) whose draws must not perturb the simulation.
-func (r *RNG) ShardStream(shard int, id uint64) *RNG {
-	dst := &RNG{}
-	r.ShardStreamInto(dst, shard, id)
-	return dst
-}
-
-// ShardStreamInto is ShardStream without the allocation.
-func (r *RNG) ShardStreamInto(dst *RNG, shard int, id uint64) {
-	r.StreamInto(dst, shardStreamFamily^(uint64(shard)<<20)^id)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.

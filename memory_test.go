@@ -28,7 +28,7 @@ func TestServeHeapSlope(t *testing.T) {
 		{"checkpoint", drainCheckpoint},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			op := serveAdmitOp(0, tc.persist, false)(t)
+			op := serveAdmitOp(tc.persist, false)(t)
 			admits := 300 // serveAdmitOp warms up with 300 admissions
 			heapAt := func(n int) uint64 {
 				for ; admits < n; admits++ {
