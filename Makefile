@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short bench cover fuzz experiments examples chaos-smoke resume-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
+.PHONY: all build vet test test-short bench cover fuzz experiments results-check examples chaos-smoke resume-smoke trace-smoke serve-smoke spans-smoke crash-smoke clean
 
 all: build vet test
 
@@ -44,6 +44,33 @@ experiments:
 	$(GO) run ./cmd/experiments -csv results -svg results | tee results/experiments_full.txt
 	$(GO) run ./cmd/experiments -exp extensions -csv results -svg results | tee results/extensions_full.txt
 	$(GO) run ./cmd/experiments -replicate 5 | tee results/replication.txt
+
+# results-check regenerates the committed artifacts into a temp dir and
+# compares them with results/: the table and figures 1-4, chaos, predict,
+# hetero, -replicate 5 and economics (allpolicies takes about a minute and
+# is left out). Every CSV and SVG must be cmp-identical, and every stdout
+# transcript diff-identical apart from the wall-clock "[... regenerated
+# in ...]" lines. The figures run inside the temp dir with -csv results,
+# so their "[wrote results/...]" lines read as in the archive.
+results-check:
+	@set -e; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/experiments ./cmd/experiments; \
+	(cd $$tmp && ./experiments -csv results -svg results) > $$tmp/experiments_full.txt; \
+	(cd $$tmp && ./experiments -exp predict -csv results -svg results) > /dev/null; \
+	(cd $$tmp && ./experiments -exp hetero -csv results -svg results) > /dev/null; \
+	$$tmp/experiments -exp chaos > $$tmp/chaos_full.txt; \
+	$$tmp/experiments -replicate 5 > $$tmp/replication.txt; \
+	$$tmp/experiments -exp economics > $$tmp/economics.txt; \
+	for f in $$tmp/results/*; do \
+		cmp $$f results/$${f##*/} || { echo "results-check: $${f##*/} differs from results/"; exit 1; }; \
+	done; \
+	for f in experiments_full chaos_full replication economics; do \
+		grep -v ' regenerated in ' results/$$f.txt > $$tmp/want.txt; \
+		grep -v ' regenerated in ' $$tmp/$$f.txt > $$tmp/got.txt; \
+		diff -u $$tmp/want.txt $$tmp/got.txt || { echo "results-check: $$f.txt differs from results/"; exit 1; }; \
+	done; \
+	echo "results-check: ok ($$(ls $$tmp/results | wc -l) CSV/SVG files, 4 transcripts)"
 
 # chaos-smoke is a fast end-to-end fault-injection run with the invariant
 # checker armed: crashes, stragglers and a correlated outage process over a

@@ -304,7 +304,7 @@ func predictionOp(tb testing.TB) func() {
 	base.Generator.Jobs = 400
 	base.Generator.Users = workload.DefaultUserModelConfig()
 	return func() {
-		f, err := experiment.FigurePrediction(base)
+		f, err := experiment.FigurePrediction(context.Background(), base)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -572,9 +572,8 @@ func scaledBase(nodes, jobs int) experiment.BaseConfig {
 	return base
 }
 
-// BenchmarkShardedLibraRiskSeq runs LibraRisk at moderate datacenter
-// scale (512 nodes, 10k jobs). The name predates the one-engine design;
-// it is kept so the budget row and recorded numbers stay comparable.
-func BenchmarkShardedLibraRiskSeq(b *testing.B) {
+// BenchmarkLibraRisk512x10k runs LibraRisk at moderate datacenter
+// scale (512 nodes, 10k jobs).
+func BenchmarkLibraRisk512x10k(b *testing.B) {
 	benchOp(b, runOp(scaledBase(512, 10_000), experiment.LibraRisk))
 }

@@ -60,7 +60,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{"AdmissionFirstFitAccept", firstFitAcceptOp, 100, 0, exact, false},
 		{"PolicyLibraFullScale", runOp(experiment.DefaultBase(), experiment.Libra), 2, 2812, slack, true},
 		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 3480, slack, true},
-		{"ShardedLibraRiskSeq", runOp(scaledBase(512, 10_000), experiment.LibraRisk), 1, 12873, slack, false},
+		{"LibraRisk512x10k", runOp(scaledBase(512, 10_000), experiment.LibraRisk), 1, 12873, slack, false},
 		{"ServeAdmit", serveAdmitOp(inMemory, false), 200, 41, exact, true},
 		{"ServeAdmitCheckpoint", serveAdmitOp(drainCheckpoint, false), 200, 41, exact, true},
 		{"ServeAdmitDurable", serveAdmitOp(durableWAL, false), 200, 45, exact, true},

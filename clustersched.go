@@ -25,7 +25,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"time"
 
 	"clustersched/internal/analysis"
 	"clustersched/internal/checkpoint"
@@ -296,14 +295,32 @@ func (o Options) NodeCount() int {
 // Validate reports the first error in the options.
 func (o Options) Validate() error {
 	for i, r := range o.NodeRatings {
-		if r <= 0 || math.IsNaN(r) {
-			return fmt.Errorf("clustersched: NodeRatings[%d] = %g, want > 0", i, r)
+		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("clustersched: NodeRatings[%d] = %g, want finite > 0", i, r)
 		}
 	}
-	if o.MonitorInterval < 0 || math.IsNaN(o.MonitorInterval) {
-		return fmt.Errorf("clustersched: MonitorInterval = %g, want >= 0", o.MonitorInterval)
+	// NaN passes every comparison below and ±Inf passes most, so each
+	// float field must first be finite.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Rating", o.Rating}, {"RiskSigmaThreshold", o.RiskSigmaThreshold},
+		{"QoPSSlackFactor", o.QoPSSlackFactor}, {"MonitorInterval", o.MonitorInterval},
+		{"ArrivalDelayFactor", o.ArrivalDelayFactor}, {"HighUrgencyFraction", o.HighUrgencyFraction},
+		{"DeadlineRatio", o.DeadlineRatio}, {"InaccuracyPct", o.InaccuracyPct},
+		{"FaultMTBF", o.FaultMTBF}, {"FaultMTTR", o.FaultMTTR},
+		{"FaultStragglerMTBF", o.FaultStragglerMTBF}, {"FaultStragglerDuration", o.FaultStragglerDuration},
+		{"FaultStragglerFactor", o.FaultStragglerFactor}, {"FaultCorrelatedMTBF", o.FaultCorrelatedMTBF},
+		{"FaultCorrelatedMTTR", o.FaultCorrelatedMTTR}, {"FaultHorizon", o.FaultHorizon},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("clustersched: %s = %g, want a finite number", f.name, f.v)
+		}
 	}
 	switch {
+	case o.MonitorInterval < 0:
+		return fmt.Errorf("clustersched: MonitorInterval = %g, want >= 0", o.MonitorInterval)
 	case o.NodeCount() <= 0:
 		return fmt.Errorf("clustersched: Nodes = %d, want > 0", o.Nodes)
 	case o.Rating <= 0:
@@ -318,9 +335,9 @@ func (o Options) Validate() error {
 		return fmt.Errorf("clustersched: DeadlineRatio = %g, want >= 1", o.DeadlineRatio)
 	case o.InaccuracyPct < 0 || o.InaccuracyPct > 100:
 		return fmt.Errorf("clustersched: InaccuracyPct = %g, want in [0,100]", o.InaccuracyPct)
-	case o.RiskSigmaThreshold < 0 || math.IsNaN(o.RiskSigmaThreshold):
+	case o.RiskSigmaThreshold < 0:
 		return fmt.Errorf("clustersched: RiskSigmaThreshold = %g, want >= 0", o.RiskSigmaThreshold)
-	case o.QoPSSlackFactor < 0 || math.IsNaN(o.QoPSSlackFactor):
+	case o.QoPSSlackFactor < 0:
 		return fmt.Errorf("clustersched: QoPSSlackFactor = %g, want >= 0", o.QoPSSlackFactor)
 	}
 	switch o.Policy {
@@ -822,12 +839,6 @@ type BuildProgress struct {
 	Err         error
 }
 
-// SetRunTimeout arms a per-simulation wall-clock watchdog for the
-// builder's sweeps: any single run exceeding d is aborted (and retried
-// once, since a timeout may be transient machine weather). Zero disables
-// the watchdog.
-func (b *FigureBuilder) SetRunTimeout(d time.Duration) { b.base.RunTimeout = d }
-
 // SetWorkers caps the builder's sweep parallelism; n <= 0 restores the
 // default (one worker per CPU).
 func (b *FigureBuilder) SetWorkers(n int) { b.base.Workers = n }
@@ -975,10 +986,10 @@ func (b *FigureBuilder) Build(id string) (Figure, error) {
 // granularity, and returns an error wrapping the cancellation cause.
 // Cells checkpointed before the cancellation stay in the journal (see
 // OpenJournal). Extension figures other than "chaos" manage their own
-// workload variations and only honor cancellation between runs.
+// workload variations.
 func (b *FigureBuilder) BuildContext(ctx context.Context, id string) (Figure, error) {
 	var from func(context.Context, experiment.BaseConfig, []workload.Job) (experiment.Figure, error)
-	var ext func(experiment.BaseConfig) (experiment.Figure, error)
+	var ext func(context.Context, experiment.BaseConfig) (experiment.Figure, error)
 	switch id {
 	case "figure1":
 		from = experiment.Figure1FromContext
@@ -1002,12 +1013,9 @@ func (b *FigureBuilder) BuildContext(ctx context.Context, id string) (Figure, er
 	var f experiment.Figure
 	var err error
 	if ext != nil {
-		if err := ctx.Err(); err != nil {
-			return Figure{}, err
-		}
 		// A fresh base: extension figures generate their own workload
 		// variations and take none of the builder's sweep settings.
-		f, err = ext(buildBase(b.o))
+		f, err = ext(ctx, buildBase(b.o))
 	} else {
 		var jobs []workload.Job
 		if jobs, err = b.baseJobs(); err != nil {

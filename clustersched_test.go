@@ -2,6 +2,7 @@ package clustersched
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -580,6 +581,53 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes every `x <= 0`-style check and
+// ±Inf passes most, so without a finiteness check such an option ran to
+// a silently wrong result, failed deep in the engine, or (a NaN MTTR)
+// panicked scheduling a repair at NaN time. Every float option must be
+// refused up front, naming the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	crashes := func(o *Options) { o.FaultMTBF, o.FaultMTTR = 43200, 3600 }
+	stragglers := func(o *Options) { o.FaultStragglerMTBF, o.FaultStragglerDuration = 86400, 600 }
+	rows := []struct {
+		field string
+		mut   func(*Options)
+	}{
+		{"Rating", func(o *Options) { o.Rating = nan }},
+		{"Rating", func(o *Options) { o.Rating = inf }},
+		{"NodeRatings[1]", func(o *Options) { o.NodeRatings = []float64{168, inf} }},
+		{"RiskSigmaThreshold", func(o *Options) { o.RiskSigmaThreshold = inf }},
+		{"QoPSSlackFactor", func(o *Options) { o.QoPSSlackFactor = nan }},
+		{"MonitorInterval", func(o *Options) { o.MonitorInterval = inf }},
+		{"ArrivalDelayFactor", func(o *Options) { o.ArrivalDelayFactor = nan }},
+		{"ArrivalDelayFactor", func(o *Options) { o.ArrivalDelayFactor = inf }},
+		{"HighUrgencyFraction", func(o *Options) { o.HighUrgencyFraction = nan }},
+		{"DeadlineRatio", func(o *Options) { o.DeadlineRatio = nan }},
+		{"DeadlineRatio", func(o *Options) { o.DeadlineRatio = inf }},
+		{"InaccuracyPct", func(o *Options) { o.InaccuracyPct = nan }},
+		{"FaultMTBF", func(o *Options) { o.FaultMTBF = nan }},
+		{"FaultMTTR", func(o *Options) { crashes(o); o.FaultMTTR = nan }},
+		{"FaultStragglerMTBF", func(o *Options) { o.FaultStragglerMTBF = inf }},
+		{"FaultStragglerDuration", func(o *Options) { stragglers(o); o.FaultStragglerDuration = nan }},
+		{"FaultStragglerFactor", func(o *Options) { stragglers(o); o.FaultStragglerFactor = nan }},
+		{"FaultCorrelatedMTBF", func(o *Options) { o.FaultCorrelatedMTBF = nan }},
+		{"FaultCorrelatedMTTR", func(o *Options) { crashes(o); o.FaultCorrelatedMTBF, o.FaultCorrelatedMTTR = 86400, nan }},
+		{"FaultHorizon", func(o *Options) { crashes(o); o.FaultHorizon = -inf }},
+	}
+	for _, r := range rows {
+		o := DefaultOptions()
+		o.Nodes, o.Jobs = 16, 50
+		r.mut(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), r.field+" = ") {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", r.field, err)
+		}
+		if _, err := Simulate(o); err == nil {
+			t.Errorf("%s: Simulate accepted a non-finite option", r.field)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@
 //	experiments -csv out/ -svg out/   # also write data files and charts
 //	experiments -replicate 5          # headline numbers with 95% CIs
 //	experiments -resume run.jsonl     # checkpoint cells; resume after ^C
-//	experiments -timeout 5m -progress # per-run watchdog, live cell count
+//	experiments -progress             # live cell count on stderr
 //	experiments -exp fig1 -cpuprofile cpu.out -memprofile mem.out
 //	experiments -exp fig2 -audit audit.jsonl    # admission audit log
 //	experiments -trace trace.json               # Chrome trace of every run
@@ -54,7 +54,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	csvDir := fs.String("csv", "", "directory to also write per-figure CSV files into")
 	svgDir := fs.String("svg", "", "directory to also write per-figure SVG charts into")
 	replicate := fs.Int("replicate", 0, "instead of figures, print the headline comparison across N workload seeds with 95% confidence intervals")
-	timeout := fs.Duration("timeout", 0, "per-simulation watchdog: abort any single run exceeding this wall-clock time (0 = off)")
 	resume := fs.String("resume", "", "checkpoint journal file: record completed sweep cells and reuse the ones already there")
 	progress := fs.Bool("progress", false, "report sweep progress per completed cell on stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the regeneration to `file`")
@@ -138,7 +137,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	builder.SetRunTimeout(*timeout)
 	if *resume != "" {
 		loaded, err := builder.OpenJournal(*resume)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"clustersched/internal/checkpoint"
 	"clustersched/internal/fault"
 	"clustersched/internal/metrics"
 	"clustersched/internal/workload"
@@ -57,20 +56,14 @@ func ChaosFaultConfig(failuresPerDay float64, seed uint64) fault.Config {
 }
 
 // ChaosSweepContext runs the failure-rate × policy grid over a shared
-// base workload, in parallel, and returns the points in grid order (policy
-// major, rate minor). It runs under the same supervision contract as
-// SweepContext: panic containment, the per-run watchdog, same-seed retry
-// for transient failures, progress reporting, checkpoint/resume through
-// BaseConfig.Journal (the mean σ aggregate rides the journal record), and
-// cancellation that stops admission and aborts in-flight runs.
+// base workload through SweepContext, so it has the same supervision,
+// progress reporting, checkpoint/resume and cancellation, and returns the
+// points in grid order (policy major, rate minor).
 func ChaosSweepContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job) []ChaosPoint {
-	points := make([]ChaosPoint, 0, len(AllPolicies)*len(ChaosFailuresPerDay))
-	specs := make([]RunSpec, 0, cap(points))
+	var specs []RunSpec
 	for _, pol := range AllPolicies {
 		for _, rate := range ChaosFailuresPerDay {
-			i := len(points)
-			points = append(points, ChaosPoint{Policy: pol, FailuresPerDay: rate})
-			seed := ChaosSeed ^ (uint64(pol+1) << 40) ^ uint64(i)
+			seed := ChaosSeed ^ (uint64(pol+1) << 40) ^ uint64(len(specs))
 			specs = append(specs, RunSpec{
 				Policy:             pol,
 				ArrivalDelayFactor: workload.DefaultArrivalDelayFactor,
@@ -79,78 +72,19 @@ func ChaosSweepContext(ctx context.Context, base BaseConfig, baseJobs []workload
 				Faults:             ChaosFaultConfig(rate, seed),
 				Label:              "chaos",
 				Seed:               base.Generator.Seed,
+				MonitorInterval:    ChaosMonitorInterval,
 			})
 		}
 	}
-	var digest string
-	if base.Journal != nil {
-		digest = WorkloadDigest(baseJobs)
-	}
-	finished := make([]bool, len(points))
-	var progress func(i int, fromJournal bool)
-	if base.Progress != nil {
-		prog := newProgressCounter(base.Progress, len(points))
-		progress = func(i int, fromJournal bool) {
-			prog(ProgressEvent{Spec: specs[i], FromJournal: fromJournal, Err: points[i].Err})
-		}
-	} else {
-		progress = func(int, bool) {}
-	}
-	workers := base.workerCount(len(points))
-	scratches := newScratchPool(base, workers)
-	RunPool(ctx, len(points), workers, func(w, i int) {
-		pt, spec := &points[i], specs[i]
-		var key string
-		if base.Journal != nil {
-			k, err := CellKey(base, spec, digest)
-			if err != nil {
-				pt.Err = &RunError{Spec: spec, Stage: "journal", Kind: FailEngine, Cause: err}
-				finished[i] = true
-				progress(i, false)
-				return
-			}
-			key = k
-			if rec, ok := base.Journal.Lookup(key); ok {
-				pt.Summary, pt.MeanSigma = rec.Summary, rec.MeanSigma
-				finished[i] = true
-				progress(i, true)
-				return
-			}
-		}
-		sc := scratchFor(scratches, w)
-		sum, sigma, err := superviseCell(ctx, base, spec, func(runCtx context.Context) (metrics.Summary, float64, error) {
-			use := sc.acquire()
-			s, mon, err := runInstrumented(runCtx, base, baseJobs, spec, ChaosMonitorInterval, use, i)
-			use.release()
-			var meanSigma float64
-			if mon != nil {
-				var sigmaSum float64
-				samples := mon.Samples()
-				for _, smp := range samples {
-					sigmaSum += smp.MeanSigma
-				}
-				if len(samples) > 0 {
-					meanSigma = sigmaSum / float64(len(samples))
-				}
-			}
-			return s, meanSigma, err
-		})
-		pt.Summary, pt.MeanSigma, pt.Err = sum, sigma, err
-		if err == nil && base.Journal != nil {
-			if jerr := base.Journal.Append(checkpoint.Record{Key: key, Label: spec.Label, Summary: sum, MeanSigma: sigma}); jerr != nil {
-				pt.Err = &RunError{Spec: spec, Stage: "journal", Kind: FailEngine, Attempts: 1, Cause: jerr}
-			}
-		}
-		finished[i] = true
-		progress(i, false)
-	})
-	if err := ctx.Err(); err != nil {
-		for i := range points {
-			if !finished[i] {
-				points[i].Err = &RunError{
-					Spec: specs[i], Stage: "admission", Kind: FailCanceled, Cause: err,
-				}
-			}
+	results := SweepContext(ctx, base, baseJobs, specs)
+	points := make([]ChaosPoint, len(results))
+	for i, r := range results {
+		points[i] = ChaosPoint{
+			Policy:         r.Spec.Policy,
+			FailuresPerDay: ChaosFailuresPerDay[i%len(ChaosFailuresPerDay)],
+			Summary:        r.Summary,
+			MeanSigma:      r.MeanSigma,
+			Err:            r.Err,
 		}
 	}
 	return points

@@ -110,7 +110,7 @@ func decisionRun(t *testing.T, base BaseConfig, jobs []workload.Job, spec RunSpe
 		ss.OnJobDone = record(ss.OnJobDone)
 	}
 	sc.ctxs[spec.Policy] = &policyContext{pol: pol, ts: ts, ss: ss}
-	sum, _, err := runInstrumented(context.Background(), base, jobs, spec, 0, sc, -1)
+	sum, _, err := runInstrumented(context.Background(), base, jobs, spec, sc, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

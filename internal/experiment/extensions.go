@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"fmt"
+	"context"
 
 	"clustersched/internal/metrics"
 )
@@ -10,7 +10,7 @@ import (
 // three policies plus FCFS, EASY/conservative backfilling and QoPS, swept
 // over the arrival delay factor with trace estimates — where do the
 // mainstream estimate consumers land between Libra and LibraRisk?
-func FigureAllPolicies(base BaseConfig) (Figure, error) {
+func FigureAllPolicies(ctx context.Context, base BaseConfig) (Figure, error) {
 	baseJobs, err := GenerateBase(base)
 	if err != nil {
 		return Figure{}, err
@@ -21,10 +21,10 @@ func FigureAllPolicies(base BaseConfig) (Figure, error) {
 	for pi, pol := range policies {
 		for xi, x := range Fig1Factors {
 			index[[2]int{pi, xi}] = len(specs)
-			specs = append(specs, RunSpec{Policy: pol, ArrivalDelayFactor: x, InaccuracyPct: 100, Deadline: base.Deadline})
+			specs = append(specs, RunSpec{Policy: pol, ArrivalDelayFactor: x, InaccuracyPct: 100, Deadline: base.Deadline, Label: "allpolicies"})
 		}
 	}
-	results := Sweep(base, baseJobs, specs)
+	results := SweepContext(ctx, base, baseJobs, specs)
 	if err := FirstError(results); err != nil {
 		return Figure{}, err
 	}
@@ -74,71 +74,41 @@ func HeteroRatings(nodes int, rating, delta float64) []float64 {
 // SP2; this experiment measures how a constant-capacity speed imbalance
 // affects each policy (gang-scheduled EDF runs at its slowest member's
 // pace; proportional-share nodes absorb imbalance per slice).
-func FigureHetero(base BaseConfig) (Figure, error) {
+func FigureHetero(ctx context.Context, base BaseConfig) (Figure, error) {
 	baseJobs, err := GenerateBase(base)
 	if err != nil {
 		return Figure{}, err
 	}
+	// Each imbalance has its own cluster geometry, so each gets one sweep
+	// over the shared base jobs.
 	type key struct {
 		mode float64
 		pol  PolicyKind
 		xi   int
 	}
-	index := map[key]int{}
-	var specs []RunSpec
-	var bases []BaseConfig
-	for _, mode := range []float64{0, 100} {
-		for _, pol := range AllPolicies {
-			for xi, delta := range HeteroImbalances {
-				b := base
-				b.Ratings = HeteroRatings(base.Nodes, base.Rating, delta)
-				index[key{mode, pol, xi}] = len(specs)
-				specs = append(specs, RunSpec{Policy: pol, ArrivalDelayFactor: 1, InaccuracyPct: mode, Deadline: base.Deadline})
-				bases = append(bases, b)
-			}
-		}
-	}
-	// Each point uses its own cluster geometry, so run them directly (the
-	// pool in Sweep assumes one shared base).
-	results := make([]metrics.Summary, len(specs))
-	for i := range specs {
-		s, err := Run(bases[i], baseJobs, specs[i])
-		if err != nil {
-			return Figure{}, fmt.Errorf("experiment: hetero point %d: %w", i, err)
-		}
-		results[i] = s
-	}
-	var panels []Panel
-	letters := []string{"(a)", "(b)", "(c)", "(d)"}
-	li := 0
-	for _, metric := range []struct {
-		yLabel string
-		value  func(metrics.Summary) float64
-	}{
-		{"% of jobs with deadlines fulfilled", func(s metrics.Summary) float64 { return s.PctFulfilled }},
-		{"average slowdown", func(s metrics.Summary) float64 { return s.AvgSlowdownMet }},
-	} {
+	sums := map[key]metrics.Summary{}
+	for xi, delta := range HeteroImbalances {
+		b := base
+		b.Ratings = HeteroRatings(base.Nodes, base.Rating, delta)
+		var specs []RunSpec
 		for _, mode := range estimateModes {
-			p := Panel{
-				Name:   fmt.Sprintf("%s %s — %s", letters[li], metric.yLabel, mode.label),
-				XLabel: "node speed imbalance ±δ",
-				YLabel: metric.yLabel,
-				X:      HeteroImbalances,
-			}
 			for _, pol := range AllPolicies {
-				ys := make([]float64, len(HeteroImbalances))
-				for xi := range HeteroImbalances {
-					ys[xi] = metric.value(results[index[key{mode.pct, pol, xi}]])
-				}
-				p.Series = append(p.Series, Series{Name: pol.String(), Y: ys})
+				specs = append(specs, RunSpec{Policy: pol, ArrivalDelayFactor: 1, InaccuracyPct: mode.pct, Deadline: base.Deadline, Label: "hetero"})
 			}
-			panels = append(panels, p)
-			li++
+		}
+		results := SweepContext(ctx, b, baseJobs, specs)
+		if err := FirstError(results); err != nil {
+			return Figure{}, err
+		}
+		for _, r := range results {
+			sums[key{r.Spec.InaccuracyPct, r.Spec.Policy, xi}] = r.Summary
 		}
 	}
 	return Figure{
-		ID:     "hetero",
-		Title:  "Extension: constant-capacity node-speed imbalance",
-		Panels: panels,
+		ID:    "hetero",
+		Title: "Extension: constant-capacity node-speed imbalance",
+		Panels: twoMetricPanels("node speed imbalance ±δ", HeteroImbalances, func(mode float64, pol PolicyKind, xi int) metrics.Summary {
+			return sums[key{mode, pol, xi}]
+		}),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func TestPolicyKindStringsExtended(t *testing.T) {
 func TestFigureAllPoliciesShape(t *testing.T) {
 	base := testBase()
 	base.Generator.Jobs = 120
-	f, err := FigureAllPolicies(base)
+	f, err := FigureAllPolicies(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestHeteroRatings(t *testing.T) {
 func TestFigureHeteroShape(t *testing.T) {
 	base := testBase()
 	base.Generator.Jobs = 120
-	f, err := FigureHetero(base)
+	f, err := FigureHetero(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

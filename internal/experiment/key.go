@@ -42,10 +42,10 @@ func WorkloadDigest(jobs []workload.Job) string {
 }
 
 // baseKeyView enumerates exactly the BaseConfig fields that determine a
-// cell's result. Supervision knobs (Workers, RunTimeout, Progress,
-// Journal) and the test hooks disableReuse and disableFastPaths are
-// deliberately absent: re-running a sweep with a different worker count,
-// watchdog, context-reuse setting or fast-path setting must still match
+// cell's result. Supervision knobs (Workers, Progress, Journal, Obs) and
+// the test hooks disableReuse and disableFastPaths are deliberately
+// absent: re-running a sweep with a different worker count, context-reuse
+// setting or fast-path setting must still match
 // its journal — each is byte-identical to its reference
 // by construction (asserted by the differential tests).
 type baseKeyView struct {

@@ -1,12 +1,10 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
-	"clustersched/internal/core"
 	"clustersched/internal/metrics"
-	"clustersched/internal/predict"
-	"clustersched/internal/sim"
 	"clustersched/internal/workload"
 )
 
@@ -14,44 +12,16 @@ import (
 // prediction extension experiment.
 var EstimatorNames = []string{"user-estimate", "recent-average", "scaling"}
 
-// RunWithPredictor executes one simulation with the named predictor
-// correcting estimates online. The workload must carry user IDs
-// (Generator.Users enabled) for history-based predictors to bite.
-func RunWithPredictor(base BaseConfig, baseJobs []workload.Job, spec RunSpec, estimator string) (metrics.Summary, error) {
-	jobs, err := workload.AssignDeadlines(baseJobs, spec.Deadline)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	jobs = workload.ScaleArrivals(jobs, spec.ArrivalDelayFactor)
-
-	e := sim.NewEngine()
-	rec := metrics.NewRecorder()
-	inner, _, _, err := buildPolicyClusters(base, spec.Policy, rec)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	pred, err := predict.New(estimator)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	pol := predict.Wrap(inner, rec, pred)
-	if err := core.RunSimulation(e, pol, rec, jobs, spec.InaccuracyPct); err != nil {
-		return metrics.Summary{}, err
-	}
-	return rec.Summarize(), nil
-}
-
 // FigurePrediction is the extension experiment: can system-generated
 // estimates (Tsafrir-style recent-average, style-learning scaling) rescue
 // Libra, and how much headroom do they leave LibraRisk? Four panels:
 // fulfilled % and slowdown for Libra and LibraRisk, one series per
 // estimator, swept over estimate inaccuracy, on a user-model workload.
-func FigurePrediction(base BaseConfig) (Figure, error) {
-	gen := base.Generator
-	if gen.Users.Count == 0 {
-		gen.Users = workload.DefaultUserModelConfig()
+func FigurePrediction(ctx context.Context, base BaseConfig) (Figure, error) {
+	if base.Generator.Users.Count == 0 {
+		base.Generator.Users = workload.DefaultUserModelConfig()
 	}
-	baseJobs, err := workload.Generate(gen)
+	baseJobs, err := GenerateBase(base)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -63,18 +33,22 @@ func FigurePrediction(base BaseConfig) (Figure, error) {
 		est string
 		xi  int
 	}
-	results := map[key]metrics.Summary{}
+	index := map[key]int{}
+	var specs []RunSpec
 	for _, pol := range policies {
 		for _, est := range EstimatorNames {
 			for xi, x := range xs {
-				spec := RunSpec{Policy: pol, ArrivalDelayFactor: workload.DefaultArrivalDelayFactor, InaccuracyPct: x, Deadline: base.Deadline}
-				s, err := RunWithPredictor(base, baseJobs, spec, est)
-				if err != nil {
-					return Figure{}, err
-				}
-				results[key{pol, est, xi}] = s
+				index[key{pol, est, xi}] = len(specs)
+				specs = append(specs, RunSpec{
+					Policy: pol, ArrivalDelayFactor: workload.DefaultArrivalDelayFactor, InaccuracyPct: x,
+					Deadline: base.Deadline, Label: "prediction", Estimator: est,
+				})
 			}
 		}
+	}
+	results := SweepContext(ctx, base, baseJobs, specs)
+	if err := FirstError(results); err != nil {
+		return Figure{}, err
 	}
 
 	var panels []Panel
@@ -97,7 +71,7 @@ func FigurePrediction(base BaseConfig) (Figure, error) {
 			for _, est := range EstimatorNames {
 				ys := make([]float64, len(xs))
 				for xi := range xs {
-					ys[xi] = metric.value(results[key{pol, est, xi}])
+					ys[xi] = metric.value(results[index[key{pol, est, xi}]].Summary)
 				}
 				p.Series = append(p.Series, Series{Name: est, Y: ys})
 			}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"clustersched/internal/workload"
@@ -24,7 +25,8 @@ func TestRunWithPredictorIdentityMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := RunWithPredictor(base, jobs, spec, "user-estimate")
+	spec.Estimator = "user-estimate"
+	wrapped, err := Run(base, jobs, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,8 @@ func TestRunWithPredictorUnknownEstimator(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := RunSpec{Policy: Libra, ArrivalDelayFactor: 1, InaccuracyPct: 100, Deadline: base.Deadline}
-	if _, err := RunWithPredictor(base, jobs, spec, "oracle"); err == nil {
+	spec.Estimator = "oracle"
+	if _, err := Run(base, jobs, spec); err == nil {
 		t.Fatal("unknown estimator accepted")
 	}
 }
@@ -55,11 +58,13 @@ func TestPredictionHelpsLibra(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := RunSpec{Policy: Libra, ArrivalDelayFactor: 1, InaccuracyPct: 100, Deadline: base.Deadline}
-	baseRun, err := RunWithPredictor(base, jobs, spec, "user-estimate")
+	spec.Estimator = "user-estimate"
+	baseRun, err := Run(base, jobs, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := RunWithPredictor(base, jobs, spec, "scaling")
+	spec.Estimator = "scaling"
+	scaled, err := Run(base, jobs, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestPredictionHelpsLibra(t *testing.T) {
 func TestFigurePredictionShape(t *testing.T) {
 	base := predBase()
 	base.Generator.Jobs = 120
-	f, err := FigurePrediction(base)
+	f, err := FigurePrediction(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"clustersched/internal/core"
 	"clustersched/internal/metrics"
 	"clustersched/internal/obs"
+	"clustersched/internal/predict"
 	"clustersched/internal/sim"
 	"clustersched/internal/workload"
 )
@@ -45,11 +46,11 @@ type runScratch struct {
 	jobs   []workload.Job
 	driver core.ArrivalDriver
 	// dirty marks the scratch as possibly corrupt: it is set before every
-	// attempt that uses the scratch and cleared only when the attempt
-	// returns (even with an error — every component's Reset recovers from
-	// mid-run state). A panic skips the clear, so the supervised retry and
-	// every later cell on this worker fall back to the fresh-build path
-	// rather than trust half-mutated internals.
+	// run that uses the scratch and cleared only when the run returns
+	// (even with an error — every component's Reset recovers from mid-run
+	// state). A panic skips the clear, so every later cell on this worker
+	// falls back to the fresh-build path rather than trust half-mutated
+	// internals.
 	dirty bool
 }
 
@@ -61,7 +62,7 @@ func newRunScratch() *runScratch {
 	}
 }
 
-// acquire returns the scratch for one run attempt, or nil (meaning "build
+// acquire returns the scratch for one run, or nil (meaning "build
 // fresh") if the scratch is nil or was dirtied by an earlier panic. It is
 // nil-safe so callers can thread a missing scratch without branching.
 func (sc *runScratch) acquire() *runScratch {
@@ -72,7 +73,7 @@ func (sc *runScratch) acquire() *runScratch {
 	return sc
 }
 
-// release marks a successfully *returned-from* attempt (panic never
+// release marks a successfully *returned-from* run (a panic never
 // reaches it); nil-safe, matching acquire.
 func (sc *runScratch) release() {
 	if sc != nil {
@@ -90,7 +91,9 @@ func (sc *runScratch) release() {
 // cell is the sweep cell index used to tag observability output (-1 for
 // standalone runs); observability setup runs only when base.Obs is set,
 // so runs with it off execute the pre-observability instruction stream.
-func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec, monitorInterval float64, sc *runScratch, cell int) (metrics.Summary, *core.Monitor, error) {
+// The float64 is the run's mean σ over its monitor samples (see
+// Result.MeanSigma).
+func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec, sc *runScratch, cell int) (metrics.Summary, float64, error) {
 	var (
 		jobs []workload.Job
 		e    *sim.Engine
@@ -103,7 +106,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		}
 		jobs = sc.jobs[:len(baseJobs)]
 		if err := workload.AssignDeadlinesInto(jobs, baseJobs, spec.Deadline); err != nil {
-			return metrics.Summary{}, nil, err
+			return metrics.Summary{}, 0, err
 		}
 		workload.ScaleArrivalsInPlace(jobs, spec.ArrivalDelayFactor)
 		// Engine first: Reset invalidates every outstanding *Event, which
@@ -117,7 +120,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 	} else {
 		j, err := workload.AssignDeadlines(baseJobs, spec.Deadline)
 		if err != nil {
-			return metrics.Summary{}, nil, err
+			return metrics.Summary{}, 0, err
 		}
 		jobs = workload.ScaleArrivals(j, spec.ArrivalDelayFactor)
 		e = sim.NewEngine()
@@ -143,7 +146,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		var err error
 		pol, ts, ss, err = buildPolicyClusters(base, spec.Policy, rec)
 		if err != nil {
-			return metrics.Summary{}, nil, err
+			return metrics.Summary{}, 0, err
 		}
 		if _, ok := pol.(resettable); ok && sc != nil {
 			sc.ctxs[spec.Policy] = &policyContext{pol: pol, ts: ts, ss: ss}
@@ -159,42 +162,62 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		defer detachObs(pol, ts, ss)
 	}
 
+	if spec.Estimator != "" {
+		// Wrapped per run and after the reset and the obs attach, so a
+		// cached policy stays the inner one; Recorder.Reset drops the
+		// wrapper's observer, so wrappers never chain across runs.
+		pred, err := predict.New(spec.Estimator)
+		if err != nil {
+			return metrics.Summary{}, 0, err
+		}
+		pol = predict.Wrap(pol, rec, pred)
+	}
+
 	var chk *sim.InvariantChecker
 	if base.CheckInvariants {
 		chk = core.InstallInvariantChecker(e, rec, ts, ss)
 	}
 	if spec.Faults.Enabled() {
 		if err := installFaults(e, spec.Faults, spec.Policy, ts, ss, jobs, runTracer(orun)); err != nil {
-			return metrics.Summary{}, nil, err
+			return metrics.Summary{}, 0, err
 		}
 	}
 	var mon *core.Monitor
-	if monitorInterval > 0 && ts != nil {
+	if spec.MonitorInterval > 0 && ts != nil {
 		var err error
-		mon, err = core.NewMonitor(ts, monitorInterval)
+		mon, err = core.NewMonitor(ts, spec.MonitorInterval)
 		if err != nil {
-			return metrics.Summary{}, nil, err
+			return metrics.Summary{}, 0, err
 		}
 		mon.Start(e)
 	}
-	runErr := core.RunSimulationReusing(ctx, e, pol, rec, jobs, spec.InaccuracyPct, drv)
-	if runErr != nil {
-		return metrics.Summary{}, mon, runErr
+	if err := core.RunSimulationReusing(ctx, e, pol, rec, jobs, spec.InaccuracyPct, drv); err != nil {
+		return metrics.Summary{}, 0, err
 	}
 	if chk != nil {
 		if err := chk.Err(); err != nil {
-			return metrics.Summary{}, mon, err
+			return metrics.Summary{}, 0, err
 		}
 	}
 	if orun != nil {
-		// Only successful runs merge; a failed attempt's partial bundle is
+		// Only successful runs merge; a failed run's partial bundle is
 		// simply dropped, so the sweep output never mixes in aborted runs.
 		finishRunObs(orun, e, ts)
 		if err := base.Obs.Finish(orun); err != nil {
-			return metrics.Summary{}, mon, err
+			return metrics.Summary{}, 0, err
 		}
 	}
-	return rec.Summarize(), mon, nil
+	var meanSigma float64
+	if mon != nil {
+		samples := mon.Samples()
+		for _, smp := range samples {
+			meanSigma += smp.MeanSigma
+		}
+		if len(samples) > 0 {
+			meanSigma /= float64(len(samples))
+		}
+	}
+	return rec.Summarize(), meanSigma, nil
 }
 
 // cachedPolicy looks up the scratch's policy cache; nil-safe.

@@ -145,13 +145,13 @@ func BenchmarkReusedSweepCell(b *testing.B) {
 	sc := newRunScratch()
 	ctx := context.Background()
 	spec := RunSpec{Policy: LibraRisk, ArrivalDelayFactor: 1, InaccuracyPct: 0, Deadline: base.Deadline}
-	if _, _, err := runInstrumented(ctx, base, jobs, spec, 0, sc, -1); err != nil {
+	if _, _, err := runInstrumented(ctx, base, jobs, spec, sc, -1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runInstrumented(ctx, base, jobs, spec, 0, sc, -1); err != nil {
+		if _, _, err := runInstrumented(ctx, base, jobs, spec, sc, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestRunScratchSteadyStateAllocationFree(t *testing.T) {
 	for _, pol := range AllPolicies {
 		spec := RunSpec{Policy: pol, ArrivalDelayFactor: 1, InaccuracyPct: 0, Deadline: base.Deadline}
 		run := func() {
-			sum, _, err := runInstrumented(ctx, base, jobs, spec, 0, sc, -1)
+			sum, _, err := runInstrumented(ctx, base, jobs, spec, sc, -1)
 			if err != nil {
 				t.Fatal(err)
 			}

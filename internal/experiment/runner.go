@@ -17,139 +17,55 @@ import (
 type Result struct {
 	Spec    RunSpec
 	Summary metrics.Summary
-	Err     error
+	// MeanSigma is the run's time-averaged cluster risk σ over its
+	// monitor samples: 0 unless the spec sets MonitorInterval and the
+	// policy runs on the time-shared cluster.
+	MeanSigma float64
+	Err       error
 	// FromJournal marks a cell satisfied from the checkpoint journal
 	// instead of being run.
 	FromJournal bool
 }
 
-// FailureKind classifies why a supervised run failed.
-type FailureKind string
-
-// The failure taxonomy. Panics and watchdog timeouts are treated as
-// potentially transient and retried once with the same seed (the
-// simulation is a pure function of its inputs, so a retry that succeeds
-// is the correct result); cancellation and engine errors are not.
-const (
-	// FailPanic: the run panicked and was contained by the worker.
-	FailPanic FailureKind = "panic"
-	// FailTimeout: the run exceeded BaseConfig.RunTimeout.
-	FailTimeout FailureKind = "timeout"
-	// FailCanceled: the sweep's context was canceled (e.g. SIGINT).
-	FailCanceled FailureKind = "canceled"
-	// FailEngine: the simulation itself reported an error.
-	FailEngine FailureKind = "engine"
-)
-
-// RunError is the structured failure of one supervised sweep cell.
+// RunError is the failure of one sweep cell, naming the cell. A
+// cancelled sweep's cells carry the context's error as their Cause, so
+// errors.Is(err, context.Canceled) detects them.
 type RunError struct {
-	Spec     RunSpec
-	Stage    string // "admission" | "simulate" | "journal"
-	Kind     FailureKind
-	Attempts int    // attempts made, including the failed one (0 = never started)
-	Stack    []byte // panic stack trace, FailPanic only
-	Cause    error
+	Spec  RunSpec
+	Stack []byte // the panic's stack trace; nil unless the run panicked
+	Cause error
 }
 
-func (e *RunError) Error() string {
-	return fmt.Sprintf("%s: %s at stage %s (attempt %d): %v",
-		e.Spec.Ident(), e.Kind, e.Stage, e.Attempts, e.Cause)
-}
+func (e *RunError) Error() string { return fmt.Sprintf("%s: %v", e.Spec.Ident(), e.Cause) }
 
 func (e *RunError) Unwrap() error { return e.Cause }
 
-// maxAttempts bounds the supervised retry: the first attempt plus one
-// same-seed retry for transient failures.
-const maxAttempts = 2
+// testFailHook, when non-nil, runs inside every cell's panic guard after
+// the worker's scratch is acquired (sc is nil on the fresh-build path);
+// tests use it to stand in for a panicking policy.
+var testFailHook func(spec RunSpec, sc *runScratch)
 
-// classify maps an attempt error onto the failure taxonomy.
-func classify(err error) FailureKind {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return FailTimeout
-	case errors.Is(err, context.Canceled):
-		return FailCanceled
-	default:
-		return FailEngine
-	}
-}
-
-// testFailHook, when non-nil, runs at the top of every supervised attempt
-// (after the panic guard is armed); tests use it to stand in for a
-// panicking or transiently failing policy.
-var testFailHook func(spec RunSpec, attempt int)
-
-// cellFunc executes one simulation attempt; the float64 is an optional
-// sweep-specific aggregate (the chaos sweep's mean σ, 0 elsewhere).
-type cellFunc func(ctx context.Context) (metrics.Summary, float64, error)
-
-// runAttempt executes one attempt of one cell with the panic guard armed
-// and the per-run watchdog applied.
-func runAttempt(ctx context.Context, base BaseConfig, spec RunSpec, attempt int, fn cellFunc) (sum metrics.Summary, extra float64, err error) {
-	runCtx := ctx
-	if base.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, base.RunTimeout)
-		defer cancel()
-	}
+// runCell runs one sweep cell with its panic contained, reusing the
+// worker's scratch when one is provided and clean. A simulation is a
+// pure function of its inputs, so a failed cell is not retried. A
+// panicking run never reaches release, so every later cell on the
+// worker runs on the fresh-build path instead of a half-mutated scratch.
+func runCell(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec, sc *runScratch, cell int) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &RunError{
-				Spec: spec, Stage: "simulate", Kind: FailPanic, Attempts: attempt,
-				Stack: debug.Stack(), Cause: fmt.Errorf("panic: %v", r),
-			}
+			res = Result{Spec: spec, Err: &RunError{Spec: spec, Stack: debug.Stack(), Cause: fmt.Errorf("panic: %v", r)}}
 		}
 	}()
+	use := sc.acquire()
 	if hook := testFailHook; hook != nil {
-		hook(spec, attempt)
+		hook(spec, use)
 	}
-	return fn(runCtx)
-}
-
-// superviseCell is the supervision contract for one cell: attempt the
-// run, contain panics, classify failures, and retry transient ones
-// (panic, watchdog timeout) exactly once with the same seed so
-// determinism is preserved. The returned error, if any, is always a
-// *RunError.
-func superviseCell(ctx context.Context, base BaseConfig, spec RunSpec, fn cellFunc) (metrics.Summary, float64, error) {
-	var last *RunError
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return metrics.Summary{}, 0, &RunError{
-				Spec: spec, Stage: "admission", Kind: FailCanceled,
-				Attempts: attempt - 1, Cause: err,
-			}
-		}
-		sum, extra, err := runAttempt(ctx, base, spec, attempt, fn)
-		if err == nil {
-			return sum, extra, nil
-		}
-		if !errors.As(err, &last) {
-			last = &RunError{
-				Spec: spec, Stage: "simulate", Kind: classify(err),
-				Attempts: attempt, Cause: err,
-			}
-		}
-		if last.Kind != FailPanic && last.Kind != FailTimeout {
-			break // deterministic or canceled: a retry cannot help
-		}
+	sum, sigma, err := runInstrumented(ctx, base, baseJobs, spec, use, cell)
+	use.release()
+	if err != nil {
+		return Result{Spec: spec, Err: &RunError{Spec: spec, Cause: err}}
 	}
-	return metrics.Summary{}, 0, last
-}
-
-// runCell supervises one plain (monitor-less) sweep cell, reusing the
-// worker's scratch when one is provided and clean. The acquire/release
-// pair is what keeps the supervised retry safe: a panicking attempt never
-// reaches release, so the retry (and every later cell on the worker) runs
-// on the fresh-build path instead of a half-mutated scratch.
-func runCell(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec, sc *runScratch, cell int) (metrics.Summary, error) {
-	sum, _, err := superviseCell(ctx, base, spec, func(runCtx context.Context) (metrics.Summary, float64, error) {
-		use := sc.acquire()
-		s, _, err := runInstrumented(runCtx, base, baseJobs, spec, 0, use, cell)
-		use.release()
-		return s, 0, err
-	})
-	return sum, err
+	return Result{Spec: spec, Summary: sum, MeanSigma: sigma}
 }
 
 // workerCount clamps the configured sweep parallelism to the work at hand.
@@ -165,20 +81,6 @@ func (b BaseConfig) workerCount(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// newProgressCounter wraps a Progress callback so deliveries are
-// serialized and stamped with the sweep-level Done/Total counters.
-func newProgressCounter(fn func(ProgressEvent), total int) func(ProgressEvent) {
-	var mu sync.Mutex
-	done := 0
-	return func(ev ProgressEvent) {
-		mu.Lock()
-		done++
-		ev.Done, ev.Total = done, total
-		fn(ev)
-		mu.Unlock()
-	}
 }
 
 // RunPool dispatches indices [0, n) to a bounded worker pool, stops
@@ -218,15 +120,15 @@ func Sweep(base BaseConfig, baseJobs []workload.Job, specs []RunSpec) []Result {
 	return SweepContext(context.Background(), base, baseJobs, specs)
 }
 
-// SweepContext is Sweep under supervision: each cell runs with a panic
-// guard, the per-run watchdog, and a single same-seed retry for transient
-// failures; completed cells are checkpointed to BaseConfig.Journal (and
+// SweepContext is Sweep under supervision, and the one loop every figure's
+// cells run through: each cell runs with its panic contained (see
+// runCell); completed cells are checkpointed to BaseConfig.Journal (and
 // journaled cells are reused instead of re-run); BaseConfig.Progress is
 // told about every finished cell; and cancelling ctx stops admission of
-// new cells, aborts in-flight runs at event-loop granularity, and marks
-// every unfinished cell with a FailCanceled *RunError. The journal is
-// consistent on disk after every append, so there is nothing further to
-// flush on cancellation.
+// new cells, aborts in-flight runs at event-loop granularity, and gives
+// every unfinished cell a *RunError wrapping the context's error. The
+// journal is consistent on disk after every append, so there is nothing
+// further to flush on cancellation.
 func SweepContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job, specs []RunSpec) []Result {
 	if len(specs) == 0 {
 		// Nothing to do: skip the pool machinery entirely.
@@ -240,9 +142,15 @@ func SweepContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job,
 	}
 	report := func(int) {}
 	if base.Progress != nil {
-		prog := newProgressCounter(base.Progress, len(specs))
+		// Serialized, so Done counts deliveries in order.
+		var mu sync.Mutex
+		done := 0
 		report = func(i int) {
-			prog(ProgressEvent{
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			base.Progress(ProgressEvent{
+				Done: done, Total: len(specs),
 				Spec: specs[i], FromJournal: results[i].FromJournal, Err: results[i].Err,
 			})
 		}
@@ -250,35 +158,9 @@ func SweepContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job,
 	workers := base.workerCount(len(specs))
 	scratches := newScratchPool(base, workers)
 	RunPool(ctx, len(specs), workers, func(w, i int) {
-		spec := specs[i]
-		var key string
-		if base.Journal != nil {
-			k, err := CellKey(base, spec, digest)
-			if err != nil {
-				results[i] = Result{Spec: spec, Err: &RunError{
-					Spec: spec, Stage: "journal", Kind: FailEngine, Attempts: 0, Cause: err,
-				}}
-				finished[i] = true
-				report(i)
-				return
-			}
-			key = k
-			if rec, ok := base.Journal.Lookup(key); ok {
-				results[i] = Result{Spec: spec, Summary: rec.Summary, FromJournal: true}
-				finished[i] = true
-				report(i)
-				return
-			}
-		}
-		sum, err := runCell(ctx, base, baseJobs, spec, scratchFor(scratches, w), i)
-		results[i] = Result{Spec: spec, Summary: sum, Err: err}
-		if err == nil && base.Journal != nil {
-			if jerr := base.Journal.Append(checkpoint.Record{Key: key, Label: spec.Label, Summary: sum}); jerr != nil {
-				results[i].Err = &RunError{
-					Spec: spec, Stage: "journal", Kind: FailEngine, Attempts: 1, Cause: jerr,
-				}
-			}
-		}
+		results[i] = journaledCell(base, specs[i], digest, func() Result {
+			return runCell(ctx, base, baseJobs, specs[i], scratchFor(scratches, w), i)
+		})
 		finished[i] = true
 		report(i)
 	})
@@ -287,14 +169,35 @@ func SweepContext(ctx context.Context, base BaseConfig, baseJobs []workload.Job,
 	if err := ctx.Err(); err != nil {
 		for i := range results {
 			if !finished[i] {
-				results[i] = Result{Spec: specs[i], Err: &RunError{
-					Spec: specs[i], Stage: "admission", Kind: FailCanceled,
-					Attempts: 0, Cause: err,
-				}}
+				results[i] = Result{Spec: specs[i], Err: &RunError{Spec: specs[i], Cause: err}}
 			}
 		}
 	}
 	return results
+}
+
+// journaledCell satisfies one cell from BaseConfig.Journal when its key is
+// there, and otherwise runs it and journals the result. run is called only
+// on a miss, so a worker that only hits the journal builds no scratch.
+func journaledCell(base BaseConfig, spec RunSpec, digest string, run func() Result) Result {
+	if base.Journal == nil {
+		return run()
+	}
+	key, err := CellKey(base, spec, digest)
+	if err != nil {
+		return Result{Spec: spec, Err: &RunError{Spec: spec, Cause: err}}
+	}
+	if rec, ok := base.Journal.Lookup(key); ok {
+		return Result{Spec: spec, Summary: rec.Summary, MeanSigma: rec.MeanSigma, FromJournal: true}
+	}
+	res := run()
+	if res.Err == nil {
+		rec := checkpoint.Record{Key: key, Label: spec.Label, Summary: res.Summary, MeanSigma: res.MeanSigma}
+		if err := base.Journal.Append(rec); err != nil {
+			res.Err = &RunError{Spec: spec, Cause: err}
+		}
+	}
+	return res
 }
 
 // FirstError returns the first failure in a sweep, if any, identified by

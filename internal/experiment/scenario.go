@@ -7,7 +7,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"clustersched/internal/checkpoint"
 	"clustersched/internal/cluster"
@@ -105,13 +104,9 @@ type BaseConfig struct {
 	Obs *obs.Sweep
 
 	// Supervision knobs. None of these affect simulation results — they
-	// are excluded from checkpoint cell keys — only how a sweep reacts to
-	// slow, failing or interrupted cells.
+	// are excluded from checkpoint cell keys — only how a sweep reports
+	// and checkpoints its cells.
 
-	// RunTimeout, when positive, is the per-cell wall-clock watchdog: a
-	// run exceeding it is aborted at event-loop granularity and surfaces
-	// as a RunError with FailTimeout (retried once, like a panic).
-	RunTimeout time.Duration
 	// Progress, when set, is called after every finished cell (run,
 	// journal hit, or failure) with the sweep-level completion count.
 	// Calls are serialized; the callback must not block for long, as it
@@ -179,6 +174,18 @@ type RunSpec struct {
 	// failure in a multi-seed sweep names its seed; informational (the
 	// jobs passed to Run/Sweep already embody it).
 	Seed uint64
+	// MonitorInterval and Estimator are omitted from the cell key when
+	// zero, so a journal written before they existed still matches.
+
+	// MonitorInterval, when positive, samples cluster risk at this period
+	// of simulated time and reports the mean σ in Result.MeanSigma;
+	// time-shared policies only.
+	MonitorInterval float64 `json:",omitempty"`
+	// Estimator, when set, names the internal/predict predictor that
+	// corrects the scheduler's runtime estimates online ("user-estimate",
+	// "recent-average" or "scaling"). History-based predictors need a
+	// workload with user IDs (Generator.Users).
+	Estimator string `json:",omitempty"`
 }
 
 // Ident renders the spec's one-line identity for error and progress
@@ -201,7 +208,7 @@ func (s RunSpec) Ident() string {
 // always builds the run from scratch; sweeps route through runInstrumented
 // with a per-worker scratch instead (see reuse.go).
 func Run(base BaseConfig, baseJobs []workload.Job, spec RunSpec) (metrics.Summary, error) {
-	s, _, err := runInstrumented(context.Background(), base, baseJobs, spec, 0, nil, -1)
+	s, _, err := runInstrumented(context.Background(), base, baseJobs, spec, nil, -1)
 	return s, err
 }
 

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"clustersched/internal/checkpoint"
 )
@@ -34,9 +35,11 @@ func TestSweepZeroSpecs(t *testing.T) {
 	}
 }
 
-// TestPanicContainedToOneCell is ISSUE satellite (a): a cell whose policy
-// panics must surface as one typed RunError while every other cell of the
-// sweep completes normally.
+// TestPanicContainedToOneCell: a cell whose policy panics must surface as
+// one RunError while every other cell of the sweep completes normally. On
+// one worker the panic lands with the worker's scratch held, so every
+// later cell must take the fresh-build path and still match the clean
+// sweep.
 func TestPanicContainedToOneCell(t *testing.T) {
 	base := testBase()
 	base.Generator.Jobs = 150
@@ -49,104 +52,53 @@ func TestPanicContainedToOneCell(t *testing.T) {
 	if err := FirstError(clean); err != nil {
 		t.Fatal(err)
 	}
-
 	poison := specs[2]
-	testFailHook = func(spec RunSpec, attempt int) {
-		if spec == poison {
-			panic("deliberately panicking policy")
-		}
-	}
-	defer func() { testFailHook = nil }()
-
-	results := Sweep(base, jobs, specs)
-	for i, r := range results {
-		if specs[i] == poison {
-			var re *RunError
-			if !errors.As(r.Err, &re) {
-				t.Fatalf("poisoned cell err = %v, want *RunError", r.Err)
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			b := base
+			b.Workers = workers
+			var mu sync.Mutex
+			poisoned := false
+			testFailHook = func(spec RunSpec, sc *runScratch) {
+				mu.Lock()
+				defer mu.Unlock()
+				if spec == poison {
+					if sc == nil {
+						t.Error("poisoned cell ran without a scratch; the panic must land with one held")
+					}
+					poisoned = true
+					panic("deliberately panicking policy")
+				}
+				if workers == 1 && poisoned && sc != nil {
+					t.Errorf("cell %s reused the scratch a panic left dirty", spec.Ident())
+				}
 			}
-			if re.Kind != FailPanic {
-				t.Fatalf("Kind = %q, want %q", re.Kind, FailPanic)
-			}
-			if re.Attempts != maxAttempts {
-				t.Fatalf("Attempts = %d, want %d (one same-seed retry)", re.Attempts, maxAttempts)
-			}
-			if len(re.Stack) == 0 {
-				t.Fatal("panic RunError carries no stack trace")
-			}
-			if !strings.Contains(re.Error(), "supervise-test") || !strings.Contains(re.Error(), "panic") {
-				t.Fatalf("error message not identifying: %q", re.Error())
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("healthy cell %d failed: %v", i, r.Err)
-		}
-		if r.Summary != clean[i].Summary {
-			t.Fatalf("healthy cell %d drifted next to a panicking neighbour:\n%+v\n%+v",
-				i, r.Summary, clean[i].Summary)
-		}
-	}
-}
+			defer func() { testFailHook = nil }()
 
-// TestTransientPanicRetriedSameSeed: a cell that panics once and then
-// succeeds must produce exactly the clean result — the retry reuses the
-// same inputs, so determinism is preserved.
-func TestTransientPanicRetriedSameSeed(t *testing.T) {
-	base := testBase()
-	base.Generator.Jobs = 150
-	jobs, err := GenerateBase(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := superviseSpecs(base)
-	clean := Sweep(base, jobs, specs)
-
-	flaky := specs[1]
-	testFailHook = func(spec RunSpec, attempt int) {
-		if spec == flaky && attempt == 1 {
-			panic("transient failure")
-		}
-	}
-	defer func() { testFailHook = nil }()
-
-	results := Sweep(base, jobs, specs)
-	if err := FirstError(results); err != nil {
-		t.Fatalf("transient panic not recovered: %v", err)
-	}
-	for i := range results {
-		if results[i].Summary != clean[i].Summary {
-			t.Fatalf("cell %d differs after retry:\n%+v\n%+v", i, results[i].Summary, clean[i].Summary)
-		}
-	}
-}
-
-// TestWatchdogTimeout: a run exceeding BaseConfig.RunTimeout surfaces as
-// a typed timeout RunError after the single retry.
-func TestWatchdogTimeout(t *testing.T) {
-	base := testBase()
-	base.Generator.Jobs = 150
-	base.RunTimeout = time.Nanosecond
-	jobs, err := GenerateBase(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := superviseSpecs(base)[:2]
-	results := Sweep(base, jobs, specs)
-	for i, r := range results {
-		var re *RunError
-		if !errors.As(r.Err, &re) {
-			t.Fatalf("cell %d err = %v, want *RunError", i, r.Err)
-		}
-		if re.Kind != FailTimeout {
-			t.Fatalf("cell %d Kind = %q, want %q", i, re.Kind, FailTimeout)
-		}
-		if re.Attempts != maxAttempts {
-			t.Fatalf("cell %d Attempts = %d, want %d", i, re.Attempts, maxAttempts)
-		}
-		if !errors.Is(r.Err, context.DeadlineExceeded) {
-			t.Fatalf("cell %d err chain lost the deadline: %v", i, r.Err)
-		}
+			results := Sweep(b, jobs, specs)
+			for i, r := range results {
+				if specs[i] == poison {
+					var re *RunError
+					if !errors.As(r.Err, &re) {
+						t.Fatalf("poisoned cell err = %v, want *RunError", r.Err)
+					}
+					if len(re.Stack) == 0 {
+						t.Fatal("panic RunError carries no stack trace")
+					}
+					if !strings.Contains(re.Error(), "supervise-test") || !strings.Contains(re.Error(), "panic") {
+						t.Fatalf("error message not identifying: %q", re.Error())
+					}
+					continue
+				}
+				if r.Err != nil {
+					t.Fatalf("healthy cell %d failed: %v", i, r.Err)
+				}
+				if r.Summary != clean[i].Summary {
+					t.Fatalf("healthy cell %d drifted next to a panicking neighbour:\n%+v\n%+v",
+						i, r.Summary, clean[i].Summary)
+				}
+			}
+		})
 	}
 }
 
@@ -191,7 +143,7 @@ func TestCancellationFlushesJournal(t *testing.T) {
 			continue
 		}
 		var re *RunError
-		if !errors.As(r.Err, &re) || re.Kind != FailCanceled {
+		if !errors.As(r.Err, &re) || !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("interrupted cell err = %v, want canceled *RunError", r.Err)
 		}
 		canceled++
@@ -320,7 +272,7 @@ func TestChaosResumeFromJournalSkipsRuns(t *testing.T) {
 		}
 	}
 
-	testFailHook = func(RunSpec, int) { panic("chaos cell re-ran despite full journal") }
+	testFailHook = func(RunSpec, *runScratch) { panic("chaos cell re-ran despite full journal") }
 	defer func() { testFailHook = nil }()
 	reloaded, err := checkpoint.Open(path)
 	if err != nil {
@@ -346,10 +298,9 @@ func TestFirstErrorIdentifiesCell(t *testing.T) {
 		Policy: LibraRisk, ArrivalDelayFactor: 0.3, InaccuracyPct: 100,
 		Label: "figure4", Seed: 42,
 	}
-	re := &RunError{Spec: spec, Stage: "simulate", Kind: FailEngine, Attempts: 1,
-		Cause: errors.New("boom")}
+	re := &RunError{Spec: spec, Cause: errors.New("boom")}
 	err := FirstError([]Result{{Spec: spec, Err: re}})
-	for _, want := range []string{"figure4", "seed=42", "LibraRisk", "adf=0.3", "boom", "engine"} {
+	for _, want := range []string{"figure4", "seed=42", "LibraRisk", "adf=0.3", "boom"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("FirstError = %q, missing %q", err, want)
 		}
@@ -380,7 +331,7 @@ func TestCanceledSweepNeverFabricatesResults(t *testing.T) {
 	results := SweepContext(ctx, base, jobs, superviseSpecs(base))
 	for i, r := range results {
 		var re *RunError
-		if !errors.As(r.Err, &re) || re.Kind != FailCanceled {
+		if !errors.As(r.Err, &re) || !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("cell %d of pre-canceled sweep: err = %v, want canceled *RunError", i, r.Err)
 		}
 	}

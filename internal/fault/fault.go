@@ -67,6 +67,21 @@ func (c Config) Enabled() bool {
 
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
+	// NaN passes every comparison below (a NaN MTTR would schedule a
+	// repair at NaN time), so each float field must first be finite.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MTBF", c.MTBF}, {"MTTR", c.MTTR}, {"straggler MTBF", c.StragglerMTBF},
+		{"straggler duration", c.StragglerDuration}, {"straggler factor", c.StragglerFactor},
+		{"correlated MTBF", c.CorrelatedMTBF}, {"correlated MTTR", c.CorrelatedMTTR},
+		{"horizon", c.Horizon},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: %s %g, want a finite number", f.name, f.v)
+		}
+	}
 	if !c.Enabled() {
 		return nil
 	}
@@ -89,7 +104,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fault: correlated size %d, want >= 0", c.CorrelatedSize)
 		}
 	}
-	if c.Horizon <= 0 || math.IsInf(c.Horizon, 1) || math.IsNaN(c.Horizon) {
+	if c.Horizon <= 0 {
 		return fmt.Errorf("fault: enabled processes require a finite positive horizon, got %g", c.Horizon)
 	}
 	return nil

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -52,6 +53,10 @@ func TestConfigValidate(t *testing.T) {
 		{"correlated ok", Config{CorrelatedMTBF: 100, CorrelatedMTTR: 10, Horizon: 1000}, true},
 		{"correlated falls back to MTTR", Config{CorrelatedMTBF: 100, MTTR: 10, Horizon: 1000}, true},
 		{"correlated without repair", Config{CorrelatedMTBF: 100, Horizon: 1000}, false},
+		{"NaN MTTR", Config{MTBF: 100, MTTR: math.NaN(), Horizon: 1000}, false},
+		{"NaN straggler factor", Config{StragglerMTBF: 100, StragglerDuration: 10, StragglerFactor: math.NaN(), Horizon: 1000}, false},
+		{"infinite correlated MTTR", Config{CorrelatedMTBF: 100, CorrelatedMTTR: math.Inf(1), Horizon: 1000}, false},
+		{"NaN MTBF", Config{MTBF: math.NaN(), MTTR: 10, Horizon: 1000}, false},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {
