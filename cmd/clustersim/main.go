@@ -67,6 +67,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A flag that only shapes one fault class is refused when that class
+	// is off: the run would drop it without a word.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, dep := range []struct {
+		flag, needs string
+		on          bool
+	}{
+		{"fault-mttr", "-fault-mtbf or -fault-correlated-mtbf", *faultMTBF > 0 || *faultCorrMTBF > 0},
+		{"fault-straggler-duration", "-fault-straggler-mtbf", *faultStragglerMTBF > 0},
+		{"fault-straggler-factor", "-fault-straggler-mtbf", *faultStragglerMTBF > 0},
+		{"fault-correlated-size", "-fault-correlated-mtbf", *faultCorrMTBF > 0},
+	} {
+		if set[dep.flag] && !dep.on {
+			return fmt.Errorf("-%s is set, but without a positive %s the run ignores it", dep.flag, dep.needs)
+		}
+	}
 
 	o.Policy = clustersched.Policy(*policy)
 	o.Nodes = *nodes

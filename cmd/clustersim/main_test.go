@@ -45,6 +45,37 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFaultFlagWithoutItsMTBF pins that a flag shaping one
+// fault class is refused, naming the flag it needs, when set explicitly
+// while that class is off, and accepted once the class is on.
+func TestRunRejectsFaultFlagWithoutItsMTBF(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		needs string // "" when the run must succeed
+	}{
+		{[]string{"-fault-straggler-factor", "NaN"}, "-fault-straggler-mtbf"},
+		{[]string{"-fault-straggler-duration", "60"}, "-fault-straggler-mtbf"},
+		{[]string{"-fault-mttr", "60"}, "-fault-mtbf or -fault-correlated-mtbf"},
+		{[]string{"-fault-correlated-size", "3"}, "-fault-correlated-mtbf"},
+		{[]string{"-fault-correlated-size", "3", "-fault-mtbf", "86400"}, "-fault-correlated-mtbf"},
+		{[]string{"-fault-mttr", "60", "-fault-correlated-mtbf", "86400", "-fault-correlated-size", "3"}, ""},
+		{[]string{"-fault-straggler-factor", "0.7", "-fault-straggler-mtbf", "86400"}, ""},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var sb strings.Builder
+			err := run(context.Background(), append([]string{"-jobs", "50", "-nodes", "16"}, tc.args...), &sb)
+			switch {
+			case tc.needs == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.needs != "" && err == nil:
+				t.Fatal("accepted a flag the run ignores")
+			case tc.needs != "" && (!strings.Contains(err.Error(), tc.args[0]+" is set") || !strings.Contains(err.Error(), tc.needs)):
+				t.Fatalf("error %q, want it to name %s and %s", err, tc.args[0], tc.needs)
+			}
+		})
+	}
+}
+
 func TestRunReport(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), []string{"-report", "-nodes", "8", "-jobs", "80"}, &sb); err != nil {

@@ -14,14 +14,14 @@ import (
 // early only when the naive σ of the eq. (4) values exceeds limit, and
 // the verdicts it did produce must still be the naive ones.
 func FuzzPredictWithinMatchesNaive(f *testing.F) {
-	f.Add([]byte{}, uint8(0), uint8(0), uint16(0), uint16(0), uint16(100), uint16(400), false)
-	f.Add([]byte{25, 64, 32, 0}, uint8(0), uint8(0), uint16(0), uint16(0), uint16(50), uint16(300), false)
-	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5, 99, 10, 60, 0}, uint8(0), uint8(0), uint16(120), uint16(0), uint16(250), uint16(450), false)
-	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5}, uint8(40), uint8(30), uint16(200), uint16(50), uint16(80), uint16(90), true)
-	f.Add([]byte{200, 255, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(60), uint16(1000), uint16(0), uint16(0), false)
-	f.Add([]byte{10, 64, 16, 0, 10, 64, 16, 0, 10, 64, 16, 0}, uint8(0), uint8(0), uint16(5), uint16(0), uint16(40), uint16(0), false)
-	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork, candSlack uint16, strict bool) {
-		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict)
+	f.Add([]byte{}, uint8(0), uint8(0), uint16(0), uint16(0), uint16(100), uint16(400), false, uint8(0))
+	f.Add([]byte{25, 64, 32, 0}, uint8(0), uint8(0), uint16(0), uint16(0), uint16(50), uint16(300), false, uint8(0))
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5, 99, 10, 60, 0}, uint8(0), uint8(0), uint16(120), uint16(0), uint16(250), uint16(450), false, uint8(0))
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5}, uint8(40), uint8(30), uint16(200), uint16(50), uint16(80), uint16(90), true, uint8(0))
+	f.Add([]byte{200, 255, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(60), uint16(1000), uint16(0), uint16(0), false, uint8(0))
+	f.Add([]byte{10, 64, 16, 0, 10, 64, 16, 0, 10, 64, 16, 0}, uint8(0), uint8(0), uint16(5), uint16(0), uint16(40), uint16(0), false, uint8(0))
+	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork, candSlack uint16, strict bool, origin uint8) {
+		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
 		var cand *Candidate
 		if candWork > 0 {
 			cand = &Candidate{JobID: 1000, RefWork: float64(candWork % 2000), AbsDeadline: now + float64(candSlack%3000)}
@@ -59,13 +59,13 @@ func FuzzPredictWithinMatchesNaive(f *testing.F) {
 // already have passed, and a fuzzed limit, whenever ProvablyRisky says
 // risky the naive predictor's σ of the eq. (4) values must exceed limit.
 func FuzzProvablyRisky(f *testing.F) {
-	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5, 99, 10, 60, 0}, uint8(0), uint8(0), uint16(1200), uint16(0), uint16(400), int16(800), false)
-	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5}, uint8(40), uint8(30), uint16(900), uint16(50), uint16(80), int16(-90), false)
-	f.Add([]byte{200, 8, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(1500), uint16(500), uint16(9000), int16(-4000), false)
-	f.Add([]byte{10, 4, 16, 0, 10, 64, 16, 0, 10, 4, 16, 0}, uint8(0), uint8(0), uint16(300), uint16(0), uint16(40), int16(0), true)
-	f.Add([]byte{30, 2, 0, 0}, uint8(0), uint8(0), uint16(400), uint16(500), uint16(3), int16(-2000), false)
-	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork uint16, candOffset int16, strict bool) {
-		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict)
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5, 99, 10, 60, 0}, uint8(0), uint8(0), uint16(1200), uint16(0), uint16(400), int16(800), false, uint8(0))
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5}, uint8(40), uint8(30), uint16(900), uint16(50), uint16(80), int16(-90), false, uint8(0))
+	f.Add([]byte{200, 8, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(1500), uint16(500), uint16(9000), int16(-4000), false, uint8(0))
+	f.Add([]byte{10, 4, 16, 0, 10, 64, 16, 0, 10, 4, 16, 0}, uint8(0), uint8(0), uint16(300), uint16(0), uint16(40), int16(0), true, uint8(0))
+	f.Add([]byte{30, 2, 0, 0}, uint8(0), uint8(0), uint16(400), uint16(500), uint16(3), int16(-2000), false, uint8(0))
+	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork uint16, candOffset int16, strict bool, origin uint8) {
+		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
 		cand := &Candidate{JobID: 1000, RefWork: float64(candWork) / 4, AbsDeadline: now + float64(candOffset)/8}
 		limit := float64(limitMilli) / 1000
 		if !fast.ProvablyRisky(now, cand, limit) {
@@ -81,13 +81,19 @@ func FuzzProvablyRisky(f *testing.F) {
 	})
 }
 
+// fuzzOrigins are the instants a fuzzed node's clock may start at: zero,
+// and epoch-scale values where a float64 instant has a coarse ulp
+// (2.4e-7 s at 1.7e9), so both early exits' margins are checked where
+// absolute guards alone would fail.
+var fuzzOrigins = [...]float64{0, 1 << 20, 1 << 30, 1.7e9}
+
 // fuzzNodes builds one node twice, once on the fast predictor and once on
 // the naive one, from fuzzed bytes: each 4-byte group of jobs is one
 // slice — runtime, estimate (under-estimates overrun), relative deadline,
 // and the gap before it arrives — run on a node with a fuzzed speed,
-// MaxWeight cap and share convention until elapsed seconds after the last
-// arrival, which is the instant it returns.
-func fuzzNodes(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed uint16, strict bool) (fast, naive *PSNode, now float64) {
+// MaxWeight cap and share convention, from the fuzzed time origin until
+// elapsed seconds after the last arrival, which is the instant it returns.
+func fuzzNodes(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed uint16, strict bool, origin uint8) (fast, naive *PSNode, now float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.WorkConserving = !strict
@@ -115,6 +121,8 @@ func fuzzNodes(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed 
 			e.AdvanceTo(at)
 		}
 	}
+	now = fuzzOrigins[int(origin)%len(fuzzOrigins)]
+	runTo(now)
 	if speedPct > 0 {
 		speed := float64(speedPct) / 100
 		fc.SetNodeSpeed(ef, 0, speed)

@@ -64,20 +64,46 @@ func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedD
 	return out
 }
 
-// PredictDelaysWithin is PredictDelaysScratch that stops as soon as its
-// verdicts prove the population standard deviation σ of their eq. (4)
-// values, DeadlineDelay(Delay, AbsDeadline-now), exceeds limit.
+// PredictDelaysWithin is PredictDelaysScratch that stops as soon as it
+// proves the population standard deviation σ of the eq. (4) values,
+// DeadlineDelay(Delay, AbsDeadline-now), exceeds limit.
 //
-// Each verdict's value is folded into a running minimum lo and maximum hi
-// as it is produced. For n values, any two a and b give
+// It keeps a lower bound hi on the largest value and an upper bound lo on
+// the smallest. For n values, any two a and b give
 // n·σ² ≥ (a−µ)² + (b−µ)² ≥ (a−b)²/2, so σ ≥ (hi−lo)/√(2n), and n (the
 // slices plus the candidate) is known before the first step. The loop
 // stops once hi−lo > 2·limit·√(2n) + 1e-12·hi: the factor 2 and the
 // relative term leave room for the rounding of a σ computed in floating
-// point from values as large as hi (eq. 4 reaches 1e6 and beyond as the
-// remaining deadline nears zero). It then returns ok = false and a partial
-// verdict slice. Otherwise ok is true and the verdicts are exactly those of
-// PredictDelaysScratch; limit = +Inf always runs to completion.
+// point from values as large as the largest (eq. 4 reaches 1e6 and beyond
+// as the remaining deadline nears zero); a true maximum above hi only
+// widens the gap by more than it raises the relative term. It then returns
+// ok = false and a partial verdict slice. Otherwise ok is true and the
+// verdicts are exactly those of PredictDelaysScratch; limit = +Inf always
+// runs to completion.
+//
+// Three sources feed the bounds. Each verdict's value is folded in as it
+// is produced. Before the first step, on a work-conserving node every item
+// finishes by the horizon H = now + Σb/speed + n·epsTime + 1e-9·|H| (b the
+// believed work; see ProvablyRisky for why), which caps the value of the
+// item with the latest deadline, and so lo. And an item holding believed
+// work b at time t cannot retire before f = t + (b−epsWork)/speed, less
+// 1e-9·|f|, which floors its value, and so hi; this is folded for every
+// item before the first step and, at each step, for every item past its
+// deadline with work left (earliestValue). That floor holds because:
+//
+//   - no item is served faster than speed: a weight w is part of the total
+//     it is divided by, so w/total ≤ 1, and under strict shares w is served
+//     undivided only when w ≤ total ≤ 1;
+//   - an item retires once its believed work is at most epsWork, which
+//     can bring its finish forward by epsWork/speed and no more;
+//   - a step floored to epsTime only lengthens the step, which can only
+//     delay a finish;
+//   - the margin on f is relative, so it covers the rounding of t and of
+//     the work decrements, which grows with |t|, also at an epoch-scale now
+//     (about 1.7e9, where one ulp of t is 2.4e-7 s).
+//
+// Under strict shares the node may idle, so only that floor applies; lo
+// then comes from verdicts alone.
 func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64) (out []PredictedDelay, ok bool) {
 	if n.cfg.NaivePredictor {
 		return n.predictDelaysNaive(now, cand), true
@@ -106,15 +132,34 @@ func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64
 	}
 	bounded := !math.IsInf(limit, 1)
 	var spread float64
-	if bounded {
-		spread = 2 * limit * math.Sqrt(2*float64(len(items)))
-	}
 	lo, hi := math.Inf(1), math.Inf(-1)
+	if bounded && len(items) > 0 {
+		spread = 2 * limit * math.Sqrt(2*float64(len(items)))
+		// Entry bounds: every item's earliest finish bounds hi; on a
+		// work-conserving node the backlog horizon bounds lo, through the
+		// item with the latest deadline.
+		var backlog float64
+		last := math.Inf(-1)
+		for _, it := range items {
+			if v := n.earliestValue(now, now, it); v > hi {
+				hi = v
+			}
+			backlog += it.believed
+			if it.absDeadline > last {
+				last = it.absDeadline
+			}
+		}
+		if n.cfg.WorkConserving {
+			h := now + backlog/n.speed + float64(len(items))*epsTime
+			h += 1e-9 * math.Abs(h)
+			lo = DeadlineDelay(h-last, last-now)
+		}
+	}
 	out = n.predOut[:0]
 	// rates holds each item's weight, then (once the total is known) its
 	// rate for the current step.
 	rates := n.scratchWeights(len(items))
-	t := now
+	t, steps := now, 0
 	for len(items) > 0 {
 		// Retire items the allocator believes are already done.
 		kept := items[:0]
@@ -137,7 +182,7 @@ func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64
 		}
 		items = kept
 		if bounded && hi-lo > spread+1e-12*hi {
-			n.predOut = out
+			n.predOut, n.predSteps = out, steps
 			return out, false
 		}
 		if len(items) == 0 {
@@ -158,8 +203,16 @@ func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64
 		for i, it := range items {
 			rate := fluidRate(rates[i], total, n.speed, n.cfg)
 			rates[i] = rate
-			if rd := it.absDeadline - t; rd > epsTime && rd < minRD {
-				minRD = rd
+			if rd := it.absDeadline - t; rd > epsTime {
+				if rd < minRD {
+					minRD = rd
+				}
+			} else if bounded {
+				// Crossing bound: past its deadline with believed work
+				// left, the item's earliest finish from t bounds hi.
+				if v := n.earliestValue(now, t, it); v > hi {
+					hi = v
+				}
 			}
 			if rate <= 0 {
 				continue
@@ -167,6 +220,10 @@ func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64
 			if dt := it.believed / rate; dt < minDT {
 				minDT = dt
 			}
+		}
+		if bounded && hi-lo > spread+1e-12*hi {
+			n.predOut, n.predSteps = out, steps
+			return out, false
 		}
 		if math.IsInf(minDT, 1) {
 			// No slice can progress (cannot happen with a positive floor
@@ -187,13 +244,30 @@ func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64
 			minDT = epsTime
 		}
 		t += minDT
+		steps++
 		for i := range items {
 			items[i].believed -= rates[i] * minDT
 		}
 	}
-	n.predOut = out
+	n.predOut, n.predSteps = out, steps
 	return out, true
 }
+
+// earliestValue is a lower bound on the eq. (4) value of an item that
+// holds its believed work at time t: no item is served faster than the
+// node's speed, so it cannot retire before t + (believed − epsWork)/speed,
+// less a relative margin for rounding (see PredictDelaysWithin).
+func (n *PSNode) earliestValue(now, t float64, it fluidItem) float64 {
+	f := t + (it.believed-epsWork)/n.speed
+	f -= 1e-9 * math.Abs(f)
+	return DeadlineDelay(f-it.absDeadline, it.absDeadline-now)
+}
+
+// PredictSteps reports how many fluid steps the node's last
+// PredictDelaysWithin (or PredictDelaysScratch) call on the fast predictor
+// took before it completed or stopped: 0 means it decided at now, before
+// the first step.
+func (n *PSNode) PredictSteps() int { return n.predSteps }
 
 // insertVerdict places pd into out keeping it sorted by JobID, shifting
 // the (few) larger entries up in place. Nodes host a handful of slices,

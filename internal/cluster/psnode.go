@@ -110,6 +110,9 @@ type PSNode struct {
 	// so the admission hot path runs allocation-free in steady state.
 	predItems []fluidItem
 	predOut   []PredictedDelay
+	// predSteps is the fluid step count of the last fast prediction (see
+	// PredictSteps).
+	predSteps int
 
 	// doneScratch is reused by retireCompleted so completion bursts do not
 	// allocate.
@@ -427,6 +430,12 @@ func (n *PSNode) PredictionStable() bool {
 // bound the predictor's view at any now ≥ lastT until the version moves,
 // because between mutations believed work only falls: an exhausted slice
 // stays exhausted and the backlog only shrinks.
+//
+// PredictDelaysWithin's entry bounds catch what exit (5) proves, but only
+// after an O(slices) pass that projects every slice's believed work. This
+// summary answers the overdue-exhausted case in O(1) while the version
+// holds, and that case decides most of serve_scan's rejecting nodes, so
+// exit (5) stays in front of the simulation.
 type riskSummary struct {
 	version   uint64
 	valid     bool

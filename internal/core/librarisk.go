@@ -78,9 +78,9 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 // evalNode applies Algorithm 1's suitability test to one node, returning
 // whether it is suitable and, when computed is true, the node's µ/σ.
 //
-// Three fast paths skip work without changing the decision; all apply only
+// Four fast paths skip work without changing the decision; all apply only
 // under the σ rule with fast paths enabled, and none when forceRisk
-// (audit mode) wants the real µ/σ. The last two are also off while
+// (audit mode) wants the real µ/σ. The last three are also off while
 // per-decision sim metrics observe every computed σ:
 //
 //   - An empty node is always suitable without running the fluid
@@ -94,6 +94,13 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 //   - The σ bound: the simulation stops as soon as its verdicts prove
 //     σ > SigmaThreshold + sigmaTolerance (see
 //     cluster.PSNode.PredictDelaysWithin), and the node is unsuitable.
+//   - Earliest finishes, inside the same bounded simulation: no item
+//     retires before its believed work could be served at the node's full
+//     speed, which bounds the largest value from below before the first
+//     step and at every deadline crossing, and the backlog horizon bounds
+//     the smallest from above; the simulation stops as soon as those
+//     bounds prove the same σ. Under strict shares only the first half
+//     applies.
 func (p *LibraRisk) evalNode(now float64, n *cluster.PSNode, cand *cluster.Candidate, forceRisk bool) (mu, sigma float64, suitable, computed bool) {
 	limit := p.SigmaThreshold + sigmaTolerance
 	fast := !forceRisk && !p.DisableFastPath && !p.MeanRule

@@ -288,3 +288,103 @@ func TestEvalNodeDoomedAllocFree(t *testing.T) {
 		t.Fatalf("evalNode on a doomed node: %v allocs, want 0", n)
 	}
 }
+
+// earliestNode returns a one-node LibraRisk harness at t = 0 whose node,
+// on the given share convention and speed, holds the given jobs, each
+// submitted at t = 0 with its estimate.
+func earliestNode(t *testing.T, strict bool, speed float64, jobs []workload.Job) (*LibraRisk, *cluster.PSNode) {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.WorkConserving = !strict
+	c, err := cluster.NewTimeShared(1, 168, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	if speed != 1 {
+		c.SetNodeSpeed(e, 0, speed)
+	}
+	for _, j := range jobs {
+		if _, err := c.Submit(e, j, j.TraceEstimate, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewLibraRisk(c, metrics.NewRecorder()), c.Node(0)
+}
+
+// TestEarliestFinishExitAtTheBound pins exit (6)'s edge on hand-built
+// nodes evaluated at now = 0. A resident with b s of believed work at speed
+// s cannot retire before b/s, so with deadline 100 its eq. (4) value is at
+// least b/(100·s). Beside it sit on-time items of value 1, the candidate
+// among them, so at SigmaThreshold 0.5 with three items the bound stops the
+// simulation before its first step once b/(100·s) − 1 clears
+// 2·limit·√(2·3) ≈ 2.45:
+//
+//   - "beyond" and "inside": the resident's bound 0.01 s beyond and inside
+//     that, at full speed and on a straggler at speed 0.5;
+//   - strict shares, where the node may idle, so no horizon bounds the
+//     on-time items' values and only the lateness half may fire: beyond
+//     the bound it fires only once an on-time item has retired, which an
+//     exhausted resident does at now;
+//   - "crossing", under the paper's zero-σ rule: the candidate is on time
+//     alone but not beside a resident demanding a full processor. Exit (6)
+//     must stop at the end of the first step, its deadline crossing, with
+//     no verdict yet; without the crossing fold the run goes on to the
+//     candidate's retirement, and the retirement rule alone to the
+//     resident's.
+//
+// Each decision must match the full NodeRisk, and a stop must come at the
+// named step (−1: not before the first step).
+func TestEarliestFinishExitAtTheBound(t *testing.T) {
+	limit := 0.5 + sigmaTolerance
+	edge := 100 * (1 + 2*limit*math.Sqrt(6))
+	late := func(b float64) workload.Job {
+		return workload.Job{ID: 1, Runtime: b, TraceEstimate: b, NumProc: 1, Deadline: 100}
+	}
+	onTime := workload.Job{ID: 2, Runtime: 1, TraceEstimate: 1, NumProc: 1, Deadline: 1e5}
+	exhausted := workload.Job{ID: 2, Runtime: 1, TraceEstimate: 1e-10, NumProc: 1, Deadline: 1e5}
+	small := &cluster.Candidate{JobID: 3, RefWork: 1, AbsDeadline: 1e5}
+	for _, tc := range []struct {
+		name     string
+		strict   bool
+		speed    float64
+		thr      float64
+		jobs     []workload.Job
+		cand     *cluster.Candidate
+		stopStep int // step the bounded run stops at; −1: not before the first
+		verdicts int // verdicts produced before a stop
+	}{
+		{"beyond", false, 1, 0.5, []workload.Job{late(edge + 0.01), onTime}, small, 0, 0},
+		{"inside", false, 1, 0.5, []workload.Job{late(edge - 0.01), onTime}, small, -1, 0},
+		{"straggler beyond", false, 0.5, 0.5, []workload.Job{late((edge + 0.01) / 2), onTime}, small, 0, 0},
+		{"straggler inside", false, 0.5, 0.5, []workload.Job{late((edge - 0.01) / 2), onTime}, small, -1, 0},
+		{"strict beyond", true, 1, 0.5, []workload.Job{late(edge + 0.01), onTime}, small, -1, 0},
+		{"strict beside an exhausted resident", true, 1, 0.5, []workload.Job{late(edge + 0.01), exhausted}, small, 0, 1},
+		{"crossing", false, 1, 0, []workload.Job{{ID: 1, Runtime: 1000, TraceEstimate: 1000, NumProc: 1, Deadline: 1001}},
+			&cluster.Candidate{JobID: 3, RefWork: 0.5, AbsDeadline: 1}, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, node := earliestNode(t, tc.strict, tc.speed, tc.jobs)
+			p.SigmaThreshold = tc.thr
+			limit := tc.thr + sigmaTolerance
+			_, wantSigma := p.NodeRisk(0, node, tc.cand)
+			partial, ok := node.PredictDelaysWithin(0, tc.cand, limit)
+			switch steps := node.PredictSteps(); {
+			case !ok && wantSigma <= limit:
+				t.Fatalf("stopped at step %d, but the full σ = %v is suitable", steps, wantSigma)
+			case tc.stopStep < 0 && !ok && steps == 0:
+				t.Fatalf("stopped before the first step (full σ = %v), want no stop there", wantSigma)
+			case tc.stopStep >= 0 && (ok || steps != tc.stopStep):
+				t.Fatalf("ok = %v at step %d (full σ = %v), want a stop at step %d", ok, steps, wantSigma, tc.stopStep)
+			case tc.stopStep >= 0 && len(partial) != tc.verdicts:
+				t.Fatalf("stopped with %d verdicts %+v, want %d", len(partial), partial, tc.verdicts)
+			}
+			if node.ProvablyRisky(0, tc.cand, limit) {
+				t.Fatal("exit (5) fired: the node holds no overdue exhausted slice")
+			}
+			if _, _, suitable, _ := p.evalNode(0, node, tc.cand, false); suitable != (wantSigma <= limit) {
+				t.Fatalf("evalNode suitable = %v, full σ = %v", suitable, wantSigma)
+			}
+		})
+	}
+}

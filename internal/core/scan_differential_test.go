@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"clustersched/internal/cluster"
@@ -19,6 +21,10 @@ import (
 // cluster, the fast run also asks PSNode.ProvablyRisky about every busy
 // node at every arrival, and exit (5) must prove at least half of them
 // risky: at this shape most busy nodes hold an overdue exhausted slice.
+// The busy nodes it does not prove go through PredictDelaysWithin, and
+// exit (6), the earliest-finish bound, must stop a floor share of them
+// sooner than the retirement rule alone could (see retirementStopped):
+// some before the first fluid step, some at a deadline crossing.
 func TestServeScanFastPathsMatchReference(t *testing.T) {
 	const (
 		nodes   = 512
@@ -43,6 +49,7 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 		reason   string
 	}
 	var busy, proven int
+	var stops [stopKinds]int
 	run := func(disable bool) []decision {
 		c, err := cluster.NewTimeShared(nodes, 168, cluster.DefaultConfig())
 		if err != nil {
@@ -66,9 +73,12 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 				for n := 0; n < c.Len(); n++ {
 					if node := c.Node(n); node.NumSlices() > 0 {
 						busy++
-						if node.ProvablyRisky(e.Now(), cand, p.SigmaThreshold+sigmaTolerance) {
+						limit := p.SigmaThreshold + sigmaTolerance
+						if node.ProvablyRisky(e.Now(), cand, limit) {
 							proven++
+							continue
 						}
+						stops[earliestFinishStop(e.Now(), node, cand, limit)]++
 					}
 				}
 			}
@@ -92,6 +102,84 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 	if 2*proven < busy {
 		t.Fatalf("exit (5) proved %d of %d busy-node evaluations risky, want at least half", proven, busy)
 	}
-	t.Logf("%d of %d accepted; exit (5) proved %d of %d busy-node evaluations risky (%.1f %%)",
-		accepted, len(jobs), proven, busy, 100*float64(proven)/float64(busy))
+	pct := func(k int) float64 { return 100 * float64(k) / float64(busy) }
+	t.Logf("%d of %d accepted; of %d busy-node evaluations exit (5) proved %d risky (%.1f %%); exit (6) stopped %d before the first fluid step (%.1f %%), %d at a deadline crossing (%.1f %%) and %d at a late retirement (%.1f %%)",
+		accepted, len(jobs), busy, proven, pct(proven), stops[stopAtEntry], pct(stops[stopAtEntry]),
+		stops[stopAtCrossing], pct(stops[stopAtCrossing]), stops[stopAtLateRetirement], pct(stops[stopAtLateRetirement]))
+	if pct(stops[stopAtEntry]) < entryFloorPct || pct(stops[stopAtCrossing]) < crossingFloorPct {
+		t.Fatalf("exit (6) stopped %.1f %% of busy-node evaluations before the first fluid step and %.1f %% at a crossing, want at least %g %% and %g %%",
+			pct(stops[stopAtEntry]), pct(stops[stopAtCrossing]), entryFloorPct, crossingFloorPct)
+	}
+}
+
+// Floors under exit (6)'s shares of busy-node evaluations in
+// TestServeScanFastPathsMatchReference, measured at 7.2 % and 25.6 % and
+// set below them, so that dropping either half of the exit fails the test.
+const (
+	entryFloorPct    = 5.0
+	crossingFloorPct = 20.0
+)
+
+// stopKind attributes a bounded prediction's stop.
+type stopKind int
+
+const (
+	notStoppedEarly      stopKind = iota // completed, or stopped by the retirement rule, exit (4)
+	stopAtEntry                          // exit (6) before the first fluid step
+	stopAtCrossing                       // exit (6) mid-run, before any item retired late
+	stopAtLateRetirement                 // exit (6) mid-run, after an item retired late
+	stopKinds
+)
+
+// earliestFinishStop runs node's bounded prediction for cand and
+// attributes its stop. A stop is exit (6)'s when it came with fewer
+// verdicts than the retirement rule alone needs. Mid-run, before any item
+// has retired late, the large value that decided is an earliest-finish
+// floor: one folded at a deadline crossing, or an entry floor met by an
+// on-time retirement. On this stream the second kind is negligible:
+// without the crossing fold the class is empty.
+func earliestFinishStop(now float64, node *cluster.PSNode, cand *cluster.Candidate, limit float64) stopKind {
+	partial, ok := node.PredictDelaysWithin(now, cand, limit)
+	if ok {
+		return notStoppedEarly
+	}
+	got, steps, kind := len(partial), node.PredictSteps(), stopAtCrossing
+	for _, pd := range partial {
+		if pd.Finish > now && pd.Delay > 0 {
+			kind = stopAtLateRetirement
+		}
+	}
+	switch {
+	case got >= retirementStopped(now, node.PredictDelaysScratch(now, cand), limit):
+		return notStoppedEarly
+	case steps == 0:
+		return stopAtEntry
+	}
+	return kind
+}
+
+// retirementStopped is the number of verdicts PredictDelaysWithin's
+// retirement rule alone, exit (4), would have produced before stopping on
+// full's values: it folds them in retirement (Finish) order, a whole
+// retirement instant at a time, and stops once hi − lo clears the spread.
+// It returns len(full) when the rule never stops.
+func retirementStopped(now float64, full []cluster.PredictedDelay, limit float64) int {
+	byFinish := append([]cluster.PredictedDelay(nil), full...)
+	sort.SliceStable(byFinish, func(i, j int) bool { return byFinish[i].Finish < byFinish[j].Finish })
+	spread := 2 * limit * math.Sqrt(2*float64(len(full)))
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, pd := range byFinish {
+		if math.IsInf(pd.Finish, 1) {
+			break
+		}
+		v := cluster.DeadlineDelay(pd.Delay, pd.AbsDeadline-now)
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		if i+1 < len(byFinish) && byFinish[i+1].Finish == pd.Finish {
+			continue
+		}
+		if hi-lo > spread+1e-12*hi {
+			return i + 1
+		}
+	}
+	return len(full)
 }
