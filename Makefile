@@ -167,6 +167,8 @@ serve-smoke:
 		|| { echo "serve-smoke: metrics scrape missing the 1000-request count"; exit 1; }; \
 	grep -q '^serve_admission_latency_seconds_count ' $$tmp/metrics.prom \
 		|| { echo "serve-smoke: metrics scrape missing the latency histogram"; exit 1; }; \
+	grep -q '^serve_shed_level 0$$' $$tmp/metrics.prom \
+		|| { echo "serve-smoke: shed ladder not at level 0 after the flood"; exit 1; }; \
 	kill -TERM $$pid; \
 	code=0; wait $$pid || code=$$?; \
 	[ $$code -eq 0 ] || { echo "serve-smoke: drained daemon exit code $$code, want 0"; cat $$tmp/daemon1.out; exit 1; }; \

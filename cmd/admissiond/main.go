@@ -65,6 +65,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A drain context that has already expired lets Drain return before
+	// the queue is decided and the checkpoint written.
+	if *drainTimeout <= 0 {
+		return fmt.Errorf("admissiond: bad -drain-timeout %v, want > 0", *drainTimeout)
+	}
 
 	cfg := serve.Config{
 		Policy:          *policy,

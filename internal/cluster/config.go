@@ -34,11 +34,6 @@ type Config struct {
 	// guaranteed share — the strict reading of eq. (1) — and idles
 	// otherwise; the ablation bench compares the two.
 	WorkConserving bool
-	// NaivePredictor switches PredictDelays to the allocate-per-call
-	// reference implementation instead of the scratch-buffer fast path.
-	// The two are value- and order-identical; the differential tests run
-	// full simulations under both to prove it.
-	NaivePredictor bool
 }
 
 // DefaultConfig returns the conventions used throughout the experiments.

@@ -8,8 +8,7 @@ import (
 )
 
 // FuzzPredictWithinMatchesNaive pins the bounded fast predictor to the
-// naive reference (Config.NaivePredictor) on fuzzed nodes (see
-// fuzzNodes) with a fuzzed candidate and limit. When PredictDelaysWithin
+// naive reference (predictDelaysNaive) on fuzzed nodes (see fuzzNode) with a fuzzed candidate and limit. When PredictDelaysWithin
 // completes its verdicts must equal the naive ones exactly; it may stop
 // early only when the naive σ of the eq. (4) values exceeds limit, and
 // the verdicts it did produce must still be the naive ones.
@@ -21,15 +20,15 @@ func FuzzPredictWithinMatchesNaive(f *testing.F) {
 	f.Add([]byte{200, 255, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(60), uint16(1000), uint16(0), uint16(0), false, uint8(0))
 	f.Add([]byte{10, 64, 16, 0, 10, 64, 16, 0, 10, 64, 16, 0}, uint8(0), uint8(0), uint16(5), uint16(0), uint16(40), uint16(0), false, uint8(0))
 	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork, candSlack uint16, strict bool, origin uint8) {
-		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
+		n, now := fuzzNode(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
 		var cand *Candidate
 		if candWork > 0 {
 			cand = &Candidate{JobID: 1000, RefWork: float64(candWork % 2000), AbsDeadline: now + float64(candSlack%3000)}
 		}
 		limit := float64(limitMilli) / 1000
 
-		want := naive.PredictDelays(now, cand)
-		got, ok := fast.PredictDelaysWithin(now, cand, limit)
+		want := n.predictDelaysNaive(now, cand)
+		got, ok := n.PredictDelaysWithin(now, cand, limit)
 		if ok && len(got) != len(want) {
 			t.Fatalf("%d verdicts, naive has %d", len(got), len(want))
 		}
@@ -55,7 +54,7 @@ func FuzzPredictWithinMatchesNaive(f *testing.F) {
 }
 
 // FuzzProvablyRisky holds exit (5) to the naive reference: on a fuzzed
-// node (the fuzzNodes builder) with a fuzzed candidate, whose deadline may
+// node (the fuzzNode builder) with a fuzzed candidate, whose deadline may
 // already have passed, and a fuzzed limit, whenever ProvablyRisky says
 // risky the naive predictor's σ of the eq. (4) values must exceed limit.
 func FuzzProvablyRisky(f *testing.F) {
@@ -65,14 +64,14 @@ func FuzzProvablyRisky(f *testing.F) {
 	f.Add([]byte{10, 4, 16, 0, 10, 64, 16, 0, 10, 4, 16, 0}, uint8(0), uint8(0), uint16(300), uint16(0), uint16(40), int16(0), true, uint8(0))
 	f.Add([]byte{30, 2, 0, 0}, uint8(0), uint8(0), uint16(400), uint16(500), uint16(3), int16(-2000), false, uint8(0))
 	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork uint16, candOffset int16, strict bool, origin uint8) {
-		fast, naive, now := fuzzNodes(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
+		n, now := fuzzNode(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
 		cand := &Candidate{JobID: 1000, RefWork: float64(candWork) / 4, AbsDeadline: now + float64(candOffset)/8}
 		limit := float64(limitMilli) / 1000
-		if !fast.ProvablyRisky(now, cand, limit) {
+		if !n.ProvablyRisky(now, cand, limit) {
 			return
 		}
 		var w sim.Welford
-		for _, pd := range naive.PredictDelays(now, cand) {
+		for _, pd := range n.predictDelaysNaive(now, cand) {
 			w.Add(DeadlineDelay(pd.Delay, pd.AbsDeadline-now))
 		}
 		if sigma := w.StdDevPop(); !(sigma > limit) {
@@ -87,46 +86,36 @@ func FuzzProvablyRisky(f *testing.F) {
 // absolute guards alone would fail.
 var fuzzOrigins = [...]float64{0, 1 << 20, 1 << 30, 1.7e9}
 
-// fuzzNodes builds one node twice, once on the fast predictor and once on
-// the naive one, from fuzzed bytes: each 4-byte group of jobs is one
-// slice — runtime, estimate (under-estimates overrun), relative deadline,
-// and the gap before it arrives — run on a node with a fuzzed speed,
-// MaxWeight cap and share convention, from the fuzzed time origin until
-// elapsed seconds after the last arrival, which is the instant it returns.
-func fuzzNodes(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed uint16, strict bool, origin uint8) (fast, naive *PSNode, now float64) {
+// fuzzNode builds one node from fuzzed bytes: each 4-byte group of jobs
+// is one slice — runtime, estimate (under-estimates overrun), relative
+// deadline, and the gap before it arrives — run on a node with a fuzzed
+// speed, MaxWeight cap and share convention, from the fuzzed time origin
+// until elapsed seconds after the last arrival, which is the instant it
+// returns.
+func fuzzNode(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed uint16, strict bool, origin uint8) (n *PSNode, now float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.WorkConserving = !strict
 	if maxWeightPct > 0 {
 		cfg.MaxWeight = float64(maxWeightPct%100+1) / 100
 	}
-	naiveCfg := cfg
-	naiveCfg.NaivePredictor = true
-	fc, err := NewTimeShared(1, 168, cfg)
+	c, err := NewTimeShared(1, 168, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := NewTimeShared(1, 168, naiveCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ef, en := sim.NewEngine(), sim.NewEngine()
-	ef.MaxEvents, en.MaxEvents = 1_000_000, 1_000_000
+	e := sim.NewEngine()
+	e.MaxEvents = 1_000_000
 	runTo := func(at float64) {
-		for _, e := range []*sim.Engine{ef, en} {
-			e.SetHorizon(at)
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
-			e.AdvanceTo(at)
+		e.SetHorizon(at)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
 		}
+		e.AdvanceTo(at)
 	}
 	now = fuzzOrigins[int(origin)%len(fuzzOrigins)]
 	runTo(now)
 	if speedPct > 0 {
-		speed := float64(speedPct) / 100
-		fc.SetNodeSpeed(ef, 0, speed)
-		nc.SetNodeSpeed(en, 0, speed)
+		c.SetNodeSpeed(e, 0, float64(speedPct)/100)
 	}
 	if len(jobs) > 48 {
 		jobs = jobs[:48] // 12 slices: past that the predictor's per-node cost is all the fuzzer would measure
@@ -141,14 +130,11 @@ func fuzzNodes(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed 
 			ID: i/4 + 1, Submit: now, Runtime: runtime, TraceEstimate: estimate,
 			NumProc: 1, Deadline: runtime * float64(16+int(b[2])) / 32,
 		}
-		if _, err := fc.Submit(ef, j, estimate, []int{0}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Submit(en, j, estimate, []int{0}); err != nil {
+		if _, err := c.Submit(e, j, estimate, []int{0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	now += float64(elapsed % 2000)
 	runTo(now)
-	return fc.Node(0), nc.Node(0), now
+	return c.Node(0), now
 }

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Candidate describes a prospective slice for admission analysis: the work
 // it would bring to the node (in reference seconds; converted per node) and
@@ -31,13 +28,13 @@ type fluidItem struct {
 	absDeadline float64
 }
 
-// PredictDelays runs a deterministic fluid simulation of the node forward
-// in time using the *believed* remaining work of every active slice, plus
-// an optional candidate, and reports each slice's predicted completion and
-// delay, in ascending JobID order. It mirrors the execution engine's
-// weight conventions (including the overrun floor and deadline-crossing
-// cap) and re-derives weights at every predicted completion, exactly as
-// the live node does.
+// PredictDelaysScratch runs a deterministic fluid simulation of the node
+// forward in time using the *believed* remaining work of every active
+// slice, plus an optional candidate, and reports each slice's predicted
+// completion and delay, in ascending JobID order. It mirrors the execution
+// engine's weight conventions (including the overrun floor and
+// deadline-crossing cap) and re-derives weights at every predicted
+// completion, exactly as the live node does.
 //
 // This is the information LibraRisk's admission control (Algorithm 1,
 // lines 2-5) needs: the delay every job on node j would incur if the new
@@ -45,20 +42,10 @@ type fluidItem struct {
 // exhausted is predicted to finish "now"; if its deadline has passed its
 // delay is already positive — the signal Libra's share test cannot see.
 //
-// The returned slice is freshly allocated and safe to retain; hot paths
-// use PredictDelaysScratch instead.
-func (n *PSNode) PredictDelays(now float64, cand *Candidate) []PredictedDelay {
-	if n.cfg.NaivePredictor {
-		return n.predictDelaysNaive(now, cand)
-	}
-	return append([]PredictedDelay{}, n.PredictDelaysScratch(now, cand)...)
-}
-
-// PredictDelaysScratch is PredictDelays on the node's reusable scratch
-// buffers: it performs no allocation in steady state. The returned slice
-// is owned by the node and valid only until the next PredictDelaysScratch
-// call on it; callers that need to retain predictions must copy them.
-// Values and order are identical to PredictDelays.
+// It runs on the node's reusable scratch buffers and performs no
+// allocation in steady state. The returned slice is owned by the node and
+// valid only until the next prediction call on it; callers that need to
+// retain predictions must copy them.
 func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedDelay {
 	out, _ := n.PredictDelaysWithin(now, cand, math.Inf(1))
 	return out
@@ -105,9 +92,6 @@ func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedD
 // Under strict shares the node may idle, so only that floor applies; lo
 // then comes from verdicts alone.
 func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64) (out []PredictedDelay, ok bool) {
-	if n.cfg.NaivePredictor {
-		return n.predictDelaysNaive(now, cand), true
-	}
 	want := len(n.slices) + 1
 	if cap(n.predItems) < want {
 		n.predItems = make([]fluidItem, 0, want)
@@ -264,9 +248,8 @@ func (n *PSNode) earliestValue(now, t float64, it fluidItem) float64 {
 }
 
 // PredictSteps reports how many fluid steps the node's last
-// PredictDelaysWithin (or PredictDelaysScratch) call on the fast predictor
-// took before it completed or stopped: 0 means it decided at now, before
-// the first step.
+// PredictDelaysWithin (or PredictDelaysScratch) call took before it
+// completed or stopped: 0 means it decided at now, before the first step.
 func (n *PSNode) PredictSteps() int { return n.predSteps }
 
 // insertVerdict places pd into out keeping it sorted by JobID, shifting
@@ -281,91 +264,6 @@ func insertVerdict(out []PredictedDelay, pd PredictedDelay) []PredictedDelay {
 		i--
 	}
 	out[i] = pd
-	return out
-}
-
-// predictDelaysNaive is the reference implementation: fresh slices per
-// call and a final sort, kept verbatim for the differential and
-// equivalence tests that prove the scratch fast path produces identical
-// output. Enabled via Config.NaivePredictor.
-func (n *PSNode) predictDelaysNaive(now float64, cand *Candidate) []PredictedDelay {
-	items := make([]fluidItem, 0, len(n.slices)+1)
-	for _, sl := range n.slices {
-		items = append(items, fluidItem{
-			jobID:       sl.job.Job.ID,
-			believed:    math.Max(0, n.projectedBelieved(sl, now)),
-			absDeadline: sl.job.Job.AbsDeadline(),
-		})
-	}
-	if cand != nil {
-		items = append(items, fluidItem{
-			jobID:       cand.JobID,
-			believed:    math.Max(0, n.WorkToNodeSeconds(cand.RefWork)),
-			absDeadline: cand.AbsDeadline,
-		})
-	}
-	out := make([]PredictedDelay, 0, len(items))
-	weights := make([]float64, len(items))
-	t := now
-	for len(items) > 0 {
-		// Retire items the allocator believes are already done.
-		kept := items[:0]
-		for _, it := range items {
-			if it.believed <= epsWork {
-				out = append(out, verdict(it, t))
-			} else {
-				kept = append(kept, it)
-			}
-		}
-		items = kept
-		if len(items) == 0 {
-			break
-		}
-		// Derive rates with the live engine's conventions.
-		var total float64
-		weights = weights[:len(items)]
-		for i, it := range items {
-			w := n.weightAt(it.believed, it.absDeadline-t)
-			weights[i] = w
-			total += w
-		}
-		// Find the earliest completion at these rates.
-		minDT := math.Inf(1)
-		for i, it := range items {
-			rate := fluidRate(weights[i], total, n.speed, n.cfg)
-			if rate <= 0 {
-				continue
-			}
-			if dt := it.believed / rate; dt < minDT {
-				minDT = dt
-			}
-		}
-		if math.IsInf(minDT, 1) {
-			for _, it := range items {
-				out = append(out, PredictedDelay{
-					JobID: it.jobID, AbsDeadline: it.absDeadline,
-					Finish: math.Inf(1), Delay: math.Inf(1),
-				})
-			}
-			break
-		}
-		// Also stop at the earliest weight-regime change (deadline
-		// crossing) so the mirrored conventions stay exact.
-		for _, it := range items {
-			if rd := it.absDeadline - t; rd > epsTime && rd < minDT {
-				minDT = rd
-			}
-		}
-		if minDT < epsTime {
-			minDT = epsTime
-		}
-		t += minDT
-		for i := range items {
-			rate := fluidRate(weights[i], total, n.speed, n.cfg)
-			items[i].believed -= rate * minDT
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
 }
 

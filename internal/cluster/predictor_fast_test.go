@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"clustersched/internal/sim"
+	"clustersched/internal/workload"
 )
 
 // loadScenario places a set of slices on node 0 of a fresh single-node
@@ -105,40 +108,120 @@ func TestPredictScratchMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			// The allocating public API must agree too, and honour the
-			// NaivePredictor toggle.
-			if got := n.PredictDelays(sc.now, sc.cand); len(got) != len(want) {
-				t.Fatalf("PredictDelays len = %d, want %d", len(got), len(want))
+		})
+	}
+}
+
+// TestPredictorMatchesNaiveOnPaperStream holds the predictor to its naive
+// reference on the paper's workload: 3000 jobs on 128 nodes with exact
+// (0 %) and trace (100 %) estimates, each job placed by Algorithm 1's
+// σ = 0 rule with FirstFit selection, computed from the reference
+// verdicts. At every arrival, on every busy node, PredictDelaysScratch
+// must equal the reference bit for bit. PredictDelaysWithin and
+// ProvablyRisky at the σ = 0 limit may stop early or prove the node risky
+// only where the reference σ exceeds that limit; otherwise
+// PredictDelaysWithin must equal the reference too.
+func TestPredictorMatchesNaiveOnPaperStream(t *testing.T) {
+	gen, err := workload.Generate(workload.DefaultGeneratorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := workload.AssignDeadlines(gen, workload.DefaultDeadlineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// σ = 0 with LibraRisk's tolerance for float dust.
+	const limit = 1e-9
+	for _, pct := range []float64{0, 100} {
+		t.Run(fmt.Sprintf("inaccuracy=%g", pct), func(t *testing.T) {
+			t.Parallel()
+			c, err := NewTimeShared(workload.SDSCSP2Nodes, workload.SDSCSP2Rating, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.OnJobDone = func(*sim.Engine, *RunningJob) {}
+			e := sim.NewEngine()
+			var accepted, busy, stopped int
+			var picked []int
+			for _, j := range jobs {
+				e.SetHorizon(j.Submit)
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				e.AdvanceTo(j.Submit)
+				now, est := e.Now(), j.EstimateAt(pct)
+				cand := &Candidate{JobID: j.ID, RefWork: est, AbsDeadline: j.AbsDeadline()}
+				picked = picked[:0]
+				for i := 0; i < c.Len(); i++ {
+					n := c.Node(i)
+					sigma := 0.0
+					if n.NumSlices() > 0 {
+						busy++
+						want := n.predictDelaysNaive(now, cand)
+						var w sim.Welford
+						for _, pd := range want {
+							w.Add(DeadlineDelay(pd.Delay, pd.AbsDeadline-now))
+						}
+						sigma = w.StdDevPop()
+						where := fmt.Sprintf("job %d node %d at t=%v (σ %g)", j.ID, i, now, sigma)
+						if got := n.PredictDelaysScratch(now, cand); !sameVerdicts(got, want, true) {
+							t.Fatalf("%s: scratch verdicts %+v, reference %+v", where, got, want)
+						}
+						got, ok := n.PredictDelaysWithin(now, cand, limit)
+						if !sameVerdicts(got, want, ok) {
+							t.Fatalf("%s: bounded verdicts %+v (ok=%v), reference %+v", where, got, ok, want)
+						}
+						if !ok {
+							stopped++
+						}
+						if (!ok || n.ProvablyRisky(now, cand, limit)) && !(sigma > limit) {
+							t.Fatalf("%s: proved risky (ok=%v) at limit %g", where, ok, limit)
+						}
+					}
+					if sigma <= limit && len(picked) < j.NumProc {
+						picked = append(picked, i)
+					}
+				}
+				if len(picked) == j.NumProc {
+					if _, err := c.Submit(e, j, est, picked); err != nil {
+						t.Fatal(err)
+					}
+					accepted++
+				}
+			}
+			if accepted == 0 || accepted == len(jobs) || stopped == 0 {
+				t.Fatalf("degenerate stream: %d of %d accepted, %d of %d busy-node predictions stopped early",
+					accepted, len(jobs), stopped, busy)
 			}
 		})
 	}
 }
 
-// TestPredictDelaysNaiveToggle proves Config.NaivePredictor routes both
-// entry points through the reference implementation.
-func TestPredictDelaysNaiveToggle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NaivePredictor = true
-	c, err := NewTimeShared(1, 168, cfg)
-	if err != nil {
-		t.Fatal(err)
+// sameVerdicts reports whether got equals the reference want bit for bit:
+// verdict for verdict when complete, or, for a bounded prediction that
+// stopped early, each verdict it did produce against want's verdict for
+// the same job.
+func sameVerdicts(got, want []PredictedDelay, complete bool) bool {
+	if complete && len(got) != len(want) {
+		return false
 	}
-	e := sim.NewEngine()
-	if _, err := c.Submit(e, job(1, 0, 100, 400, 1), 100, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	n := c.Node(0)
-	cand := &Candidate{JobID: 2, RefWork: 50, AbsDeadline: 300}
-	a := n.PredictDelays(0, cand)
-	b := n.PredictDelaysScratch(0, cand)
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("predictions = %d/%d, want 2/2", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("naive paths disagree: %+v vs %+v", a[i], b[i])
+	for i, g := range got {
+		k := i
+		if !complete {
+			k = sort.Search(len(want), func(k int) bool { return want[k].JobID >= g.JobID })
+			if k == len(want) {
+				return false
+			}
+		}
+		w := want[k]
+		if g.JobID != w.JobID ||
+			math.Float64bits(g.AbsDeadline) != math.Float64bits(w.AbsDeadline) ||
+			math.Float64bits(g.Finish) != math.Float64bits(w.Finish) ||
+			math.Float64bits(g.Delay) != math.Float64bits(w.Delay) {
+			return false
 		}
 	}
+	return true
 }
 
 // TestVersionBumpsOnAllMutationPaths proves the state version counter

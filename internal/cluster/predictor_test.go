@@ -11,7 +11,7 @@ import (
 func TestPredictEmptyNodeWithFeasibleCandidate(t *testing.T) {
 	c := newTS(t, 1)
 	n := c.Node(0)
-	out := n.PredictDelays(0, &Candidate{JobID: 7, RefWork: 100, AbsDeadline: 400})
+	out := n.PredictDelaysScratch(0, &Candidate{JobID: 7, RefWork: 100, AbsDeadline: 400})
 	if len(out) != 1 {
 		t.Fatalf("predictions = %d", len(out))
 	}
@@ -28,7 +28,7 @@ func TestPredictEmptyNodeWithFeasibleCandidate(t *testing.T) {
 func TestPredictEmptyNodeWithInfeasibleCandidate(t *testing.T) {
 	c := newTS(t, 1)
 	n := c.Node(0)
-	out := n.PredictDelays(0, &Candidate{JobID: 7, RefWork: 500, AbsDeadline: 100})
+	out := n.PredictDelaysScratch(0, &Candidate{JobID: 7, RefWork: 500, AbsDeadline: 100})
 	if len(out) != 1 {
 		t.Fatalf("predictions = %d", len(out))
 	}
@@ -46,7 +46,7 @@ func TestPredictOversubscriptionDelaysSomeone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Candidate adds share 0.5: total 1.3 — someone must be late.
-	out := n.PredictDelays(0, &Candidate{JobID: 2, RefWork: 100, AbsDeadline: 200})
+	out := n.PredictDelaysScratch(0, &Candidate{JobID: 2, RefWork: 100, AbsDeadline: 200})
 	var delayed int
 	for _, p := range out {
 		if p.Delay > 0 {
@@ -65,7 +65,7 @@ func TestPredictFeasibleAdditionHasNoDelays(t *testing.T) {
 	if _, err := c.Submit(e, job(1, 0, 100, 400, 1), 100, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	out := n.PredictDelays(0, &Candidate{JobID: 2, RefWork: 100, AbsDeadline: 250})
+	out := n.PredictDelaysScratch(0, &Candidate{JobID: 2, RefWork: 100, AbsDeadline: 250})
 	// Shares: 0.25 + 0.4 = 0.65 ≤ 1: all meet deadlines.
 	for _, p := range out {
 		if p.Delay != 0 {
@@ -88,7 +88,7 @@ func TestPredictSeesOverrunPastDeadlineJob(t *testing.T) {
 		if s := c.Node(0).LibraShare(e.Now()); s != 0 {
 			t.Errorf("LibraShare = %v, want 0", s)
 		}
-		out := c.Node(0).PredictDelays(e.Now(), nil)
+		out := c.Node(0).PredictDelaysScratch(e.Now(), nil)
 		if len(out) != 1 || out[0].Delay <= 0 {
 			t.Errorf("predictor verdict = %+v, want positive delay", out)
 		}
@@ -106,7 +106,7 @@ func TestPredictDoesNotMutateNode(t *testing.T) {
 	}
 	before := n.LibraShare(0)
 	for i := 0; i < 10; i++ {
-		n.PredictDelays(0, &Candidate{JobID: 2, RefWork: 50, AbsDeadline: 100})
+		n.PredictDelaysScratch(0, &Candidate{JobID: 2, RefWork: 50, AbsDeadline: 100})
 	}
 	if after := n.LibraShare(0); after != before {
 		t.Fatalf("share changed %v -> %v after predictions", before, after)
@@ -130,7 +130,7 @@ func TestPredictMatchesExecutionForAccurateJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := map[int]float64{}
-	for _, p := range c.Node(0).PredictDelays(0, nil) {
+	for _, p := range c.Node(0).PredictDelaysScratch(0, nil) {
 		pred[p.JobID] = p.Finish
 	}
 	runAll(t, e)
@@ -158,7 +158,7 @@ func TestPredictDelayNonNegativeProperty(t *testing.T) {
 				return false
 			}
 		}
-		out := c.Node(0).PredictDelays(0, &Candidate{JobID: 99, RefWork: 10 + r.Float64()*300, AbsDeadline: 10 + r.Float64()*500})
+		out := c.Node(0).PredictDelaysScratch(0, &Candidate{JobID: 99, RefWork: 10 + r.Float64()*300, AbsDeadline: 10 + r.Float64()*500})
 		if len(out) != nJobs+1 {
 			return false
 		}
@@ -179,7 +179,7 @@ func TestPredictDelayNonNegativeProperty(t *testing.T) {
 
 func TestPredictTerminatesOnTinyWork(t *testing.T) {
 	c := newTS(t, 1)
-	out := c.Node(0).PredictDelays(0, &Candidate{JobID: 1, RefWork: 1e-12, AbsDeadline: 10})
+	out := c.Node(0).PredictDelaysScratch(0, &Candidate{JobID: 1, RefWork: 1e-12, AbsDeadline: 10})
 	if len(out) != 1 || out[0].Delay != 0 {
 		t.Fatalf("tiny-work prediction = %+v", out)
 	}

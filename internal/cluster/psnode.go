@@ -110,7 +110,7 @@ type PSNode struct {
 	// so the admission hot path runs allocation-free in steady state.
 	predItems []fluidItem
 	predOut   []PredictedDelay
-	// predSteps is the fluid step count of the last fast prediction (see
+	// predSteps is the fluid step count of the last prediction (see
 	// PredictSteps).
 	predSteps int
 
@@ -444,9 +444,9 @@ type riskSummary struct {
 }
 
 // ProvablyRisky reports, without simulating, that the eq. (4) values
-// PredictDelays(now, cand) would yield have a population σ above limit,
-// so the node is unsuitable for cand. It is O(1) while the node's version
-// is unchanged.
+// PredictDelaysScratch(now, cand) would yield have a population σ above
+// limit, so the node is unsuitable for cand. It is O(1) while the node's
+// version is unchanged.
 //
 // The proof: a slice whose believed work is exhausted and whose deadline
 // d has passed is retired by the predictor at now whatever the candidate,
@@ -457,11 +457,11 @@ type riskSummary struct {
 // the candidate's own value at u, and v − u beyond PredictDelaysWithin's
 // stopping spread proves σ > limit the same way the bound does there.
 //
-// False means only "not proven". Strict shares (the node may idle), the
-// naive predictor, a nil candidate and now before the node's last accrual
-// point never prove anything.
+// False means only "not proven". Strict shares (the node may idle), a nil
+// candidate and now before the node's last accrual point never prove
+// anything.
 func (n *PSNode) ProvablyRisky(now float64, cand *Candidate, limit float64) bool {
-	if cand == nil || !n.cfg.WorkConserving || n.cfg.NaivePredictor || now < n.lastT || len(n.slices) == 0 {
+	if cand == nil || !n.cfg.WorkConserving || now < n.lastT || len(n.slices) == 0 {
 		return false
 	}
 	if !n.risk.valid || n.risk.version != n.version {

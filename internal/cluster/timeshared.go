@@ -41,9 +41,6 @@ type TimeShared struct {
 	// survivors re-timed). kj.Job is valid only until the handler returns.
 	OnJobKilled func(e *sim.Engine, kj KilledJob)
 
-	// OnNodeUp, if set, is invoked when a crashed node recovers.
-	OnNodeUp func(e *sim.Engine, id int)
-
 	// Trace and Metrics are the optional observability hooks. Both default
 	// to nil (one pointer comparison per would-be emission, nothing else)
 	// and survive Reset — the experiment layer reattaches them per run.
@@ -167,7 +164,7 @@ func (c *TimeShared) SetNodeSpeed(e *sim.Engine, id int, factor float64) {
 // job's remaining real/believed work is captured in reference seconds, and
 // OnJobKilled fires once per job after all cluster state is consistent —
 // so a handler that resubmits immediately cannot land on the dead node.
-// Recovery brings the node back empty and fires OnNodeUp. Both directions
+// Recovery brings the node back empty. Both directions
 // are idempotent. It returns the number of jobs killed.
 func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) int {
 	node := c.nodes[id]
@@ -181,9 +178,6 @@ func (c *TimeShared) SetNodeDown(e *sim.Engine, id int, down bool) int {
 		}
 		if c.Metrics != nil {
 			c.Metrics.NodeRepairs.Inc()
-		}
-		if c.OnNodeUp != nil {
-			c.OnNodeUp(e, id)
 		}
 		return 0
 	}

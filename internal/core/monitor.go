@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"clustersched/internal/cluster"
 	"clustersched/internal/sim"
@@ -47,9 +46,6 @@ type Monitor struct {
 	// Limit stops sampling after this many samples (a safety valve; 0
 	// means 1e6).
 	Limit int
-	// DisableCache turns off the per-node baseline prediction cache so
-	// tests can compare cached against recomputed sample series.
-	DisableCache bool
 
 	samples []MonitorSample
 
@@ -81,7 +77,7 @@ func (m *Monitor) baseline(i int, node *cluster.PSNode, now float64) []cluster.P
 		m.cache = make([]baselineCache, m.Cluster.Len())
 	}
 	ent := &m.cache[i]
-	if !m.DisableCache && ent.valid && ent.version == node.Version() &&
+	if ent.valid && ent.version == node.Version() &&
 		(ent.stable || ent.time == now) {
 		return ent.preds
 	}
@@ -179,17 +175,3 @@ func (m *Monitor) sample(now float64) MonitorSample {
 
 // Samples returns the collected time series.
 func (m *Monitor) Samples() []MonitorSample { return m.samples }
-
-// WriteCSV emits the time series as CSV.
-func (m *Monitor) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time,utilization,running,busy_nodes,mean_sigma,mean_mu,delayed_jobs,zero_risk_nodes,down_nodes"); err != nil {
-		return err
-	}
-	for _, s := range m.samples {
-		if _, err := fmt.Fprintf(w, "%g,%.4f,%d,%d,%.4f,%.4f,%d,%d,%d\n",
-			s.Time, s.Utilization, s.RunningJobs, s.BusyNodes, s.MeanSigma, s.MeanMu, s.DelayedJobs, s.ZeroRiskNodes, s.DownNodes); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -45,8 +45,17 @@ func TestMonitorCacheMatchesRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.DisableCache = disableCache
 		e := sim.NewEngine()
+		if disableCache {
+			// The checker's hook runs after every event, so each tick
+			// starts from an empty cache and recomputes every node.
+			flush := sim.NewInvariantChecker()
+			flush.Register("clear monitor cache", func() error {
+				m.cache = nil
+				return nil
+			})
+			e.SetInvariantChecker(flush)
+		}
 		m.Start(e)
 		// Trace estimates (100% inaccuracy) so overruns and deadline
 		// misses poison nodes and the risk series is non-trivial.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"clustersched/internal/cluster"
@@ -75,33 +74,6 @@ func TestMonitorTracksLoadAndRisk(t *testing.T) {
 	}
 	if !sawRisk {
 		t.Error("monitor never observed the poisoned node's delay (µ > 1)")
-	}
-}
-
-func TestMonitorCSV(t *testing.T) {
-	c, err := cluster.NewTimeShared(1, 168, cluster.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMonitor(c, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewEngine()
-	m.Start(e)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := m.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "time,utilization,running,busy_nodes,mean_sigma,mean_mu,delayed_jobs,zero_risk_nodes,down_nodes\n") {
-		t.Fatalf("CSV header wrong:\n%s", out)
-	}
-	if strings.Count(out, "\n") != 2 {
-		t.Fatalf("CSV rows = %d, want header + 1 sample", strings.Count(out, "\n")-1)
 	}
 }
 

@@ -18,9 +18,11 @@ import (
 // TestFastPathsMatchReferenceAtPaperScale is the tentpole differential
 // test: full paper-scale simulations (128 nodes, 3000 jobs, trace
 // estimates) with every admission fast path enabled must produce
-// byte-identical summaries to the reference configuration — naive
-// allocate-per-call fluid predictor, no FirstFit early exit, no share
-// early-abort, no σ bound, no baseline caching. metrics.Summary is all
+// byte-identical summaries to the reference configuration — no FirstFit
+// early exit, no share early-abort, no σ bound, no baseline caching. The
+// fluid predictor itself is held to its naive reference on the same
+// paper-scale stream by internal/cluster's
+// TestPredictorMatchesNaiveOnPaperStream. metrics.Summary is all
 // scalar fields, so plain == is an exact comparison of every headline
 // number the paper reports; the per-job decision digest (outcome, nodes,
 // finish time, reason of every job) then shows no two decisions were
@@ -69,7 +71,6 @@ func TestFastPathsMatchReferenceAtPaperScale(t *testing.T) {
 				}
 				ref := base
 				ref.disableFastPaths = true
-				ref.Cluster.NaivePredictor = true
 				fastSum, fastDigest := decisionRun(t, base, jobs, spec, tc.tweak)
 				slowSum, slowDigest := decisionRun(t, ref, jobs, spec, tc.tweak)
 				if fastSum != slowSum {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -52,10 +53,28 @@ type baseKeyView struct {
 	Nodes           int
 	Rating          float64
 	Ratings         []float64
-	Cluster         cluster.Config
-	Generator       workload.GeneratorConfig
+	Cluster         clusterKeyView
+	Generator       json.RawMessage
 	Params          sched.PolicyParams
 	CheckInvariants bool
+}
+
+// clusterKeyView and generatorKey put back, at the zero values every
+// earlier journal holds, the settings deleted since journals were first
+// written: the cluster's NaivePredictor switch and the generator's
+// diurnal cycle. Those journals' keys still match.
+type clusterKeyView struct {
+	cluster.Config
+	NaivePredictor bool
+}
+
+func generatorKey(g workload.GeneratorConfig) (json.RawMessage, error) {
+	b, err := json.Marshal(g)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Replace(b, []byte(`,"MeanRuntime":`),
+		[]byte(`,"Diurnal":{"Amplitude":0,"PeriodHours":0,"PeakHour":0},"MeanRuntime":`), 1), nil
 }
 
 // CellKey is the content hash identifying one sweep cell for the
@@ -65,6 +84,10 @@ type baseKeyView struct {
 // of these yields a different key, so resuming against a stale journal
 // re-runs rather than reuses.
 func CellKey(base BaseConfig, spec RunSpec, workloadDigest string) (string, error) {
+	gen, err := generatorKey(base.Generator)
+	if err != nil {
+		return "", err
+	}
 	view := struct {
 		Base   baseKeyView
 		Spec   RunSpec
@@ -74,8 +97,8 @@ func CellKey(base BaseConfig, spec RunSpec, workloadDigest string) (string, erro
 			Nodes:           base.Nodes,
 			Rating:          base.Rating,
 			Ratings:         base.Ratings,
-			Cluster:         base.Cluster,
-			Generator:       base.Generator,
+			Cluster:         clusterKeyView{Config: base.Cluster},
+			Generator:       gen,
 			Params:          base.Params,
 			CheckInvariants: base.CheckInvariants,
 		},

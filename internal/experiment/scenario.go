@@ -78,10 +78,9 @@ type BaseConfig struct {
 	// threshold, QoPS slack); see sched.NewPolicy.
 	Params sched.PolicyParams
 	// disableFastPaths turns off the admission fast paths in the Libra and
-	// LibraRisk policies (combine with Cluster.NaivePredictor to also use
-	// the reference fluid predictor). The differential tests run both
-	// configurations at paper scale and assert identical summaries; it
-	// cannot affect results and is excluded from checkpoint cell keys.
+	// LibraRisk policies. The differential tests run both configurations
+	// at paper scale and assert identical summaries; it cannot affect
+	// results and is excluded from checkpoint cell keys.
 	disableFastPaths bool
 	// CheckInvariants installs a sim.InvariantChecker on every run: clock
 	// monotonicity, job conservation, and cluster structural invariants

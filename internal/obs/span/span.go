@@ -86,17 +86,6 @@ func Names() []string {
 	return out
 }
 
-// ParseStage maps a stage name back to its Stage, reporting false for
-// unknown names.
-func ParseStage(s string) (Stage, bool) {
-	for i, n := range stageNames {
-		if n == s {
-			return Stage(i), true
-		}
-	}
-	return 0, false
-}
-
 // Span is one request's trace through the serving pipeline. All fields
 // are written before the span is handed to Recorder.Record and never
 // mutated afterwards.

@@ -510,7 +510,6 @@ func (s *Server) syncRegistryLocked(draining bool) {
 	if s.spans != nil {
 		r.Gauge("serve_span_ring_spans", "Spans currently held in the /debug/spans ring.").Set(float64(s.spans.Len()))
 	}
-	r.Gauge("serve_latency_p99_seconds", "Windowed p99 admission latency.").Set(s.shed.latencyP99())
 	r.Gauge("serve_virtual_time_seconds", "Cluster virtual clock.").Set(s.eng.Now())
 	b := 0.0
 	if draining {

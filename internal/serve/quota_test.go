@@ -81,9 +81,9 @@ func TestQuotaExactUnderConcurrency(t *testing.T) {
 	cfg := testConfig()
 	cfg.QuotaRate = 0
 	cfg.QuotaBurst = 10
+	// Only the 10 requests the quota lets through can queue, so the fill
+	// stays at or below 10/128, under the shed ladder's first level.
 	cfg.QueueDepth = 128
-	// Disable the shed ladder: fill can never reach 2.0.
-	cfg.Shed = ShedConfig{Level1Fill: 2, Level2Fill: 2, Level3Fill: 2}
 	_, hts := newTestServer(t, cfg)
 
 	const n = 100

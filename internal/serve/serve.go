@@ -31,9 +31,9 @@
 // bounded queue and per-request deadlines answer 503, and both carry a
 // Retry-After derived from the cluster's own signal: the virtual time of
 // the next believed completion, i.e. when LibraRisk's view of the world
-// next changes. A load-shedding ladder driven by queue depth and p99
-// admission latency sheds in order: the audit slow path first, then
-// sheddable-class requests, then everything but health checks.
+// next changes. A load-shedding ladder driven by the admission queue's
+// fill sheds in order: the audit slow path first, then sheddable-class
+// requests, then everything but health checks.
 //
 // # Drain
 //
@@ -123,8 +123,6 @@ type Config struct {
 	// WALFS overrides the filesystem the log, or the checkpoint and its
 	// spool, are written through, in tests (fault injection).
 	WALFS wal.FS
-	// Shed tunes the load-shedding ladder.
-	Shed ShedConfig
 	// ShedLog, when non-nil, receives one timestamped line per
 	// shed-ladder level transition (up and down), so escalations are
 	// visible in the daemon's log and not just as a gauge sample.
@@ -170,7 +168,6 @@ func (c Config) withDefaults() Config {
 	if c.TenantLabels == 0 {
 		c.TenantLabels = 32
 	}
-	c.Shed = c.Shed.withDefaults()
 	if c.now == nil {
 		c.now = time.Now
 	}
@@ -198,6 +195,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: invalid SpanBuffer %d, want >= 0", c.SpanBuffer)
 	case c.TenantLabels < 0:
 		return fmt.Errorf("serve: invalid TenantLabels %d, want >= 0", c.TenantLabels)
+	case c.WALSegmentBytes < 0:
+		return fmt.Errorf("serve: invalid WALSegmentBytes %d, want >= 0", c.WALSegmentBytes)
 	case c.WALDir != "" && c.CheckpointPath != "":
 		return errors.New("serve: WALDir and CheckpointPath are mutually exclusive: the write-ahead log subsumes the drain checkpoint")
 	}
@@ -397,7 +396,7 @@ func New(cfg Config) (*Server, error) {
 		rec:     metrics.NewStreamingRecorder(),
 		reg:     obs.NewRegistry(),
 		queue:   make(chan *pending, cfg.QueueDepth),
-		shed:    newShedder(cfg.Shed, cfg.ShedLog, cfg.now),
+		shed:    newShedder(cfg.ShedLog, cfg.now),
 		tenants: newTenantStats(cfg.TenantLabels),
 	}
 	if cfg.Spans {
@@ -687,7 +686,7 @@ func (s *Server) decideBatch(batch []*pending, answers []answer) (cb commitBatch
 }
 
 // ack is the one way an applied request is answered: write the batch's
-// parked audit, observe latency and shed, and answer its clients. The
+// parked audit, observe latency, and answer its clients. The
 // committer calls it after the fsync covering the batch; without a log
 // the worker calls it inline.
 func (s *Server) ack(cb commitBatch) {
@@ -709,7 +708,6 @@ func (s *Server) ack(cb commitBatch) {
 			// vouches for).
 			a.p.sp.Dur[span.StageCommit] = end.Sub(a.decided)
 		}
-		s.shed.observe(lat)
 		a.p.resp <- applied{op: a.p.op, out: a.out, finished: end}
 	}
 }

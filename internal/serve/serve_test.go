@@ -304,6 +304,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }},
 		{"SpanBuffer", func(c *Config) { c.SpanBuffer = -1 }},
 		{"TenantLabels", func(c *Config) { c.TenantLabels = -1 }},
+		{"WALSegmentBytes", func(c *Config) { c.WALSegmentBytes = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()

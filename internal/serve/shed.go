@@ -23,62 +23,27 @@ const (
 	shedAll
 )
 
-// ShedConfig tunes the load-shedding ladder.
-type ShedConfig struct {
-	// Level1Fill/Level2Fill/Level3Fill are admission-queue fill fractions
-	// (0..1] at which the ladder escalates to shedAudit, shedClass and
-	// shedAll. Defaults 0.5, 0.75, 0.95.
-	Level1Fill float64
-	Level2Fill float64
-	Level3Fill float64
-	// P99Latency, when positive, escalates on observed admission latency
-	// as well: p99 ≥ P99Latency forces at least shedAudit, ≥ 2× forces at
-	// least shedClass. Zero disables the latency trigger.
-	P99Latency time.Duration
-	// Window is how many recent latencies the p99 is computed over
-	// (default 256).
-	Window int
-}
+// Queue-fill fractions at which the ladder escalates to shedAudit,
+// shedClass and shedAll.
+const (
+	level1Fill = 0.5
+	level2Fill = 0.75
+	level3Fill = 0.95
+)
 
-func (c ShedConfig) withDefaults() ShedConfig {
-	if c.Level1Fill == 0 {
-		c.Level1Fill = 0.5
-	}
-	if c.Level2Fill == 0 {
-		c.Level2Fill = 0.75
-	}
-	if c.Level3Fill == 0 {
-		c.Level3Fill = 0.95
-	}
-	if c.Window == 0 {
-		c.Window = 256
-	}
-	return c
-}
-
-// shedder derives the current shed level from queue depth and the p99
-// of a sliding window of admission latencies. The p99 is recomputed
-// every refreshEvery observations rather than per query, keeping the
-// request fast path at two atomic-free loads under a short lock.
+// shedder derives the current shed level from the admission queue's
+// fill and keeps the history of level transitions.
 type shedder struct {
-	cfg ShedConfig
 	// logW, when non-nil, receives one timestamped line per level
 	// transition; now supplies the timestamp (test-overridable).
 	logW io.Writer
 	now  func() time.Time
 
-	mu      sync.Mutex
-	ring    []float64
-	n       int // filled entries, ≤ len(ring)
-	idx     int // next write position
-	sinceP  int // observations since last p99 refresh
-	p99     float64
-	scratch []float64
-
 	// Transition tracking: the level is derived (recomputed at every
 	// query point), so transitions are detected by comparing against
 	// the last level a tracked query saw. trans is a bounded ring of
 	// the most recent transitions, transTotal counts them all.
+	mu         sync.Mutex
 	lastLvl    int
 	trans      []shedTransition
 	transTotal uint64
@@ -90,122 +55,54 @@ type shedTransition struct {
 	At   time.Time `json:"at"`
 	From int       `json:"from"`
 	To   int       `json:"to"`
-	// Fill and P99S are the triggers' values at the transition: queue
-	// fill fraction and windowed p99 admission latency (seconds).
+	// Fill is the queue fill fraction at the transition.
 	Fill float64 `json:"fill"`
-	P99S float64 `json:"p99_s"`
 }
 
 // maxTransitions bounds the transition ring.
 const maxTransitions = 64
 
-const refreshEvery = 32
-
-func newShedder(cfg ShedConfig, logW io.Writer, now func() time.Time) *shedder {
+func newShedder(logW io.Writer, now func() time.Time) *shedder {
 	if now == nil {
 		now = time.Now
 	}
-	return &shedder{
-		cfg:     cfg,
-		logW:    logW,
-		now:     now,
-		ring:    make([]float64, cfg.Window),
-		scratch: make([]float64, 0, cfg.Window),
-	}
+	return &shedder{logW: logW, now: now}
 }
 
-// observe records one admission latency (seconds).
-func (d *shedder) observe(sec float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ring[d.idx] = sec
-	d.idx = (d.idx + 1) % len(d.ring)
-	if d.n < len(d.ring) {
-		d.n++
-	}
-	d.sinceP++
-	if d.sinceP >= refreshEvery || d.n < refreshEvery {
-		d.p99 = d.p99Locked()
-		d.sinceP = 0
-	}
-}
-
-// p99Locked computes the 99th percentile over the window.
-func (d *shedder) p99Locked() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	d.scratch = append(d.scratch[:0], d.ring[:d.n]...)
-	// Small fixed window: insertion sort beats sort.Float64s' overhead
-	// and allocates nothing.
-	for i := 1; i < len(d.scratch); i++ {
-		v := d.scratch[i]
-		j := i - 1
-		for j >= 0 && d.scratch[j] > v {
-			d.scratch[j+1] = d.scratch[j]
-			j--
-		}
-		d.scratch[j+1] = v
-	}
-	k := (99*d.n - 1) / 100
-	if k >= d.n {
-		k = d.n - 1
-	}
-	return d.scratch[k]
-}
-
-// latencyP99 returns the cached windowed p99 in seconds.
-func (d *shedder) latencyP99() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.p99
-}
-
-// level maps current queue fill and latency onto the ladder.
-func (d *shedder) level(qlen, qcap int) int {
-	fill := 0.0
+// queueFill is the admission queue's fill fraction.
+func queueFill(qlen, qcap int) float64 {
 	if qcap > 0 {
-		fill = float64(qlen) / float64(qcap)
+		return float64(qlen) / float64(qcap)
 	}
-	lvl := shedNone
-	switch {
-	case fill >= d.cfg.Level3Fill:
-		lvl = shedAll
-	case fill >= d.cfg.Level2Fill:
-		lvl = shedClass
-	case fill >= d.cfg.Level1Fill:
-		lvl = shedAudit
-	}
-	if d.cfg.P99Latency > 0 {
-		p99 := d.latencyP99()
-		thr := d.cfg.P99Latency.Seconds()
-		switch {
-		case p99 >= 2*thr && lvl < shedClass:
-			lvl = shedClass
-		case p99 >= thr && lvl < shedAudit:
-			lvl = shedAudit
-		}
-	}
-	return lvl
+	return 0
 }
 
-// levelTracked is level plus transition accounting: when the computed
+// fillLevel maps the current queue fill onto the ladder.
+func fillLevel(qlen, qcap int) int {
+	switch fill := queueFill(qlen, qcap); {
+	case fill >= level3Fill:
+		return shedAll
+	case fill >= level2Fill:
+		return shedClass
+	case fill >= level1Fill:
+		return shedAudit
+	}
+	return shedNone
+}
+
+// levelTracked is fillLevel plus transition accounting: when the computed
 // level differs from the last tracked one — up or down — the transition
 // is recorded (bounded ring + total counter) and logged with a
 // timestamp. Every serving call site queries through this, so any
 // escalation or recovery the ladder ever acts on is visible.
 func (d *shedder) levelTracked(qlen, qcap int) int {
-	lvl := d.level(qlen, qcap)
+	lvl := fillLevel(qlen, qcap)
 	d.mu.Lock()
 	if lvl == d.lastLvl {
 		d.mu.Unlock()
 		return lvl
 	}
-	fill := 0.0
-	if qcap > 0 {
-		fill = float64(qlen) / float64(qcap)
-	}
-	tr := shedTransition{At: d.now(), From: d.lastLvl, To: lvl, Fill: fill, P99S: d.p99}
+	tr := shedTransition{At: d.now(), From: d.lastLvl, To: lvl, Fill: queueFill(qlen, qcap)}
 	d.lastLvl = lvl
 	if len(d.trans) >= maxTransitions {
 		copy(d.trans, d.trans[1:])
@@ -216,8 +113,8 @@ func (d *shedder) levelTracked(qlen, qcap int) int {
 	logW := d.logW
 	d.mu.Unlock()
 	if logW != nil {
-		fmt.Fprintf(logW, "shed: %s level %d -> %d (queue %d/%d, p99 %.4fs)\n",
-			tr.At.UTC().Format(time.RFC3339Nano), tr.From, tr.To, qlen, qcap, tr.P99S)
+		fmt.Fprintf(logW, "shed: %s level %d -> %d (queue %d/%d)\n",
+			tr.At.UTC().Format(time.RFC3339Nano), tr.From, tr.To, qlen, qcap)
 	}
 	return lvl
 }

@@ -12,7 +12,6 @@ import (
 )
 
 func TestShedLadderByQueueFill(t *testing.T) {
-	d := newShedder(ShedConfig{}.withDefaults(), nil, nil)
 	cases := []struct {
 		qlen, qcap int
 		want       int
@@ -27,73 +26,20 @@ func TestShedLadderByQueueFill(t *testing.T) {
 		{100, 100, shedAll},
 	}
 	for _, tc := range cases {
-		if got := d.level(tc.qlen, tc.qcap); got != tc.want {
-			t.Errorf("level(%d/%d) = %d, want %d", tc.qlen, tc.qcap, got, tc.want)
+		if got := fillLevel(tc.qlen, tc.qcap); got != tc.want {
+			t.Errorf("fillLevel(%d/%d) = %d, want %d", tc.qlen, tc.qcap, got, tc.want)
 		}
 	}
 }
 
-func TestShedLadderByLatency(t *testing.T) {
-	d := newShedder(ShedConfig{P99Latency: 100 * time.Millisecond}.withDefaults(), nil, nil)
-	// Healthy latencies: empty queue stays at level 0.
-	for i := 0; i < 64; i++ {
-		d.observe(0.001)
-	}
-	if got := d.level(0, 100); got != shedNone {
-		t.Fatalf("healthy p99: level %d, want 0", got)
-	}
-	// Push the window's p99 past the threshold.
-	for i := 0; i < 300; i++ {
-		d.observe(0.15)
-	}
-	if got := d.level(0, 100); got != shedAudit {
-		t.Fatalf("slow p99: level %d, want %d (audit shed)", got, shedAudit)
-	}
-	// Past twice the threshold: sheddable class goes too.
-	for i := 0; i < 300; i++ {
-		d.observe(0.3)
-	}
-	if got := d.level(0, 100); got != shedClass {
-		t.Fatalf("very slow p99: level %d, want %d (class shed)", got, shedClass)
-	}
-	// Queue pressure still dominates when it is worse.
-	if got := d.level(96, 100); got != shedAll {
-		t.Fatalf("full queue with slow p99: level %d, want %d", got, shedAll)
-	}
-	// Recovery: fast latencies wash the window out and the ladder walks
-	// back down.
-	for i := 0; i < 300; i++ {
-		d.observe(0.001)
-	}
-	if got := d.level(0, 100); got != shedNone {
-		t.Fatalf("recovered p99: level %d, want 0", got)
-	}
-}
-
-func TestShedderP99(t *testing.T) {
-	d := newShedder(ShedConfig{Window: 100}.withDefaults(), nil, nil)
-	for i := 1; i <= 100; i++ {
-		d.observe(float64(i))
-	}
-	// The cache refreshes every 32 observations, so the reported value
-	// trails the ideal 99 by at most one refresh window.
-	if got := d.latencyP99(); got < 90 || got > 100 {
-		t.Errorf("p99 of 1..100 = %g, want within [90,100]", got)
-	}
-}
-
-// TestShedClassRefusesSheddableTraffic drives the ladder directly (tiny
+// TestShedClassRefusesSheddableTraffic drives the ladder directly (small
 // queue held at level 2 by a blocked worker) and checks the class
 // split: low-urgency is shed with 503 + Retry-After while high-urgency
 // still queues.
 func TestShedClassRefusesSheddableTraffic(t *testing.T) {
 	cfg := testConfig()
-	cfg.QueueDepth = 100
+	cfg.QueueDepth = 20
 	cfg.RequestTimeout = time.Minute
-	// Any queued backlog at all puts the ladder at level 2, far from
-	// level 3, so the level is independent of exactly when the worker
-	// dequeues.
-	cfg.Shed = ShedConfig{Level1Fill: 0.01, Level2Fill: 0.02, Level3Fill: 0.99}
 	s, hts := newTestServer(t, cfg)
 
 	// Hold the state lock so the worker blocks mid-apply and the queue
@@ -108,11 +54,14 @@ func TestShedClassRefusesSheddableTraffic(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	for i := 0; i < 4; i++ {
+	// 16 requests leave 15 queued behind the blocked worker, or 16 if it
+	// has not dequeued yet: fill 0.75 or 0.8, level 2 either way and
+	// below level 3's 0.95, so no high-urgency request is shed.
+	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go post("high")
 	}
-	waitFor(t, func() bool { return len(s.queue) >= 3 })
+	waitFor(t, func() bool { return len(s.queue) >= 15 })
 
 	b, _ := json.Marshal(AdmitRequest{NumProc: 1, Runtime: 10, Deadline: 100, Class: "sheddable"})
 	resp, err := http.Post(hts.URL+"/admit", "application/json", bytes.NewReader(b))
@@ -198,7 +147,7 @@ func TestShedTransitionTracking(t *testing.T) {
 	now := time.Unix(1000, 0).UTC()
 	clock := func() time.Time { return now }
 	var log bytes.Buffer
-	d := newShedder(ShedConfig{}.withDefaults(), &log, clock)
+	d := newShedder(&log, clock)
 
 	if got := d.levelTracked(0, 100); got != shedNone {
 		t.Fatalf("idle level = %d, want 0", got)

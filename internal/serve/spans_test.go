@@ -241,12 +241,11 @@ func TestDebugSpansUnderConcurrentLoad(t *testing.T) {
 func TestDebugEndpointsAliveAtShedLevelThree(t *testing.T) {
 	cfg := testConfig()
 	cfg.Spans = true
-	cfg.QueueDepth = 100
+	// Three queued requests fill the queue, so the wedge below — one
+	// request in the blocked worker, three more queued — lands the
+	// ladder at the top.
+	cfg.QueueDepth = 3
 	cfg.RequestTimeout = time.Minute
-	// Level 3 needs three queued requests (fill 0.03) so the wedge below
-	// — one request in the blocked worker, three more queued — lands the
-	// ladder exactly at the top.
-	cfg.Shed = ShedConfig{Level1Fill: 0.005, Level2Fill: 0.01, Level3Fill: 0.03}
 	s, hts := newTestServer(t, cfg)
 
 	s.mu.Lock()

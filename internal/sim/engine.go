@@ -23,10 +23,9 @@ import (
 // allocates nothing. This is safe precisely because the engine is
 // single-goroutine — no other goroutine can observe a recycled event.
 type Engine struct {
-	now     float64
-	queue   eventQueue
-	seq     uint64
-	stopped bool
+	now   float64
+	queue eventQueue
+	seq   uint64
 	// horizon, if finite, aborts Run once simulated time would pass it.
 	horizon float64
 	// processed counts handler invocations, useful for tests and as a
@@ -128,9 +127,6 @@ func (e *Engine) After(d float64, p Priority, fn Handler) *Event {
 	return e.At(e.now+d, p, fn)
 }
 
-// Stop makes Run return after the current handler completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Reset returns the engine to its freshly constructed state in place: the
 // event set is emptied (every pending event moves to the freelist), the
 // clock, sequence counter, processed count, horizon, event budget and
@@ -150,7 +146,6 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
-	e.stopped = false
 	e.horizon = math.Inf(1)
 	e.MaxEvents = 0
 	e.checker = nil
@@ -179,11 +174,8 @@ func (e *Engine) cancelEvent(ev *Event) {
 // pointer comparison per event, so production runs pay nothing.
 func (e *Engine) SetInvariantChecker(c *InvariantChecker) { e.checker = c }
 
-// InvariantChecker returns the installed checker, if any.
-func (e *Engine) InvariantChecker() *InvariantChecker { return e.checker }
-
-// Run processes events in order until no event is pending, Stop is
-// called, the horizon is reached, or the event budget is exhausted.
+// Run processes events in order until no event is pending, the horizon
+// is reached, or the event budget is exhausted.
 func (e *Engine) Run() error {
 	return e.RunContext(context.Background())
 }
@@ -195,14 +187,13 @@ func (e *Engine) Run() error {
 // context resumes exactly where this one stopped. A background context
 // costs one nil comparison per event.
 func (e *Engine) RunContext(ctx context.Context) error {
-	e.stopped = false
 	done := ctx.Done()
 	if done != nil {
 		if err := context.Cause(ctx); err != nil {
 			return fmt.Errorf("sim: run canceled before start: %w", err)
 		}
 	}
-	for !e.stopped {
+	for {
 		if done != nil && e.processed&ctxCheckMask == 0 {
 			select {
 			case <-done:
@@ -219,7 +210,6 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			return err
 		}
 	}
-	return nil
 }
 
 // Step processes exactly one event and reports whether one was available.

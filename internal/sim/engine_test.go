@@ -93,26 +93,6 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	var hits int
-	e.At(1, PriorityDefault, func(e *Engine) { hits++; e.Stop() })
-	e.At(2, PriorityDefault, func(*Engine) { hits++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 1 {
-		t.Fatalf("hits = %d, want 1 (Stop should halt the loop)", hits)
-	}
-	// Run can resume afterwards.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 2 {
-		t.Fatalf("hits = %d after resume, want 2", hits)
-	}
-}
-
 func TestEngineHorizon(t *testing.T) {
 	e := NewEngine()
 	var hits int

@@ -29,10 +29,7 @@ type InvariantChecker struct {
 	hasPrev bool
 
 	violations []string
-	// MaxViolations bounds the collected report; further violations are
-	// counted but not recorded. 0 means 16.
-	MaxViolations int
-	dropped       int
+	dropped    int
 	// events counts checker passes, for tests.
 	events uint64
 }
@@ -51,13 +48,13 @@ func (c *InvariantChecker) Register(name string, check func() error) {
 // Events returns how many event-boundary passes the checker has run.
 func (c *InvariantChecker) Events() uint64 { return c.events }
 
-// record appends one violation, respecting MaxViolations.
+// maxViolations bounds the collected report; further violations are
+// counted but not recorded.
+const maxViolations = 16
+
+// record appends one violation, respecting maxViolations.
 func (c *InvariantChecker) record(msg string) {
-	limit := c.MaxViolations
-	if limit <= 0 {
-		limit = 16
-	}
-	if len(c.violations) >= limit {
+	if len(c.violations) >= maxViolations {
 		c.dropped++
 		return
 	}

@@ -157,31 +157,3 @@ func TestSampleQuantileMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	want := []int{3, 1, 1, 0, 3} // -1,0,1.9 | 2 | 5 | | 9.99,10,42
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if got := h.Fraction(0); !almostEq(got, 3.0/8, 1e-12) {
-		t.Fatalf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramInvalidParamsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(1,1,3) did not panic")
-		}
-	}()
-	NewHistogram(1, 1, 3)
-}

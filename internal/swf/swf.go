@@ -278,19 +278,6 @@ func (tr *Trace) LastN(n int) *Trace {
 	return out
 }
 
-// Window returns a copy with only records whose submit time lies in
-// [from, to), rebased to start at 0.
-func (tr *Trace) Window(from, to int64) *Trace {
-	out := &Trace{Header: tr.Header}
-	for _, r := range tr.Records {
-		if r.Submit >= from && r.Submit < to {
-			out.Records = append(out.Records, r)
-		}
-	}
-	out.rebase()
-	return out
-}
-
 // CompletedOnly returns a copy keeping only records that ran to completion
 // with positive runtime and processor count — the usual cleaning step
 // before replaying a trace through a simulator.
@@ -328,7 +315,6 @@ type Stats struct {
 	MaxProcs         int
 	Span             int64 // seconds from first to last submission
 	WithEstimate     int   // records carrying a user estimate
-	MeanEstimateAcc  float64
 	// MeanOverestimate is the mean of estimate/runtime over jobs with both,
 	// the paper's headline observation that estimates are "often over
 	// estimated".

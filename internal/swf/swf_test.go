@@ -229,17 +229,6 @@ func TestLastNDoesNotMutateOriginal(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	tr := parseSample(t)
-	w := tr.Window(10, 30)
-	if len(w.Records) != 2 {
-		t.Fatalf("Window kept %d, want 2", len(w.Records))
-	}
-	if w.Records[0].JobNumber != 2 || w.Records[0].Submit != 0 {
-		t.Fatalf("Window rebase wrong: %+v", w.Records[0])
-	}
-}
-
 func TestCompletedOnly(t *testing.T) {
 	tr := parseSample(t)
 	c := tr.CompletedOnly()

@@ -35,9 +35,8 @@ type FaultFS struct {
 	// remove before it happens.
 	OnRemove func(name string) error
 
-	mu     sync.Mutex
-	syncs  []string
-	writes int
+	mu    sync.Mutex
+	syncs []string
 }
 
 // Syncs returns the paths that were successfully fsynced, in order
@@ -47,13 +46,6 @@ func (f *FaultFS) Syncs() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]string(nil), f.syncs...)
-}
-
-// Writes returns how many write calls reached the FS.
-func (f *FaultFS) Writes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writes
 }
 
 func (f *FaultFS) base() FS {
@@ -107,9 +99,6 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	f.fs.mu.Lock()
-	f.fs.writes++
-	f.fs.mu.Unlock()
 	if f.fs.OnWrite != nil {
 		if n, err, handled := f.fs.OnWrite(f.Name(), p); handled {
 			if n > 0 {

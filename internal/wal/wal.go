@@ -622,20 +622,6 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked()
 }
 
-// Compact seals and folds the active segment even if it is not full,
-// shrinking the directory to the compacted prefix plus an empty tail.
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("wal: compact on closed log")
-	}
-	if l.segRecords == 0 {
-		return nil
-	}
-	return l.rotateLocked()
-}
-
 // Close commits and releases the log. Further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()

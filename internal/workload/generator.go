@@ -22,10 +22,6 @@ type GeneratorConfig struct {
 	// burstier than Poisson, so the default uses a hyperexponential-like
 	// Weibull with CV > 1.
 	InterarrivalCV float64
-	// Diurnal, when Amplitude > 0, modulates arrival intensity with a
-	// daily cycle, as every production trace exhibits. Disabled by
-	// default to keep the paper-calibrated stationary process.
-	Diurnal DiurnalConfig
 
 	MeanRuntime float64
 	RuntimeCV   float64
@@ -92,51 +88,7 @@ func (c GeneratorConfig) Validate() error {
 	if err := c.Users.Validate(); err != nil {
 		return err
 	}
-	if err := c.Diurnal.Validate(); err != nil {
-		return err
-	}
 	return c.Estimates.Validate()
-}
-
-// DiurnalConfig shapes a daily arrival-intensity cycle.
-type DiurnalConfig struct {
-	// Amplitude in [0, 1): intensity swings between (1−A) and (1+A)
-	// around the stationary rate. 0 disables the cycle.
-	Amplitude float64
-	// PeriodHours is the cycle length (24 for a daily rhythm).
-	PeriodHours float64
-	// PeakHour is the hour of maximum intensity within the cycle.
-	PeakHour float64
-}
-
-// DefaultDiurnalConfig returns a realistic day/night swing: 70 % amplitude
-// peaking mid-afternoon.
-func DefaultDiurnalConfig() DiurnalConfig {
-	return DiurnalConfig{Amplitude: 0.7, PeriodHours: 24, PeakHour: 15}
-}
-
-// Validate reports the first configuration error.
-func (c DiurnalConfig) Validate() error {
-	switch {
-	case c.Amplitude < 0 || c.Amplitude >= 1:
-		return fmt.Errorf("workload: diurnal Amplitude = %g, want in [0,1)", c.Amplitude)
-	case c.Amplitude > 0 && c.PeriodHours <= 0:
-		return fmt.Errorf("workload: diurnal PeriodHours = %g, want > 0", c.PeriodHours)
-	case c.PeakHour < 0:
-		return fmt.Errorf("workload: diurnal PeakHour = %g, want >= 0", c.PeakHour)
-	}
-	return nil
-}
-
-// intensity returns the relative arrival intensity at simulated time t
-// (mean 1 over a full cycle).
-func (c DiurnalConfig) intensity(t float64) float64 {
-	if c.Amplitude <= 0 {
-		return 1
-	}
-	period := c.PeriodHours * 3600
-	phase := 2 * math.Pi * (t - c.PeakHour*3600) / period
-	return 1 + c.Amplitude*math.Cos(phase)
 }
 
 // Generate produces the synthetic job stream (without deadlines; apply
@@ -177,11 +129,7 @@ func Generate(cfg GeneratorConfig) ([]Job, error) {
 	t := 0.0
 	for i := range jobs {
 		if i > 0 {
-			gap := interarrival(arrivalRNG, cfg)
-			// Diurnal modulation: stretch gaps when intensity is low,
-			// compress them at the peak.
-			gap /= cfg.Diurnal.intensity(t)
-			t += gap
+			t += interarrival(arrivalRNG, cfg)
 		}
 		procs := sampleProcs(procRNG, weights, cfg)
 		jobs[i] = Job{
