@@ -53,16 +53,25 @@ func FuzzPredictWithinMatchesNaive(f *testing.F) {
 	})
 }
 
-// FuzzProvablyRisky holds exit (5) to the naive reference: on a fuzzed
-// node (the fuzzNode builder) with a fuzzed candidate, whose deadline may
-// already have passed, and a fuzzed limit, whenever ProvablyRisky says
-// risky the naive predictor's σ of the eq. (4) values must exceed limit.
+// FuzzProvablyRisky holds exit (5), every floor of it, to the naive
+// reference: on a fuzzed node (the fuzzNode builder) with a fuzzed
+// candidate, whose deadline may already have passed, and a fuzzed limit,
+// whenever ProvablyRisky says risky the naive predictor's σ of the eq. (4)
+// values must exceed limit.
 func FuzzProvablyRisky(f *testing.F) {
 	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5, 99, 10, 60, 0}, uint8(0), uint8(0), uint16(1200), uint16(0), uint16(400), int16(800), false, uint8(0))
 	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10, 37, 64, 100, 5}, uint8(40), uint8(30), uint16(900), uint16(50), uint16(80), int16(-90), false, uint8(0))
 	f.Add([]byte{200, 8, 0, 0, 20, 8, 255, 63, 120, 30, 16, 2}, uint8(150), uint8(0), uint16(1500), uint16(500), uint16(9000), int16(-4000), false, uint8(0))
 	f.Add([]byte{10, 4, 16, 0, 10, 64, 16, 0, 10, 4, 16, 0}, uint8(0), uint8(0), uint16(300), uint16(0), uint16(40), int16(0), true, uint8(0))
 	f.Add([]byte{30, 2, 0, 0}, uint8(0), uint8(0), uint16(400), uint16(500), uint16(3), int16(-2000), false, uint8(0))
+	// Floors (a), (b) and (c) in turn, first from origins 0, 2^20 and 2^30,
+	// then from 1.7e9 (see ProvenBy).
+	f.Add([]byte{164, 207, 250, 70, 197, 246, 12, 69}, uint8(42), uint8(0), uint16(434), uint16(0), uint16(190), int16(-348), false, uint8(0))
+	f.Add([]byte{104, 182, 38, 131, 43, 5, 113, 151, 253, 225, 149, 27, 198, 95, 95, 174}, uint8(0), uint8(0), uint16(373), uint16(314), uint16(3607), int16(500), false, uint8(1))
+	f.Add([]byte{64, 33, 250, 80, 82, 149, 178, 228, 225, 46, 21, 237}, uint8(0), uint8(78), uint16(74), uint16(33), uint16(3543), int16(5809), false, uint8(2))
+	f.Add([]byte{249, 78, 113, 226, 13, 254, 108, 47, 185, 84, 5, 104, 40, 89, 112, 178}, uint8(166), uint8(0), uint16(80), uint16(0), uint16(3050), int16(4477), false, uint8(3))
+	f.Add([]byte{217, 45, 174, 117, 129, 26, 71, 138}, uint8(0), uint8(0), uint16(493), uint16(0), uint16(487), int16(-97), false, uint8(3))
+	f.Add([]byte{16, 24, 189, 41, 187, 35, 3, 233, 68, 178, 186, 4, 248, 180, 101, 14, 134, 126, 48, 151}, uint8(0), uint8(0), uint16(287), uint16(0), uint16(2759), int16(5979), false, uint8(3))
 	f.Fuzz(func(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed, limitMilli, candWork uint16, candOffset int16, strict bool, origin uint8) {
 		n, now := fuzzNode(t, jobs, speedPct, maxWeightPct, elapsed, strict, origin)
 		cand := &Candidate{JobID: 1000, RefWork: float64(candWork) / 4, AbsDeadline: now + float64(candOffset)/8}

@@ -28,9 +28,6 @@ type RunningJob struct {
 	done            bool
 }
 
-// Done reports whether every slice of the job has completed.
-func (rj *RunningJob) Done() bool { return rj.done }
-
 // Delay returns the paper's eq. (3): the amount by which the job's
 // response time exceeded its deadline, or 0 if the deadline was met. Only
 // meaningful after completion.
@@ -95,8 +92,10 @@ type PSNode struct {
 	version uint64
 
 	// risk is ProvablyRisky's summary of the slices, valid while its
-	// version matches.
-	risk riskSummary
+	// version matches; proof is the floor that decided its last call
+	// (see ProvenBy).
+	risk  riskSummary
+	proof RiskFloor
 
 	// busyIntegral accumulates ∫Σrates dt — the exact node-seconds of
 	// work served, for utilization accounting.
@@ -129,9 +128,6 @@ type PSNode struct {
 
 // ID returns the node's index within its cluster.
 func (n *PSNode) ID() int { return n.id }
-
-// Rating returns the node's SPEC rating.
-func (n *PSNode) Rating() float64 { return n.rating }
 
 // NumSlices returns the number of active slices.
 func (n *PSNode) NumSlices() int { return len(n.slices) }
@@ -424,71 +420,206 @@ func (n *PSNode) PredictionStable() bool {
 }
 
 // riskSummary is what ProvablyRisky reads of a node's slices, derived
-// from accrued state (believedWork, not its projection) at one version:
-// the earliest deadline among slices whose believed work is exhausted
-// (+Inf when none) and the believed backlog Σ max(0, believedWork). Both
-// bound the predictor's view at any now ≥ lastT until the version moves,
-// because between mutations believed work only falls: an exhausted slice
-// stays exhausted and the backlog only shrinks.
+// from accrued state (believedWork and rate, not their projection) at one
+// version. Between mutations no slice arrives or leaves, rates hold and
+// believed work only falls, at most at the node's speed, so each field
+// bounds the predictor's view at any now ≥ lastT until the version moves.
 //
-// PredictDelaysWithin's entry bounds catch what exit (5) proves, but only
-// after an O(slices) pass that projects every slice's believed work. This
-// summary answers the overdue-exhausted case in O(1) while the version
-// holds, and that case decides most of serve_scan's rejecting nodes, so
-// exit (5) stays in front of the simulation.
+// PredictDelaysWithin's entry bounds catch part of what exit (5) proves,
+// but only after an O(slices) pass that projects every slice's believed
+// work. This summary answers in O(1) while the version holds, and it
+// decides about nine in ten of serve_scan's busy nodes, so exit (5) stays
+// in front of the simulation.
 type riskSummary struct {
-	version   uint64
-	valid     bool
-	exhausted float64
-	backlog   float64
+	version uint64
+	valid   bool
+	// exhausted is the earliest deadline among exhausted slices (believed
+	// work ≤ epsWork), +Inf when none; backlog is Σ max(0, believedWork);
+	// last is the latest deadline.
+	exhausted, backlog, last float64
+	// doomed is floor (a): the largest earliest-finish value at lastT
+	// over the working slices (believed work > epsWork), at least 1.
+	doomed float64
+	// Floor (c) reads, over the working slices with r = d − lastT >
+	// epsTime, the share A = Σ min(b/r, MaxWeight) and its drift
+	// B = Σ rate/r; urgent is the earliest working deadline (+Inf when
+	// none) and urgentWork, urgentRate that slice's believed work and
+	// rate; for now − lastT ≤ steady every working slice still holds
+	// believed work above epsWork in the predictor's projection.
+	share, drift                   float64
+	urgent, urgentWork, urgentRate float64
+	steady                         float64
 }
+
+// RiskFloor names the floor under the largest eq. (4) value with which
+// ProvablyRisky proved a node risky.
+type RiskFloor uint8
+
+const (
+	NotProven      RiskFloor = iota // ProvablyRisky returned false
+	FloorOverdue                    // an overdue exhausted slice
+	FloorDoomed                     // (a) a resident that cannot finish by its deadline
+	FloorCandidate                  // (b) the candidate's own earliest finish
+	FloorCrossing                   // (c) the first deadline crossing of an overloaded node
+)
+
+// ProvenBy reports which floor decided the node's last ProvablyRisky
+// call: NotProven when it returned false.
+func (n *PSNode) ProvenBy() RiskFloor { return n.proof }
 
 // ProvablyRisky reports, without simulating, that the eq. (4) values
 // PredictDelaysScratch(now, cand) would yield have a population σ above
 // limit, so the node is unsuitable for cand. It is O(1) while the node's
 // version is unchanged.
 //
-// The proof: a slice whose believed work is exhausted and whose deadline
-// d has passed is retired by the predictor at now whatever the candidate,
-// with value v = DeadlineDelay(now−d, d−now). On a work-conserving node
-// the items share all of the node's speed, so every item, the candidate
-// included, finishes by now + (backlog + candidate work)/speed, plus a
-// margin for float dust and the predictor's epsTime step floor. That caps
-// the candidate's own value at u, and v − u beyond PredictDelaysWithin's
-// stopping spread proves σ > limit the same way the bound does there.
+// It bounds the smallest value from above by lo and the largest from
+// below by hi, and stops as PredictDelaysWithin does, once
+// hi − lo > 2·limit·√(2n) + 1e-12·hi for the n items (the slices and the
+// candidate); see there for why that proves σ > limit. On a
+// work-conserving node the items share all of the node's speed, so every
+// item, the candidate included, finishes by the horizon
+// H = now + (backlog + candidate work)/speed, plus n·epsTime for the
+// predictor's step floor and 1e-9·|H| for rounding. That caps the value
+// of the item with the latest deadline, resident or candidate, at lo.
+// Four floors each give a candidate for hi, tried in this order:
+//
+//   - An overdue exhausted slice. A slice whose believed work is
+//     exhausted and whose deadline d has passed is retired by the
+//     predictor at now whatever the candidate, with value
+//     DeadlineDelay(now−d, d−now); the earliest such d gives the largest.
+//   - (a) A doomed resident. No item is served faster than the node's
+//     speed (see PredictDelaysWithin), so a slice holding believed work b
+//     at lastT cannot retire before f = lastT + (b−epsWork)/speed, less
+//     1e-9·|f|: its projection at now falls by at most speed·(now−lastT),
+//     and from there it needs (b(now)−epsWork)/speed more. Its value is
+//     at least DeadlineDelay(f−d, d−now), which is at least
+//     DeadlineDelay(f−d, d−lastT) because the value rises as the
+//     remaining deadline shrinks; the summary keeps the largest of these,
+//     valid for every now in the version.
+//   - (b) The candidate's own earliest finish, the same floor at now
+//     (earliestValue).
+//   - (c) The first deadline crossing of an overloaded node. Let W be the
+//     predictor's total weight at now over the kept items, those with
+//     believed work above epsWork, and let item j have the earliest
+//     deadline d_j among them, r_j = d_j − now. If W > speed and no kept
+//     item is overdue (r > epsTime for each), every kept weight is
+//     min(b/r, MaxWeight) ≤ b/r, so item i would need
+//     b_i·W/(speed·w_i) ≥ r_i·W/speed > r_i ≥ r_j to finish: the first
+//     step ends at the crossing d_j, with item j holding at least
+//     b_j − speed·min(b_j, MaxWeight·r_j)/W, and from there the earliest
+//     finish floors its value. W needs no item build: over the working
+//     slices, W(now) ≥ A − (now−lastT)·B (see riskSummary), since
+//     b(now)/r(now) ≥ (b − rate·(now−lastT))/r(lastT) and min(·, MaxWeight)
+//     loses no more than its argument. That holds, and the kept set is
+//     the working slices plus a candidate with work, only while no working
+//     slice can have exhausted (now − lastT ≤ steady, a step of
+//     (b − 2·epsWork)(1 − 1e-9)/rate that leaves the projection above
+//     epsWork after rounding) and none is overdue (urgent − now >
+//     epsTime, the predictor's own test). An overdue candidate with work
+//     turns the floor off too. W is lowered by 1e-9 of the terms summed
+//     and j's remaining work by 1e-12·b_j, far above their rounding.
 //
 // False means only "not proven". Strict shares (the node may idle), a nil
 // candidate and now before the node's last accrual point never prove
 // anything.
 func (n *PSNode) ProvablyRisky(now float64, cand *Candidate, limit float64) bool {
+	n.proof = NotProven
 	if cand == nil || !n.cfg.WorkConserving || now < n.lastT || len(n.slices) == 0 {
 		return false
 	}
 	if !n.risk.valid || n.risk.version != n.version {
 		n.summarizeRisk()
 	}
-	d := n.risk.exhausted
-	if !(d < now) {
-		return false
-	}
-	v := DeadlineDelay(now-d, d-now)
+	s := &n.risk
+	c := fluidItem{believed: clampNonNegative(n.WorkToNodeSeconds(cand.RefWork)), absDeadline: cand.AbsDeadline}
 	items := float64(len(n.slices) + 1)
-	finish := now + (n.risk.backlog+clampNonNegative(n.WorkToNodeSeconds(cand.RefWork)))/n.speed
-	finish += 1e-9*math.Abs(finish) + items*epsTime
-	u := DeadlineDelay(finish-cand.AbsDeadline, cand.AbsDeadline-now)
-	return v-u > 2*limit*math.Sqrt(2*items)+1e-12*v
+	last := s.last
+	if c.absDeadline > last {
+		last = c.absDeadline
+	}
+	h := now + (s.backlog+c.believed)/n.speed + items*epsTime
+	h += 1e-9 * math.Abs(h)
+	lo := DeadlineDelay(h-last, last-now)
+	spread := 2 * limit * math.Sqrt(2*items)
+	proves := func(hi float64) bool { return hi-lo > spread+1e-12*hi }
+	switch {
+	case s.exhausted < now && proves(DeadlineDelay(now-s.exhausted, s.exhausted-now)):
+		n.proof = FloorOverdue
+	case proves(s.doomed):
+		n.proof = FloorDoomed
+	case proves(n.earliestValue(now, now, c)):
+		n.proof = FloorCandidate
+	case proves(n.crossingValue(now, c)):
+		n.proof = FloorCrossing
+	}
+	return n.proof != NotProven
+}
+
+// crossingValue is ProvablyRisky's floor (c) for candidate item c: a
+// lower bound on the value of the kept item with the earliest deadline,
+// or 1, which floors every value, when a guard fails.
+func (n *PSNode) crossingValue(now float64, c fluidItem) float64 {
+	s := &n.risk
+	dt := now - n.lastT
+	if !(dt <= s.steady) || s.urgent-now <= epsTime {
+		return 1
+	}
+	// j is the urgent slice as the predictor projects it, or the
+	// candidate if its deadline is earlier.
+	j := fluidItem{believed: clampNonNegative(s.urgentWork - s.urgentRate*dt), absDeadline: s.urgent}
+	w, terms := s.share-dt*s.drift, s.share+dt*s.drift
+	if c.believed > epsWork {
+		if c.absDeadline-now <= epsTime {
+			return 1
+		}
+		cw := n.weightAt(c.believed, c.absDeadline-now)
+		w, terms = w+cw, terms+cw
+		if c.absDeadline < j.absDeadline {
+			j = c
+		}
+	}
+	w -= 1e-9 * terms
+	if !(w > n.speed) || math.IsInf(j.absDeadline, 1) {
+		return 1
+	}
+	b := j.believed
+	j.believed = b - n.speed*math.Min(b, n.cfg.MaxWeight*(j.absDeadline-now))/w - 1e-12*b
+	return n.earliestValue(now, j.absDeadline, j)
 }
 
 // summarizeRisk rebuilds the risk summary at the current version.
 func (n *PSNode) summarizeRisk() {
-	s := riskSummary{version: n.version, valid: true, exhausted: math.Inf(1)}
+	s := riskSummary{
+		version: n.version, valid: true, exhausted: math.Inf(1), last: math.Inf(-1),
+		doomed: 1, urgent: math.Inf(1), steady: math.Inf(1),
+	}
 	for _, sl := range n.slices {
-		if sl.believedWork <= epsWork {
-			if d := sl.job.Job.AbsDeadline(); d < s.exhausted {
+		b, d := sl.believedWork, sl.job.Job.AbsDeadline()
+		s.backlog += clampNonNegative(b)
+		if d > s.last {
+			s.last = d
+		}
+		if b <= epsWork {
+			if d < s.exhausted {
 				s.exhausted = d
 			}
+			continue
 		}
-		s.backlog += clampNonNegative(sl.believedWork)
+		if v := n.earliestValue(n.lastT, n.lastT, fluidItem{believed: b, absDeadline: d}); v > s.doomed {
+			s.doomed = v
+		}
+		if d < s.urgent {
+			s.urgent, s.urgentWork, s.urgentRate = d, b, sl.rate
+		}
+		if sl.rate > 0 {
+			if t := clampNonNegative((b - 2*epsWork) * (1 - 1e-9) / sl.rate); t < s.steady {
+				s.steady = t
+			}
+		}
+		if r := d - n.lastT; r > epsTime {
+			s.share += n.weightAt(b, r)
+			s.drift += sl.rate / r
+		}
 	}
 	n.risk = s
 }

@@ -47,9 +47,12 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 }
 
 // TestProvablyRiskyFollowsVersion checks that the risk summary is rebuilt
-// when the node changes: a node proven risky by an overdue exhausted
-// slice is no longer proven risky once that slice has completed, though
-// another slice is still running.
+// when the node changes, and that the summary read at every step equals
+// one rebuilt from scratch, every field of it. A node proven risky by an
+// overdue exhausted slice is no longer proven once that slice has
+// completed, though another slice is still running; a new slice that
+// cannot meet its deadline proves it again through floor (a), and a
+// speed-up that lets that slice finish in time clears it.
 func TestProvablyRiskyFollowsVersion(t *testing.T) {
 	c, err := NewTimeShared(1, 168, DefaultConfig())
 	if err != nil {
@@ -67,7 +70,7 @@ func TestProvablyRiskyFollowsVersion(t *testing.T) {
 		}
 	}
 	n := c.Node(0)
-	cand := &Candidate{JobID: 3, RefWork: 10, AbsDeadline: 1e5}
+	cand := &Candidate{JobID: 9, RefWork: 10, AbsDeadline: 1e5}
 	runTo := func(at float64) {
 		t.Helper()
 		e.SetHorizon(at)
@@ -76,15 +79,92 @@ func TestProvablyRiskyFollowsVersion(t *testing.T) {
 		}
 		e.AdvanceTo(at)
 	}
-	runTo(100)
-	if !n.ProvablyRisky(100, cand, 0.5) {
-		t.Fatal("job 1 is exhausted and overdue at t=100, but the node is not proven risky")
+	check := func(what string, want RiskFloor) {
+		t.Helper()
+		now := e.Now()
+		if got := n.ProvablyRisky(now, cand, 0.5); got != (want != NotProven) || n.ProvenBy() != want {
+			t.Fatalf("%s: ProvablyRisky = %v by floor %d, want floor %d", what, got, n.ProvenBy(), want)
+		}
+		read := n.risk
+		n.summarizeRisk()
+		if read != n.risk {
+			t.Fatalf("%s: the summary read %+v, rebuilt %+v: it outlived its version", what, read, n.risk)
+		}
 	}
+	runTo(100)
+	check("job 1 exhausted and overdue at t=100", FloorOverdue)
 	runTo(800)
 	if n.NumSlices() != 1 {
 		t.Fatalf("%d slices at t=800, want job 2 alone", n.NumSlices())
 	}
-	if n.ProvablyRisky(800, cand, 0.5) {
-		t.Fatal("proven risky after the overdue slice completed: the summary outlived its version")
+	check("job 1 completed by t=800", NotProven)
+	// Job 3 needs 500 s by a deadline 100 s away.
+	late := workload.Job{ID: 3, Submit: 800, Runtime: 500, TraceEstimate: 500, NumProc: 1, Deadline: 100}
+	if _, err := c.Submit(e, late, late.TraceEstimate, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	check("job 3 arrived doomed", FloorDoomed)
+	runTo(810)
+	check("10 s later", FloorDoomed)
+	c.SetNodeSpeed(e, 0, 6)
+	check("at speed 6 job 3 finishes in time", NotProven)
+}
+
+// TestCrossingFloorGuards pins floor (c)'s guards directly on
+// crossingValue, where ProvablyRisky cannot show them all: the floor is
+// above 1 on an overloaded node while every guard holds, and exactly 1
+// (no floor) for a candidate past its deadline, once the urgent resident
+// is overdue, and once a resident's believed work may have run out since
+// lastT.
+func TestCrossingFloorGuards(t *testing.T) {
+	// node holds the given jobs, submitted at t = 0 with their estimates,
+	// and has its summary built there.
+	node := func(jobs ...workload.Job) *PSNode {
+		c, err := NewTimeShared(1, 168, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := sim.NewEngine()
+		for _, j := range jobs {
+			if _, err := c.Submit(e, j, j.TraceEstimate, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := c.Node(0)
+		n.summarizeRisk()
+		return n
+	}
+	item := func(work, deadline float64) fluidItem { return fluidItem{believed: work, absDeadline: deadline} }
+	// Two residents demanding 0.6 processors each: overloaded from the
+	// start, job 1 the urgent one.
+	pair := node(
+		workload.Job{ID: 1, Runtime: 60, TraceEstimate: 60, NumProc: 1, Deadline: 100},
+		workload.Job{ID: 2, Runtime: 120, TraceEstimate: 120, NumProc: 1, Deadline: 200},
+	)
+	// Job 1 demands 0.5 and job 2 0.4, so at speed 1 job 1 runs at 5/9
+	// and exhausts its 25 s estimate at t = 45, before its deadline; a
+	// candidate due 2 s on demanding 0.95 overloads the node.
+	light := node(
+		workload.Job{ID: 1, Runtime: 1000, TraceEstimate: 25, NumProc: 1, Deadline: 50},
+		workload.Job{ID: 2, Runtime: 400, TraceEstimate: 400, NumProc: 1, Deadline: 1000},
+	)
+	for _, tc := range []struct {
+		name   string
+		n      *PSNode
+		now    float64
+		cand   fluidItem
+		floors bool
+	}{
+		{"overloaded by its residents", pair, 0, item(1, 1e5), true},
+		{"overloaded by its residents, 20 s on", pair, 20, item(1, 1e5), true},
+		{"overloaded by the candidate", light, 0, item(1.9, 2), true},
+		{"overloaded by the candidate, 40 s on", light, 40, item(1.9, 42), true},
+		{"a candidate past its deadline", pair, 0, item(1, 0), false},
+		{"the urgent resident overdue", pair, 100, item(90, 200), false},
+		{"a resident run out at t = 45", light, 46, item(1.9, 48), false},
+	} {
+		if v := tc.n.crossingValue(tc.now, tc.cand); (v > 1) != tc.floors || (!tc.floors && v != 1) {
+			t.Errorf("%s: floor %v, want a floor above 1: %v", tc.name, v, tc.floors)
+		}
 	}
 }

@@ -27,7 +27,6 @@ type KilledJob struct {
 // TimeShared is a cluster of proportional-share nodes (the Libra and
 // LibraRisk execution substrate).
 type TimeShared struct {
-	cfg   Config
 	nodes []*PSNode
 
 	// OnJobDone, if set, is invoked when the last slice of a job
@@ -80,7 +79,7 @@ func NewTimeSharedHetero(ratings []float64, cfg Config) (*TimeShared, error) {
 	if len(ratings) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
-	c := &TimeShared{cfg: cfg}
+	c := &TimeShared{}
 	for i, r := range ratings {
 		if r <= 0 {
 			return nil, fmt.Errorf("cluster: node %d rating %g, want > 0", i, r)
@@ -115,9 +114,6 @@ func (c *TimeShared) Len() int { return len(c.nodes) }
 
 // Node returns node i.
 func (c *TimeShared) Node(i int) *PSNode { return c.nodes[i] }
-
-// Config returns the execution-model conventions in force.
-func (c *TimeShared) Config() Config { return c.cfg }
 
 // Running returns the number of jobs currently executing.
 func (c *TimeShared) Running() int { return c.running }

@@ -88,9 +88,11 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 //     observation, whose population standard deviation is exactly 0 ≤ any
 //     non-negative threshold. (The µ rule depends on the candidate's own
 //     predicted delay, so it always runs the simulation.)
-//   - An overdue exhausted slice: cluster.PSNode.ProvablyRisky proves
+//   - O(1) floors: cluster.PSNode.ProvablyRisky proves
 //     σ > SigmaThreshold + sigmaTolerance from the node's version-keyed
-//     summary, and the node is unsuitable without a simulation.
+//     summary (an overdue exhausted slice, a doomed resident, the
+//     candidate's earliest finish, or an overloaded node's first deadline
+//     crossing), and the node is unsuitable without a simulation.
 //   - The σ bound: the simulation stops as soon as its verdicts prove
 //     σ > SigmaThreshold + sigmaTolerance (see
 //     cluster.PSNode.PredictDelaysWithin), and the node is unsuitable.

@@ -273,6 +273,159 @@ func TestOverdueExitAtTheBound(t *testing.T) {
 	}
 }
 
+// floorNode returns a one-node LibraRisk harness whose node, with the
+// given speed and MaxWeight, holds the given jobs, each submitted at
+// origin with its estimate. The engine is not run, so the node's last
+// accrual point stays at origin and a later now is projected from there.
+func floorNode(t *testing.T, origin, speed, maxWeight float64, jobs []workload.Job) (*LibraRisk, *cluster.PSNode) {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.MaxWeight = maxWeight
+	c, err := cluster.NewTimeShared(1, 168, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	e.AdvanceTo(origin)
+	if speed != 1 {
+		c.SetNodeSpeed(e, 0, speed)
+	}
+	for _, j := range jobs {
+		j.Submit = origin
+		if _, err := c.Submit(e, j, j.TraceEstimate, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewLibraRisk(c, metrics.NewRecorder()), c.Node(0)
+}
+
+// TestRiskFloorsAtTheBound pins exit (5)'s three earliest-finish floors at
+// their edges on hand-built nodes, from time origins 0 and 1.7e9, where
+// the 1e-9·|f| margin on a finish f is 1.7 s and moves each edge by that.
+// Every (a) and (b) case runs at SigmaThreshold 0.5 on a node whose
+// MaxWeight of 0.3 caps the late item's weight and keeps the total weight
+// below the speed, so floor (c) stays off:
+//
+//   - (a) a doomed resident: with b s of believed work, deadline 100 and
+//     speed s, beside two on-time items of value 1, its value is at least
+//     b/(100·s), which clears 2·limit·√(2·3) above 1 once b/s passes
+//     edgeA; 0.01 s beyond and inside, on a straggler at speed 0.5, 50 s
+//     into the version (the floor is taken at lastT), and at 1.7e9;
+//   - (b) the candidate's earliest finish, the same beside one on-time
+//     resident, so with √(2·2).
+//
+// Floor (c) runs under the paper's zero-σ rule. Two residents and the
+// candidate share the node with weights in proportion to their deadlines,
+// so the residents' shares sum to k:
+//
+//   - at origin 0 its edge is the overload itself: a total weight W 1e-6
+//     above the speed makes the first resident late, 1e-6 below leaves
+//     every item on time; at full speed, on a straggler, and with both
+//     residents capped at MaxWeight, where the capped node is late even
+//     inside (the weights understate its demand) and only the simulation
+//     may reject it;
+//   - at 1.7e9 the margin sets the edge: the first resident is left with
+//     1.75 or 1.65 s of work at its crossing, around the 1.7 s margin;
+//     capped at MaxWeight it is left with 40 s, which only the cap in
+//     b_j − speed·min(b_j, MaxWeight·r_j)/W shows;
+//   - it must stay off for a candidate already past its deadline (its own
+//     floor (b) proves the node) and once a resident's believed work may
+//     have run out since lastT: at now = 46 the exhausted resident no
+//     longer weighs, and without the guard the drifted bound on W would
+//     prove the node.
+//
+// Each ProvablyRisky must be named by the expected floor, only ever prove
+// a node whose full σ is above the limit, and evalNode must match the full
+// NodeRisk decision.
+func TestRiskFloorsAtTheBound(t *testing.T) {
+	limit := 0.5 + sigmaTolerance
+	edgeA := 100 * (1 + 2*limit*math.Sqrt(6))
+	edgeB := 100 * (1 + 2*limit*math.Sqrt(4))
+	const epoch = 1.7e9
+	margin := func(f float64) float64 { return 1e-9 * (epoch + f) }
+	job := func(id int, work, deadline float64) workload.Job {
+		return workload.Job{ID: id, Runtime: work, TraceEstimate: work, NumProc: 1, Deadline: deadline}
+	}
+	onTime := job(2, 1, 1e5)
+	doomed := func(b float64) []workload.Job { return []workload.Job{job(1, b, 100), onTime} }
+	small := func(float64) []workload.Job { return []workload.Job{onTime} }
+	// shared returns two residents due in 100 and 200 s, each of weight
+	// k/2 unless MaxWeight caps it.
+	shared := func(k float64) []workload.Job {
+		return []workload.Job{job(1, 50*k, 100), job(3, 100*k, 200)}
+	}
+	const candWeight = 1e-5 // a 1 s candidate due in 1e5 s
+	overload := func(speed, by float64) float64 { return (speed - candWeight) * (1 + by) }
+	// tailFor returns the second resident's work beside one of 60 s due
+	// in 100, such that the first holds left seconds of work at its
+	// crossing.
+	tailFor := func(left float64) []workload.Job {
+		x := 60/(60-left) - 0.6 - candWeight
+		return []workload.Job{job(1, 60, 100), job(3, 200*x, 200)}
+	}
+	for _, tc := range []struct {
+		name          string
+		origin, speed float64
+		maxWeight     float64
+		thr           float64
+		jobs          []workload.Job
+		candWork      float64
+		candIn        float64 // the candidate's deadline, relative to now
+		after         float64 // now − lastT
+		want          cluster.RiskFloor
+		suitable      bool
+	}{
+		{"(a) beyond", 0, 1, 0.3, 0.5, doomed(edgeA + 0.01), 1, 1e5, 0, cluster.FloorDoomed, false},
+		{"(a) inside", 0, 1, 0.3, 0.5, doomed(edgeA - 0.01), 1, 1e5, 0, cluster.NotProven, false},
+		{"(a) straggler beyond", 0, 0.5, 0.3, 0.5, doomed((edgeA + 0.01) / 2), 1, 1e5, 0, cluster.FloorDoomed, false},
+		{"(a) straggler inside", 0, 0.5, 0.3, 0.5, doomed((edgeA - 0.01) / 2), 1, 1e5, 0, cluster.NotProven, false},
+		{"(a) beyond, 50 s into the version", 0, 1, 0.3, 0.5, doomed(edgeA + 0.01), 1, 1e5, 50, cluster.FloorDoomed, false},
+		{"(a) beyond at 1.7e9", epoch, 1, 0.3, 0.5, doomed(edgeA + margin(edgeA) + 0.01), 1, 1e5, 0, cluster.FloorDoomed, false},
+		{"(a) inside at 1.7e9", epoch, 1, 0.3, 0.5, doomed(edgeA + margin(edgeA) - 0.01), 1, 1e5, 0, cluster.NotProven, false},
+		{"(b) beyond", 0, 1, 0.3, 0.5, small(0), edgeB + 0.01, 100, 0, cluster.FloorCandidate, false},
+		{"(b) inside", 0, 1, 0.3, 0.5, small(0), edgeB - 0.01, 100, 0, cluster.NotProven, false},
+		{"(b) straggler beyond", 0, 0.5, 0.3, 0.5, small(0), (edgeB + 0.01) / 2, 100, 0, cluster.FloorCandidate, false},
+		{"(b) straggler inside", 0, 0.5, 0.3, 0.5, small(0), (edgeB - 0.01) / 2, 100, 0, cluster.NotProven, false},
+		{"(b) beyond at 1.7e9", epoch, 1, 0.3, 0.5, small(0), edgeB + margin(edgeB) + 0.01, 100, 0, cluster.FloorCandidate, false},
+		{"(b) inside at 1.7e9", epoch, 1, 0.3, 0.5, small(0), edgeB + margin(edgeB) - 0.01, 100, 0, cluster.NotProven, false},
+		{"(c) beyond", 0, 1, 1, 0, shared(overload(1, 1e-6)), 1, 1e5, 0, cluster.FloorCrossing, false},
+		{"(c) inside", 0, 1, 1, 0, shared(overload(1, -1e-6)), 1, 1e5, 0, cluster.NotProven, true},
+		{"(c) straggler beyond", 0, 0.5, 1, 0, shared(overload(0.5, 1e-6)), 1, 1e5, 0, cluster.FloorCrossing, false},
+		{"(c) straggler inside", 0, 0.5, 1, 0, shared(overload(0.5, -1e-6)), 1, 1e5, 0, cluster.NotProven, true},
+		{"(c) capped beyond", 0, 1, overload(1, 1e-6) / 2, 0, shared(1.8), 1, 1e5, 0, cluster.FloorCrossing, false},
+		{"(c) capped inside", 0, 1, overload(1, -1e-6) / 2, 0, shared(1.8), 1, 1e5, 0, cluster.NotProven, false},
+		{"(c) capped beyond at 1.7e9", epoch, 1, overload(1, 1e-6) / 2, 0, shared(1.8), 1, 1e5, 0, cluster.FloorCrossing, false},
+		{"(c) beyond at 1.7e9", epoch, 1, 1, 0, tailFor(1.75), 1, 1e5, 0, cluster.FloorCrossing, false},
+		{"(c) inside at 1.7e9", epoch, 1, 1, 0, tailFor(1.65), 1, 1e5, 0, cluster.NotProven, false},
+		{"(c) off for an overdue candidate", 0, 1, 1, 0, shared(1.2), 1, -1, 0, cluster.FloorCandidate, false},
+		{"(c) off once a resident may have run out", 0, 1, 1, 0, []workload.Job{
+			{ID: 1, Runtime: 1000, TraceEstimate: 25, NumProc: 1, Deadline: 50}, job(3, 400, 1000),
+		}, 1.9, 2, 46, cluster.NotProven, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, node := floorNode(t, tc.origin, tc.speed, tc.maxWeight, tc.jobs)
+			p.SigmaThreshold = tc.thr
+			limit := tc.thr + sigmaTolerance
+			now := tc.origin + tc.after
+			cand := &cluster.Candidate{JobID: 9, RefWork: tc.candWork, AbsDeadline: now + tc.candIn}
+			_, wantSigma := p.NodeRisk(now, node, cand)
+			if suitable := wantSigma <= limit; suitable != tc.suitable {
+				t.Fatalf("full σ = %v: suitable = %v, want %v", wantSigma, suitable, tc.suitable)
+			}
+			proven := node.ProvablyRisky(now, cand, limit)
+			if proven && wantSigma <= limit {
+				t.Fatalf("proven risky by floor %d, but the full σ = %v is suitable", node.ProvenBy(), wantSigma)
+			}
+			if got := node.ProvenBy(); got != tc.want || proven != (tc.want != cluster.NotProven) {
+				t.Fatalf("ProvablyRisky = %v by floor %d, want floor %d (full σ = %v)", proven, got, tc.want, wantSigma)
+			}
+			if _, _, suitable, _ := p.evalNode(now, node, cand, false); suitable != (wantSigma <= limit) {
+				t.Fatalf("evalNode suitable = %v, full σ = %v", suitable, wantSigma)
+			}
+		})
+	}
+}
+
 // TestEvalNodeDoomedAllocFree guards exit (5)'s hot path: once a doomed
 // node's summary is built, evaluating it again allocates nothing.
 func TestEvalNodeDoomedAllocFree(t *testing.T) {
@@ -379,8 +532,8 @@ func TestEarliestFinishExitAtTheBound(t *testing.T) {
 			case tc.stopStep >= 0 && len(partial) != tc.verdicts:
 				t.Fatalf("stopped with %d verdicts %+v, want %d", len(partial), partial, tc.verdicts)
 			}
-			if node.ProvablyRisky(0, tc.cand, limit) {
-				t.Fatal("exit (5) fired: the node holds no overdue exhausted slice")
+			if node.ProvablyRisky(0, tc.cand, limit) && wantSigma <= limit {
+				t.Fatalf("exit (5) proved risky by floor %d, but the full σ = %v is suitable", node.ProvenBy(), wantSigma)
 			}
 			if _, _, suitable, _ := p.evalNode(0, node, tc.cand, false); suitable != (wantSigma <= limit) {
 				t.Fatalf("evalNode suitable = %v, full σ = %v", suitable, wantSigma)

@@ -19,12 +19,13 @@ import (
 // the daemon applies an op. Every (accepted, reason) must be equal. Past
 // the first 1500 arrivals, which the benchmark runs untimed to fill the
 // cluster, the fast run also asks PSNode.ProvablyRisky about every busy
-// node at every arrival, and exit (5) must prove at least half of them
-// risky: at this shape most busy nodes hold an overdue exhausted slice.
-// The busy nodes it does not prove go through PredictDelaysWithin, and
-// exit (6), the earliest-finish bound, must stop a floor share of them
-// sooner than the retirement rule alone could (see retirementStopped):
-// some before the first fluid step, some at a deadline crossing.
+// node at every arrival. Exit (5) must prove most of them risky, and each
+// of its floors must decide a floor share (see provenByFloorPct): at this
+// shape most busy nodes are overloaded or hold an overdue exhausted
+// slice. The busy nodes it does not prove go through PredictDelaysWithin,
+// and exit (6), the earliest-finish bound, must stop a floor share of
+// them at a deadline crossing sooner than the retirement rule alone could
+// (see retirementStopped).
 func TestServeScanFastPathsMatchReference(t *testing.T) {
 	const (
 		nodes   = 512
@@ -49,6 +50,7 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 		reason   string
 	}
 	var busy, proven int
+	var floors [len(provenByFloorPct)]int
 	var stops [stopKinds]int
 	run := func(disable bool) []decision {
 		c, err := cluster.NewTimeShared(nodes, 168, cluster.DefaultConfig())
@@ -76,6 +78,7 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 						limit := p.SigmaThreshold + sigmaTolerance
 						if node.ProvablyRisky(e.Now(), cand, limit) {
 							proven++
+							floors[node.ProvenBy()]++
 							continue
 						}
 						stops[earliestFinishStop(e.Now(), node, cand, limit)]++
@@ -99,25 +102,50 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 	if accepted == 0 || accepted == len(jobs) {
 		t.Fatalf("%d of %d accepted: the stream does not exercise both outcomes", accepted, len(jobs))
 	}
-	if 2*proven < busy {
-		t.Fatalf("exit (5) proved %d of %d busy-node evaluations risky, want at least half", proven, busy)
-	}
 	pct := func(k int) float64 { return 100 * float64(k) / float64(busy) }
-	t.Logf("%d of %d accepted; of %d busy-node evaluations exit (5) proved %d risky (%.1f %%); exit (6) stopped %d before the first fluid step (%.1f %%), %d at a deadline crossing (%.1f %%) and %d at a late retirement (%.1f %%)",
-		accepted, len(jobs), busy, proven, pct(proven), stops[stopAtEntry], pct(stops[stopAtEntry]),
-		stops[stopAtCrossing], pct(stops[stopAtCrossing]), stops[stopAtLateRetirement], pct(stops[stopAtLateRetirement]))
+	t.Logf("%d of %d accepted; of %d busy-node evaluations exit (5) proved %d risky (%.2f %%): %.2f %% by an overdue exhausted slice, %.2f %% by a doomed resident, %.2f %% by the candidate's earliest finish and %.2f %% by an overloaded node's first crossing",
+		accepted, len(jobs), busy, proven, pct(proven), pct(floors[cluster.FloorOverdue]), pct(floors[cluster.FloorDoomed]),
+		pct(floors[cluster.FloorCandidate]), pct(floors[cluster.FloorCrossing]))
+	t.Logf("exit (6) stopped %d before the first fluid step (%.2f %%), %d at a deadline crossing (%.2f %%) and %d at a late retirement (%.2f %%)",
+		stops[stopAtEntry], pct(stops[stopAtEntry]), stops[stopAtCrossing], pct(stops[stopAtCrossing]),
+		stops[stopAtLateRetirement], pct(stops[stopAtLateRetirement]))
+	if pct(proven) < provenFloorPct {
+		t.Errorf("exit (5) proved %.2f %% of busy-node evaluations risky, want at least %g %%", pct(proven), provenFloorPct)
+	}
+	for f, floor := range provenByFloorPct {
+		if got := pct(floors[f]); got < floor {
+			t.Errorf("exit (5)'s floor %d decided %.2f %% of busy-node evaluations, want at least %g %%", f, got, floor)
+		}
+	}
 	if pct(stops[stopAtEntry]) < entryFloorPct || pct(stops[stopAtCrossing]) < crossingFloorPct {
-		t.Fatalf("exit (6) stopped %.1f %% of busy-node evaluations before the first fluid step and %.1f %% at a crossing, want at least %g %% and %g %%",
+		t.Errorf("exit (6) stopped %.2f %% of busy-node evaluations before the first fluid step and %.2f %% at a crossing, want at least %g %% and %g %%",
 			pct(stops[stopAtEntry]), pct(stops[stopAtCrossing]), entryFloorPct, crossingFloorPct)
 	}
 }
 
-// Floors under exit (6)'s shares of busy-node evaluations in
-// TestServeScanFastPathsMatchReference, measured at 7.2 % and 25.6 % and
-// set below them, so that dropping either half of the exit fails the test.
+// Floors under the shares of busy-node evaluations decided in
+// TestServeScanFastPathsMatchReference, each set below its measured share
+// so that dropping any branch fails the test. Exit (5) proves 91.5 % in
+// all. provenByFloorPct is indexed by cluster.RiskFloor, which names the
+// first floor that proved a node, in ProvablyRisky's order: an overdue
+// exhausted slice 64.2 %, a doomed resident 0.13 %, the candidate's
+// earliest finish 7.0 % and an overloaded node's first crossing 20.2 %.
+// Exit (6) stops only 0.05 % before the first fluid step and 5.5 % at a
+// deadline crossing, because exit (5) goes first: floors (a) and (b) are
+// exit (6)'s entry floors taken at lastT, and floor (c) proves most of
+// the overloads its crossing fold would stop.
+var provenByFloorPct = [...]float64{
+	cluster.NotProven:      0,
+	cluster.FloorOverdue:   60,
+	cluster.FloorDoomed:    0.08,
+	cluster.FloorCandidate: 5,
+	cluster.FloorCrossing:  15,
+}
+
 const (
-	entryFloorPct    = 5.0
-	crossingFloorPct = 20.0
+	provenFloorPct   = 88.0
+	entryFloorPct    = 0.02
+	crossingFloorPct = 4.0
 )
 
 // stopKind attributes a bounded prediction's stop.

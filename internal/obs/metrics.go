@@ -160,9 +160,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// Label returns the family's label name.
-func (v *CounterVec) Label() string { return v.label }
-
 // Len returns the number of child counters.
 func (v *CounterVec) Len() int { return len(v.children) }
 

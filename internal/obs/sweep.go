@@ -62,9 +62,6 @@ func NewSweep(opt Options) *Sweep {
 	return &Sweep{opt: opt}
 }
 
-// Options returns the layer selection this sweep was built with.
-func (s *Sweep) Options() Options { return s.opt }
-
 // NewRun builds a private bundle for one cell. Safe to call from any
 // worker goroutine (no shared state is touched).
 func (s *Sweep) NewRun(run, policy string) *Run {

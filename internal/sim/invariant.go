@@ -30,8 +30,6 @@ type InvariantChecker struct {
 
 	violations []string
 	dropped    int
-	// events counts checker passes, for tests.
-	events uint64
 }
 
 // NewInvariantChecker returns a checker with only the kernel clock
@@ -44,9 +42,6 @@ func NewInvariantChecker() *InvariantChecker {
 func (c *InvariantChecker) Register(name string, check func() error) {
 	c.invs = append(c.invs, Invariant{Name: name, Check: check})
 }
-
-// Events returns how many event-boundary passes the checker has run.
-func (c *InvariantChecker) Events() uint64 { return c.events }
 
 // maxViolations bounds the collected report; further violations are
 // counted but not recorded.
@@ -64,7 +59,6 @@ func (c *InvariantChecker) record(msg string) {
 // observe runs all invariants at an event boundary. It is called by the
 // engine after each handler returns.
 func (c *InvariantChecker) observe(e *Engine) {
-	c.events++
 	now := e.Now()
 	if c.hasPrev && now < c.prevNow {
 		c.record(fmt.Sprintf("clock-monotonic: t=%.9g after t=%.9g", now, c.prevNow))

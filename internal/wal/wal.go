@@ -60,7 +60,8 @@ type Options struct {
 	// FS is the filesystem seam; nil means the real one.
 	FS FS
 	// SegmentBytes bounds one segment file; the active segment rotates
-	// when appending would exceed it. Default 4 MiB.
+	// when appending would exceed it. Default 4 MiB; Open refuses a
+	// negative one.
 	SegmentBytes int64
 	// SyncBytes forces a commit from inside Append once that many bytes
 	// sit unsynced, bounding the group a commit covers. Default 256 KiB;
@@ -158,6 +159,9 @@ type Log struct {
 // record and truncating torn tails. The returned Recovery is the replay
 // input; the Log continues appending after the last recovered index.
 func Open(opts Options) (*Log, *Recovery, error) {
+	if opts.SegmentBytes < 0 {
+		return nil, nil, fmt.Errorf("wal: SegmentBytes %d, want >= 0", opts.SegmentBytes)
+	}
 	opts = opts.withDefaults()
 	l := &Log{opts: opts, fs: opts.FS, dir: opts.Dir}
 	l.synced.L = &l.mu
@@ -645,6 +649,3 @@ func (l *Log) Metrics() Metrics {
 	m.DirtyBytes = l.dirty
 	return m
 }
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }

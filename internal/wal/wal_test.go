@@ -413,6 +413,21 @@ func TestWALShortWriteRecovers(t *testing.T) {
 	}
 }
 
+// TestWALNegativeSegmentBytesRefused: a negative segment bound would
+// rotate, and fold, on every append after the first, so Open refuses it
+// before it touches the directory.
+func TestWALNegativeSegmentBytesRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, _, err := Open(Options{Dir: dir, SegmentBytes: -1})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted SegmentBytes -1")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused Open left %s behind (stat: %v)", dir, err)
+	}
+}
+
 func TestWALAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, Options{Dir: dir})
