@@ -28,15 +28,11 @@ import (
 
 	"clustersched/internal/analysis"
 	"clustersched/internal/checkpoint"
-	"clustersched/internal/cluster"
-	"clustersched/internal/core"
 	"clustersched/internal/experiment"
 	"clustersched/internal/fault"
 	"clustersched/internal/metrics"
 	"clustersched/internal/obs"
-	"clustersched/internal/predict"
 	"clustersched/internal/sched"
-	"clustersched/internal/sim"
 	"clustersched/internal/swf"
 	"clustersched/internal/workload"
 )
@@ -158,15 +154,15 @@ type Options struct {
 	// cluster scan per event; meant for tests and debugging.
 	CheckInvariants bool
 	// MaxEvents overrides the engine's runaway-loop event budget
-	// (default 50M). Replicate and the figure builder refuse it: their
-	// experiment harness always runs with the default budget.
+	// (default 50M) of every run: Simulate's, Replicate's and each
+	// figure cell's. A run that exhausts it fails.
 	MaxEvents uint64
 }
 
-// faultConfig assembles the internal fault configuration, defaulting the
-// horizon to the given last-arrival time.
-func (o Options) faultConfig(defaultHorizon float64) fault.Config {
-	cfg := fault.Config{
+// faultConfig assembles the internal fault configuration; a zero horizon
+// is defaulted by the run to its last job arrival.
+func (o Options) faultConfig() fault.Config {
+	return fault.Config{
 		Seed:              o.FaultSeed,
 		MTBF:              o.FaultMTBF,
 		MTTR:              o.FaultMTTR,
@@ -178,10 +174,6 @@ func (o Options) faultConfig(defaultHorizon float64) fault.Config {
 		CorrelatedMTTR:    o.FaultCorrelatedMTTR,
 		Horizon:           o.FaultHorizon,
 	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = defaultHorizon
-	}
-	return cfg
 }
 
 // DefaultOptions returns the paper's experimental defaults with the
@@ -340,11 +332,7 @@ func (o Options) Validate() error {
 	case o.QoPSSlackFactor < 0:
 		return fmt.Errorf("clustersched: QoPSSlackFactor = %g, want >= 0", o.QoPSSlackFactor)
 	}
-	switch o.Policy {
-	case PolicyEDF, PolicyLibra, PolicyLibraRisk,
-		PolicyFCFS, PolicyBackfillEASY, PolicyBackfillConservative,
-		PolicyBackfillEDF, PolicyQoPS:
-	default:
+	if _, ok := experiment.PolicyKindOf(string(o.Policy)); !ok {
 		return fmt.Errorf("clustersched: unknown policy %q", o.Policy)
 	}
 	switch o.NodeSelection {
@@ -352,7 +340,7 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("clustersched: unknown node selection %q", o.NodeSelection)
 	}
-	if o.faultConfig(1).Enabled() {
+	if fc := o.faultConfig(); fc.Enabled() {
 		switch o.Policy {
 		case PolicyEDF, PolicyLibra, PolicyLibraRisk:
 		default:
@@ -361,7 +349,10 @@ func (o Options) Validate() error {
 		// Validate with a placeholder horizon: the real default (last job
 		// arrival) is only known at run time, but every other
 		// consistency error should surface here.
-		if err := o.faultConfig(1).Validate(); err != nil {
+		if fc.Horizon == 0 {
+			fc.Horizon = 1
+		}
+		if err := fc.Validate(); err != nil {
 			return fmt.Errorf("clustersched: %w", err)
 		}
 	}
@@ -443,14 +434,11 @@ func Simulate(o Options) (Result, error) {
 // SimulateContext is Simulate under a cancellable context: the event loop
 // polls ctx and aborts the run with the cancellation cause.
 func SimulateContext(ctx context.Context, o Options) (Result, error) {
-	if err := o.Validate(); err != nil {
-		return Result{}, err
-	}
-	jobs, err := internalWorkload(o)
+	rec, _, mon, err := simulateWorkload(ctx, o)
 	if err != nil {
 		return Result{}, err
 	}
-	return simulateInternal(ctx, o, jobs)
+	return result(o, rec, mon), nil
 }
 
 // SimulateJobs runs the selected policy over a caller-provided workload
@@ -465,19 +453,11 @@ func SimulateJobsContext(ctx context.Context, o Options, jobs []Job) (Result, er
 	if err := o.Validate(); err != nil {
 		return Result{}, err
 	}
-	return simulateInternal(ctx, o, toInternalJobs(jobs))
-}
-
-// ratings returns the per-node rating list the options describe.
-func (o Options) ratings() []float64 {
-	if len(o.NodeRatings) > 0 {
-		return o.NodeRatings
+	rec, _, mon, err := simulate(ctx, o, toInternalJobs(jobs))
+	if err != nil {
+		return Result{}, err
 	}
-	out := make([]float64, o.Nodes)
-	for i := range out {
-		out[i] = o.Rating
-	}
-	return out
+	return result(o, rec, mon), nil
 }
 
 // Economy is the provider-side ledger of one simulation under the default
@@ -494,15 +474,7 @@ type Economy struct {
 // ProviderEconomics runs the configured simulation and prices its
 // outcomes, translating the paper's deadline metrics into provider money.
 func ProviderEconomics(o Options) (Economy, error) {
-	if err := o.Validate(); err != nil {
-		return Economy{}, err
-	}
-	jobs, err := internalWorkload(o)
-	if err != nil {
-		return Economy{}, err
-	}
-	jobs = workload.ScaleArrivals(jobs, o.ArrivalDelayFactor)
-	rec, err := runForRecorder(o, jobs)
+	rec, jobs, _, err := simulateWorkload(context.Background(), o)
 	if err != nil {
 		return Economy{}, err
 	}
@@ -521,15 +493,7 @@ func ProviderEconomics(o Options) (Economy, error) {
 // slowdown, rejection-reason tallies, and (with UserModel) Jain's
 // per-user fairness index.
 func Report(o Options) (string, error) {
-	if err := o.Validate(); err != nil {
-		return "", err
-	}
-	jobs, err := internalWorkload(o)
-	if err != nil {
-		return "", err
-	}
-	jobs = workload.ScaleArrivals(jobs, o.ArrivalDelayFactor)
-	rec, err := runForRecorder(o, jobs)
+	rec, jobs, _, err := simulateWorkload(context.Background(), o)
 	if err != nil {
 		return "", err
 	}
@@ -558,16 +522,33 @@ func Report(o Options) (string, error) {
 	return sb.String(), nil
 }
 
-func simulateInternal(ctx context.Context, o Options, jobs []workload.Job) (Result, error) {
-	jobs = workload.ScaleArrivals(jobs, o.ArrivalDelayFactor)
-	rec, mon, err := runSimulation(ctx, o, jobs)
-	if err != nil {
-		return Result{}, err
+// simulateWorkload validates the options, generates their workload and
+// simulates it (see simulate).
+func simulateWorkload(ctx context.Context, o Options) (*metrics.Recorder, []workload.Job, []MonitorSample, error) {
+	if err := o.Validate(); err != nil {
+		return nil, nil, nil, err
 	}
-	res := Result{Policy: o.Policy, Summary: toSummary(rec.Summarize()), Jobs: toOutcomes(rec.Results())}
+	jobs, err := internalWorkload(o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return simulate(ctx, o, jobs)
+}
+
+// simulate scales the arrivals of jobs, whose deadlines are already set,
+// and runs the one simulation plan describes over them. It returns the
+// run's recorder, the scaled jobs and the monitor samples.
+func simulate(ctx context.Context, o Options, jobs []workload.Job) (*metrics.Recorder, []workload.Job, []MonitorSample, error) {
+	base, spec := plan(o)
+	jobs = workload.ScaleArrivals(jobs, spec.ArrivalDelayFactor)
+	rec, mon, err := experiment.RunJobs(ctx, base, jobs, spec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var samples []MonitorSample
 	if mon != nil {
 		for _, s := range mon.Samples() {
-			res.Monitor = append(res.Monitor, MonitorSample{
+			samples = append(samples, MonitorSample{
 				Time: s.Time, Utilization: s.Utilization, RunningJobs: s.RunningJobs,
 				BusyNodes: s.BusyNodes, MeanSigma: s.MeanSigma, MeanMu: s.MeanMu,
 				DelayedJobs: s.DelayedJobs, ZeroRiskNodes: s.ZeroRiskNodes,
@@ -575,73 +556,12 @@ func simulateInternal(ctx context.Context, o Options, jobs []workload.Job) (Resu
 			})
 		}
 	}
-	return res, nil
+	return rec, jobs, samples, nil
 }
 
-// runForRecorder executes the simulation and hands back the raw recorder
-// for post-processing (the jobs must already be arrival-scaled).
-func runForRecorder(o Options, jobs []workload.Job) (*metrics.Recorder, error) {
-	rec, _, err := runSimulation(context.Background(), o, jobs)
-	return rec, err
-}
-
-func runSimulation(ctx context.Context, o Options, jobs []workload.Job) (*metrics.Recorder, *core.Monitor, error) {
-	ccfg := cluster.DefaultConfig()
-	ccfg.RefRating = o.Rating
-	ccfg.WorkConserving = o.WorkConserving
-
-	e := sim.NewEngine()
-	rec := metrics.NewRecorder()
-	pol, ts, ss, err := sched.NewPolicy(string(o.Policy), o.policyParams(), o.ratings(), ccfg, rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	var mon *core.Monitor
-	if o.MonitorInterval > 0 && ts != nil {
-		mon, err = core.NewMonitor(ts, o.MonitorInterval)
-		if err != nil {
-			return nil, nil, err
-		}
-		mon.Start(e)
-	}
-	if o.Estimator != "" && o.Estimator != "user-estimate" {
-		pred, err := predict.New(o.Estimator)
-		if err != nil {
-			return nil, nil, err
-		}
-		pol = predict.Wrap(pol, rec, pred)
-	}
-	var chk *sim.InvariantChecker
-	if o.CheckInvariants {
-		chk = core.InstallInvariantChecker(e, rec, ts, ss)
-	}
-	var lastArrival float64
-	for _, j := range jobs {
-		if j.Submit > lastArrival {
-			lastArrival = j.Submit
-		}
-	}
-	if fc := o.faultConfig(lastArrival); fc.Enabled() {
-		inj, err := fault.New(fc, fault.ClusterOf(ts, ss))
-		if err != nil {
-			return nil, nil, err
-		}
-		if inj != nil {
-			inj.Install(e)
-		}
-	}
-	if o.MaxEvents > 0 {
-		e.MaxEvents = o.MaxEvents
-	}
-	if err := core.RunSimulationContext(ctx, e, pol, rec, jobs, o.InaccuracyPct); err != nil {
-		return nil, mon, err
-	}
-	if chk != nil {
-		if err := chk.Err(); err != nil {
-			return nil, mon, err
-		}
-	}
-	return rec, mon, nil
+// result is the public record of one completed run.
+func result(o Options, rec *metrics.Recorder, mon []MonitorSample) Result {
+	return Result{Policy: o.Policy, Summary: toSummary(rec.Summarize()), Jobs: toOutcomes(rec.Results()), Monitor: mon}
 }
 
 // policyParams returns the policy knobs in sched.NewPolicy's terms.
@@ -733,10 +653,7 @@ func LoadSWF(r io.Reader, o Options, lastN int) ([]Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcfg := workload.DefaultDeadlineConfig()
-	dcfg.HighUrgencyFraction = o.HighUrgencyFraction
-	dcfg.Ratio = o.DeadlineRatio
-	withDL, err := workload.AssignDeadlines(jobs, dcfg)
+	withDL, err := workload.AssignDeadlines(jobs, buildBase(o).Deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -772,10 +689,7 @@ func GenerateCalibratedWorkload(r io.Reader, o Options) ([]Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcfg := workload.DefaultDeadlineConfig()
-	dcfg.HighUrgencyFraction = o.HighUrgencyFraction
-	dcfg.Ratio = o.DeadlineRatio
-	withDL, err := workload.AssignDeadlines(base, dcfg)
+	withDL, err := workload.AssignDeadlines(base, buildBase(o).Deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -805,13 +719,10 @@ type FigureBuilder struct {
 
 // NewFigureBuilder validates the options and prepares a builder; the base
 // workload is generated lazily on the first figure or table request.
-// MaxEvents is refused, as by Replicate.
+// Every cell runs under the options' MaxEvents budget.
 func NewFigureBuilder(o Options) (*FigureBuilder, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
-	}
-	if o.MaxEvents > 0 {
-		return nil, fmt.Errorf("clustersched: the figure builder does not support MaxEvents (%d): its runs use the default event budget", o.MaxEvents)
 	}
 	return &FigureBuilder{o: o, base: buildBase(o)}, nil
 }
@@ -1082,10 +993,9 @@ type Replication struct {
 
 // Replicate runs the configured simulation across n workload seeds
 // (derived deterministically from o.Seed) and returns the metric
-// distribution — the statistically sound way to compare policies. The
-// experiment harness has no deadline-ordered backfill, no online
-// estimators and no event budget, so PolicyBackfillEDF, any Estimator
-// other than the user estimate, and MaxEvents are refused with an error.
+// distribution — the statistically sound way to compare policies. Each
+// seed runs the same simulation Simulate runs, with its own workload and
+// deadline stream.
 func Replicate(o Options, n int) (Replication, error) {
 	if err := o.Validate(); err != nil {
 		return Replication{}, err
@@ -1093,24 +1003,7 @@ func Replicate(o Options, n int) (Replication, error) {
 	if n <= 0 {
 		return Replication{}, fmt.Errorf("clustersched: Replicate with n = %d", n)
 	}
-	kind, ok := experiment.PolicyKindOf(string(o.Policy))
-	if !ok {
-		return Replication{}, fmt.Errorf("clustersched: Replicate does not support policy %q", o.Policy)
-	}
-	if o.Estimator != "" && o.Estimator != "user-estimate" {
-		return Replication{}, fmt.Errorf("clustersched: Replicate does not support estimator %q", o.Estimator)
-	}
-	if o.MaxEvents > 0 {
-		return Replication{}, fmt.Errorf("clustersched: Replicate does not support MaxEvents (%d): its runs use the default event budget", o.MaxEvents)
-	}
-	base := buildBase(o)
-	spec := experiment.RunSpec{
-		Policy:             kind,
-		ArrivalDelayFactor: o.ArrivalDelayFactor,
-		InaccuracyPct:      o.InaccuracyPct,
-		Deadline:           base.Deadline,
-		Faults:             o.faultConfig(0),
-	}
+	base, spec := plan(o)
 	rep, err := experiment.RunReplicated(base, spec, experiment.SeedsFrom(o.Seed, n))
 	if err != nil {
 		return Replication{}, err
@@ -1120,6 +1013,27 @@ func Replicate(o Options, n int) (Replication, error) {
 		FulfilledMean: rep.FulfilledMean, FulfilledStd: rep.FulfilledStd, FulfilledCI95: rep.FulfilledCI95,
 		SlowdownMean: rep.SlowdownMean, SlowdownStd: rep.SlowdownStd, SlowdownCI95: rep.SlowdownCI95,
 	}, nil
+}
+
+// plan translates valid options into the experiment harness's base
+// configuration and the one run they describe, which Simulate, Report,
+// ProviderEconomics and Replicate all run.
+func plan(o Options) (experiment.BaseConfig, experiment.RunSpec) {
+	base := buildBase(o)
+	kind, _ := experiment.PolicyKindOf(string(o.Policy)) // Validate admits only known names
+	est := o.Estimator
+	if est == "user-estimate" {
+		est = "" // the scheduler sees the user estimates unwrapped
+	}
+	return base, experiment.RunSpec{
+		Policy:             kind,
+		ArrivalDelayFactor: o.ArrivalDelayFactor,
+		InaccuracyPct:      o.InaccuracyPct,
+		Deadline:           base.Deadline,
+		Faults:             o.faultConfig(),
+		MonitorInterval:    o.MonitorInterval,
+		Estimator:          est,
+	}
 }
 
 // buildBase translates the options into the experiment harness's base
@@ -1141,6 +1055,7 @@ func buildBase(o Options) experiment.BaseConfig {
 	base.Deadline.Ratio = o.DeadlineRatio
 	base.Params = o.policyParams()
 	base.CheckInvariants = o.CheckInvariants
+	base.MaxEvents = o.MaxEvents
 	return base
 }
 

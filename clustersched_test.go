@@ -2,10 +2,13 @@ package clustersched
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"clustersched/internal/sim"
 )
 
 // fastOptions returns a scaled-down configuration for quick API tests.
@@ -372,29 +375,72 @@ func TestReplicateThroughFacade(t *testing.T) {
 	if _, err := Replicate(bad, 2); err == nil {
 		t.Fatal("bad options accepted")
 	}
-	// The experiment harness has no deadline-ordered backfill kind, so
-	// backfill-edf must be refused rather than silently run as EDF.
+	// backfill-edf replicates as its own policy, not as EDF.
 	bf := o
 	bf.Policy = PolicyBackfillEDF
-	if _, err := Replicate(bf, 2); err == nil || !strings.Contains(err.Error(), string(PolicyBackfillEDF)) {
-		t.Fatalf("Replicate(backfill-edf) err = %v, want an error naming the policy", err)
+	edf := o
+	edf.Policy = PolicyEDF
+	bfRep, err := Replicate(bf, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The experiment harness has no event budget either, so MaxEvents
-	// must be refused by name rather than silently dropped — by
-	// Replicate and by the figure builder alike.
-	budget := o
-	budget.MaxEvents = 1000
-	if _, err := Replicate(budget, 2); err == nil || !strings.Contains(err.Error(), "MaxEvents") {
-		t.Fatalf("Replicate(MaxEvents 1000) err = %v, want an error naming MaxEvents", err)
+	edfRep, err := Replicate(edf, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewFigureBuilder(budget); err == nil || !strings.Contains(err.Error(), "MaxEvents") {
-		t.Fatalf("NewFigureBuilder(MaxEvents 1000) err = %v, want an error naming MaxEvents", err)
+	if bfRep == edfRep {
+		t.Errorf("backfill-edf replicates identically to edf: %+v", bfRep)
+	}
+}
+
+// TestMaxEventsBudgetsEveryRun checks that MaxEvents reaches every run
+// path: a budget too small for the run fails Simulate, Replicate and a
+// figure build with the engine's budget error, and a budget large enough
+// changes nothing.
+func TestMaxEventsBudgetsEveryRun(t *testing.T) {
+	o := fastOptions()
+	o.Jobs = 150
+	small := o
+	small.MaxEvents = 100
+	if _, err := Simulate(small); !errors.Is(err, sim.ErrEventBudget) {
+		t.Errorf("Simulate(MaxEvents 100) err = %v, want the event budget error", err)
+	}
+	if _, err := Replicate(small, 2); !errors.Is(err, sim.ErrEventBudget) {
+		t.Errorf("Replicate(MaxEvents 100) err = %v, want the event budget error", err)
+	}
+	b, err := NewFigureBuilder(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Build("figure2"); !errors.Is(err, sim.ErrEventBudget) {
+		t.Errorf("figure2 build (MaxEvents 100) err = %v, want the event budget error", err)
+	}
+
+	large := o
+	large.MaxEvents = 1 << 40
+	res, err := Simulate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resLarge, err := Simulate(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, resLarge) {
+		t.Error("Simulate with a large MaxEvents differs from the default budget")
+	}
+	rep, err := Replicate(o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repLarge, err := Replicate(large, 2); err != nil || repLarge != rep {
+		t.Errorf("Replicate with a large MaxEvents = %+v, %v; default budget %+v", repLarge, err, rep)
 	}
 }
 
 // TestReplicateHonoursOptions checks that Replicate runs the policy the
-// options describe: the σ threshold and fault processes change the result,
-// and an estimator it cannot apply is refused by name.
+// options describe: the σ threshold, fault processes and an online
+// estimator each change the result.
 func TestReplicateHonoursOptions(t *testing.T) {
 	o := fastOptions()
 	o.Jobs = 150
@@ -418,10 +464,12 @@ func TestReplicateHonoursOptions(t *testing.T) {
 	if replicate(faulty) == strict {
 		t.Error("fault injection replicates identically to a fault-free run")
 	}
-	est := o
+	users := o
+	users.UserModel = true
+	est := users
 	est.Estimator = "scaling"
-	if _, err := Replicate(est, 2); err == nil || !strings.Contains(err.Error(), "scaling") {
-		t.Fatalf("Replicate(estimator scaling) err = %v, want an error naming the estimator", err)
+	if replicate(est) == replicate(users) {
+		t.Error("the scaling estimator replicates identically to the user estimates")
 	}
 }
 

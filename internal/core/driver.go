@@ -19,20 +19,15 @@ const defaultEventBudget = 50_000_000
 // 100 = the trace's actual estimates), runs the simulation to completion,
 // and flushes the recorder so unfinished jobs are accounted for.
 func RunSimulation(e *sim.Engine, p Policy, rec *metrics.Recorder, jobs []workload.Job, inaccuracyPct float64) error {
-	return RunSimulationContext(context.Background(), e, p, rec, jobs, inaccuracyPct)
-}
-
-// RunSimulationContext is RunSimulation with cooperative cancellation: the
-// engine polls the context between events, so a canceled or expired
-// context aborts the run at event-loop granularity with a wrapped context
-// error. The recorder is only flushed on a completed run.
-func RunSimulationContext(ctx context.Context, e *sim.Engine, p Policy, rec *metrics.Recorder, jobs []workload.Job, inaccuracyPct float64) error {
 	var d ArrivalDriver
-	return RunSimulationReusing(ctx, e, p, rec, jobs, inaccuracyPct, &d)
+	return RunSimulationReusing(context.Background(), e, p, rec, jobs, inaccuracyPct, &d)
 }
 
-// RunSimulationReusing is RunSimulationContext with a caller-owned
-// ArrivalDriver, so repeated runs reuse the driver's persistent handler
+// RunSimulationReusing is RunSimulation with cooperative cancellation and
+// a caller-owned ArrivalDriver. The engine polls ctx between events, so a
+// canceled or expired context aborts the run at event-loop granularity
+// with a wrapped context error; the recorder is only flushed on a
+// completed run. Repeated runs reuse the driver's persistent handler
 // instead of allocating per-run arrival closures.
 func RunSimulationReusing(ctx context.Context, e *sim.Engine, p Policy, rec *metrics.Recorder, jobs []workload.Job, inaccuracyPct float64, d *ArrivalDriver) error {
 	if err := workload.ValidateAll(jobs); err != nil {

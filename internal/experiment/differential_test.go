@@ -111,9 +111,9 @@ func decisionRun(t *testing.T, base BaseConfig, jobs []workload.Job, spec RunSpe
 		ss.OnJobDone = record(ss.OnJobDone)
 	}
 	sc.ctxs[spec.Policy] = &policyContext{pol: pol, ts: ts, ss: ss}
-	sum, _, err := runInstrumented(context.Background(), base, jobs, spec, sc, -1)
-	if err != nil {
-		t.Fatal(err)
+	res := runCell(context.Background(), base, jobs, spec, sc, -1)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	results := append([]metrics.JobResult(nil), sc.rec.Results()...)
 	sort.Slice(results, func(i, j int) bool { return results[i].JobID < results[j].JobID })
@@ -123,5 +123,5 @@ func decisionRun(t *testing.T, base BaseConfig, jobs []workload.Job, spec RunSpe
 	}
 	var digest [sha256.Size]byte
 	h.Sum(digest[:0])
-	return sum, digest
+	return res.Summary, digest
 }

@@ -81,34 +81,49 @@ func (sc *runScratch) release() {
 	}
 }
 
-// runInstrumented is the body shared by Run (sc == nil:
-// build everything fresh) and the sweep workers (sc != nil: reuse the
-// worker's scratch). The two paths produce identical summaries by
-// construction — every Reset restores exact constructor state and every
-// in-place transform draws the same random sequence as its allocating
-// counterpart — and the differential tests in reuse_test.go hold them to
-// byte-identical figures at paper scale.
+// readyJobs makes one run's jobs from the base jobs: the spec's
+// deadlines assigned and its arrivals scaled, into the scratch's job
+// slice when sc is non-nil and into fresh storage otherwise. Both draw the
+// same random sequence, so the two are identical.
+func readyJobs(baseJobs []workload.Job, spec RunSpec, sc *runScratch) ([]workload.Job, error) {
+	if sc == nil {
+		jobs, err := workload.AssignDeadlines(baseJobs, spec.Deadline)
+		if err != nil {
+			return nil, err
+		}
+		return workload.ScaleArrivals(jobs, spec.ArrivalDelayFactor), nil
+	}
+	if cap(sc.jobs) < len(baseJobs) {
+		sc.jobs = make([]workload.Job, len(baseJobs))
+	}
+	jobs := sc.jobs[:len(baseJobs)]
+	if err := workload.AssignDeadlinesInto(jobs, baseJobs, spec.Deadline); err != nil {
+		return nil, err
+	}
+	workload.ScaleArrivalsInPlace(jobs, spec.ArrivalDelayFactor)
+	return jobs, nil
+}
+
+// runInstrumented is the one simulation run: Run, RunJobs and the sweep
+// cells all go through it. It runs the spec's policy over ready jobs
+// (deadlines set, arrivals scaled; the spec's Deadline and
+// ArrivalDelayFactor are not applied again) and returns the run's
+// recorder and, when the spec samples a time-shared cluster, its monitor.
+// With sc == nil it builds everything fresh; otherwise it reuses the
+// worker's scratch, and the recorder is the scratch's until its next run.
+// The two paths produce identical results by construction — every Reset
+// restores exact constructor state — and the differential tests in
+// reuse_test.go hold them to byte-identical figures at paper scale.
 // cell is the sweep cell index used to tag observability output (-1 for
 // standalone runs); observability setup runs only when base.Obs is set,
 // so runs with it off execute the pre-observability instruction stream.
-// The float64 is the run's mean σ over its monitor samples (see
-// Result.MeanSigma).
-func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec RunSpec, sc *runScratch, cell int) (metrics.Summary, float64, error) {
+func runInstrumented(ctx context.Context, base BaseConfig, jobs []workload.Job, spec RunSpec, sc *runScratch, cell int) (*metrics.Recorder, *core.Monitor, error) {
 	var (
-		jobs []workload.Job
-		e    *sim.Engine
-		rec  *metrics.Recorder
-		drv  *core.ArrivalDriver
+		e   *sim.Engine
+		rec *metrics.Recorder
+		drv *core.ArrivalDriver
 	)
 	if sc != nil {
-		if cap(sc.jobs) < len(baseJobs) {
-			sc.jobs = make([]workload.Job, len(baseJobs))
-		}
-		jobs = sc.jobs[:len(baseJobs)]
-		if err := workload.AssignDeadlinesInto(jobs, baseJobs, spec.Deadline); err != nil {
-			return metrics.Summary{}, 0, err
-		}
-		workload.ScaleArrivalsInPlace(jobs, spec.ArrivalDelayFactor)
 		// Engine first: Reset invalidates every outstanding *Event, which
 		// is what lets the cluster Resets below drop their event
 		// references without cancelling them one by one.
@@ -118,15 +133,13 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		rec.Reset()
 		drv = &sc.driver
 	} else {
-		j, err := workload.AssignDeadlines(baseJobs, spec.Deadline)
-		if err != nil {
-			return metrics.Summary{}, 0, err
-		}
-		jobs = workload.ScaleArrivals(j, spec.ArrivalDelayFactor)
 		e = sim.NewEngine()
 		rec = metrics.NewRecorder()
 		drv = new(core.ArrivalDriver)
 	}
+	// Set after the Reset, which reverts it; zero keeps the driver's
+	// default budget.
+	e.MaxEvents = base.MaxEvents
 
 	var (
 		pol core.Policy
@@ -146,7 +159,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		var err error
 		pol, ts, ss, err = buildPolicyClusters(base, spec.Policy, rec)
 		if err != nil {
-			return metrics.Summary{}, 0, err
+			return nil, nil, err
 		}
 		if _, ok := pol.(resettable); ok && sc != nil {
 			sc.ctxs[spec.Policy] = &policyContext{pol: pol, ts: ts, ss: ss}
@@ -168,7 +181,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		// wrapper's observer, so wrappers never chain across runs.
 		pred, err := predict.New(spec.Estimator)
 		if err != nil {
-			return metrics.Summary{}, 0, err
+			return nil, nil, err
 		}
 		pol = predict.Wrap(pol, rec, pred)
 	}
@@ -179,7 +192,7 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 	}
 	if spec.Faults.Enabled() {
 		if err := installFaults(e, spec.Faults, spec.Policy, ts, ss, jobs, runTracer(orun)); err != nil {
-			return metrics.Summary{}, 0, err
+			return nil, nil, err
 		}
 	}
 	var mon *core.Monitor
@@ -187,16 +200,16 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		var err error
 		mon, err = core.NewMonitor(ts, spec.MonitorInterval)
 		if err != nil {
-			return metrics.Summary{}, 0, err
+			return nil, nil, err
 		}
 		mon.Start(e)
 	}
 	if err := core.RunSimulationReusing(ctx, e, pol, rec, jobs, spec.InaccuracyPct, drv); err != nil {
-		return metrics.Summary{}, 0, err
+		return nil, nil, err
 	}
 	if chk != nil {
 		if err := chk.Err(); err != nil {
-			return metrics.Summary{}, 0, err
+			return nil, nil, err
 		}
 	}
 	if orun != nil {
@@ -204,20 +217,23 @@ func runInstrumented(ctx context.Context, base BaseConfig, baseJobs []workload.J
 		// simply dropped, so the sweep output never mixes in aborted runs.
 		finishRunObs(orun, e, ts)
 		if err := base.Obs.Finish(orun); err != nil {
-			return metrics.Summary{}, 0, err
+			return nil, nil, err
 		}
 	}
-	var meanSigma float64
-	if mon != nil {
-		samples := mon.Samples()
-		for _, smp := range samples {
-			meanSigma += smp.MeanSigma
-		}
-		if len(samples) > 0 {
-			meanSigma /= float64(len(samples))
-		}
+	return rec, mon, nil
+}
+
+// meanSigma is the mean σ over a run's monitor samples: 0 without a
+// monitor or samples.
+func meanSigma(mon *core.Monitor) float64 {
+	if mon == nil || len(mon.Samples()) == 0 {
+		return 0
 	}
-	return rec.Summarize(), meanSigma, nil
+	var sum float64
+	for _, smp := range mon.Samples() {
+		sum += smp.MeanSigma
+	}
+	return sum / float64(len(mon.Samples()))
 }
 
 // cachedPolicy looks up the scratch's policy cache; nil-safe.

@@ -145,14 +145,14 @@ func BenchmarkReusedSweepCell(b *testing.B) {
 	sc := newRunScratch()
 	ctx := context.Background()
 	spec := RunSpec{Policy: LibraRisk, ArrivalDelayFactor: 1, InaccuracyPct: 0, Deadline: base.Deadline}
-	if _, _, err := runInstrumented(ctx, base, jobs, spec, sc, -1); err != nil {
-		b.Fatal(err)
+	if res := runCell(ctx, base, jobs, spec, sc, -1); res.Err != nil {
+		b.Fatal(res.Err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runInstrumented(ctx, base, jobs, spec, sc, -1); err != nil {
-			b.Fatal(err)
+		if res := runCell(ctx, base, jobs, spec, sc, -1); res.Err != nil {
+			b.Fatal(res.Err)
 		}
 	}
 }
@@ -171,11 +171,11 @@ func TestRunScratchSteadyStateAllocationFree(t *testing.T) {
 	for _, pol := range AllPolicies {
 		spec := RunSpec{Policy: pol, ArrivalDelayFactor: 1, InaccuracyPct: 0, Deadline: base.Deadline}
 		run := func() {
-			sum, _, err := runInstrumented(ctx, base, jobs, spec, sc, -1)
-			if err != nil {
-				t.Fatal(err)
+			res := runCell(ctx, base, jobs, spec, sc, -1)
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
-			if sum.Submitted != len(jobs) || sum.Rejected != 0 || sum.Unfinished != 0 {
+			if sum := res.Summary; sum.Submitted != len(jobs) || sum.Rejected != 0 || sum.Unfinished != 0 {
 				t.Fatalf("%v: not all jobs admitted: %+v", pol, sum)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"clustersched/internal/checkpoint"
+	"clustersched/internal/core"
 	"clustersched/internal/metrics"
 	"clustersched/internal/workload"
 )
@@ -60,12 +61,17 @@ func runCell(ctx context.Context, base BaseConfig, baseJobs []workload.Job, spec
 	if hook := testFailHook; hook != nil {
 		hook(spec, use)
 	}
-	sum, sigma, err := runInstrumented(ctx, base, baseJobs, spec, use, cell)
+	jobs, err := readyJobs(baseJobs, spec, use)
+	var rec *metrics.Recorder
+	var mon *core.Monitor
+	if err == nil {
+		rec, mon, err = runInstrumented(ctx, base, jobs, spec, use, cell)
+	}
 	use.release()
 	if err != nil {
 		return Result{Spec: spec, Err: &RunError{Spec: spec, Cause: err}}
 	}
-	return Result{Spec: spec, Summary: sum, MeanSigma: sigma}
+	return Result{Spec: spec, Summary: rec.Summarize(), MeanSigma: meanSigma(mon)}
 }
 
 // workerCount clamps the configured sweep parallelism to the work at hand.

@@ -31,6 +31,9 @@ const (
 	BackfillEASY
 	BackfillCons
 	QoPS
+	// BackfillEDF is EASY backfilling in deadline order. The facade runs
+	// it, and no figure sweeps it, so it is not among ExtensionPolicies.
+	BackfillEDF
 )
 
 // AllPolicies is the paper's comparison set, in presentation order.
@@ -56,6 +59,8 @@ func (k PolicyKind) String() string {
 		return "Conservative"
 	case QoPS:
 		return "QoPS"
+	case BackfillEDF:
+		return "EDF-Backfill"
 	default:
 		return fmt.Sprintf("PolicyKind(%d)", int(k))
 	}
@@ -86,6 +91,11 @@ type BaseConfig struct {
 	// monotonicity, job conservation, and cluster structural invariants
 	// are re-validated after each event, and any violation fails the run.
 	CheckInvariants bool
+	// MaxEvents, when non-zero, overrides the engine's runaway-loop event
+	// budget on every run. It decides only whether a run completes, never
+	// what a completed run yields, so it is excluded from checkpoint cell
+	// keys.
+	MaxEvents uint64
 	// disableReuse makes every sweep cell build its engine, recorder,
 	// cluster and policy from scratch instead of reusing the per-worker run
 	// context. Results are identical by contract — the differential tests
@@ -204,11 +214,27 @@ func (s RunSpec) Ident() string {
 
 // Run executes one simulation from pre-generated base jobs (before
 // deadline assignment and arrival scaling) and returns its summary. It
-// always builds the run from scratch; sweeps route through runInstrumented
-// with a per-worker scratch instead (see reuse.go).
+// always builds the run from scratch; sweeps reuse a per-worker scratch
+// instead (see reuse.go).
 func Run(base BaseConfig, baseJobs []workload.Job, spec RunSpec) (metrics.Summary, error) {
-	s, _, err := runInstrumented(context.Background(), base, baseJobs, spec, nil, -1)
-	return s, err
+	jobs, err := readyJobs(baseJobs, spec, nil)
+	if err != nil {
+		return metrics.Summary{}, err
+	}
+	rec, _, err := runInstrumented(context.Background(), base, jobs, spec, nil, -1)
+	if err != nil {
+		return metrics.Summary{}, err
+	}
+	return rec.Summarize(), nil
+}
+
+// RunJobs executes one simulation, built from scratch, over ready jobs:
+// deadlines already set and arrivals already scaled, so the spec's
+// Deadline and ArrivalDelayFactor are not applied. It returns the run's
+// recorder and its monitor, which is nil unless spec.MonitorInterval is
+// positive and the policy runs on the time-shared cluster.
+func RunJobs(ctx context.Context, base BaseConfig, jobs []workload.Job, spec RunSpec) (*metrics.Recorder, *core.Monitor, error) {
+	return runInstrumented(ctx, base, jobs, spec, nil, -1)
 }
 
 // installFaults validates fault support for the policy, defaults the
@@ -247,6 +273,7 @@ var policyNames = [...]string{
 	BackfillEASY: "backfill-easy",
 	BackfillCons: "backfill-conservative",
 	QoPS:         "qops",
+	BackfillEDF:  "backfill-edf",
 }
 
 // PolicyKindOf returns the kind whose sched.NewPolicy name is name.
