@@ -74,9 +74,11 @@ func (n *PSNode) PredictDelaysScratch(now float64, cand *Candidate) []PredictedD
 // believed work; see ProvablyRisky for why), which caps the value of the
 // item with the latest deadline, and so lo. And an item holding believed
 // work b at time t cannot retire before f = t + (b−epsWork)/speed, less
-// 1e-9·|f|, which floors its value, and so hi; this is folded for every
-// item before the first step and, at each step, for every item past its
-// deadline with work left (earliestValue). That floor holds because:
+// 1e-9·|f|, which floors its value, and so hi; this is folded at each step
+// for every item past its deadline with work left (earliestValue). Before
+// the first step it is not: ProvablyRisky, which the policy asks first,
+// already folds the same floor for the residents past their deadline and
+// for the candidate. That floor holds because:
 //
 //   - no item is served faster than speed: a weight w is part of the total
 //     it is divided by, so w/total ≤ 1, and under strict shares w is served
@@ -119,15 +121,11 @@ func (n *PSNode) PredictDelaysWithin(now float64, cand *Candidate, limit float64
 	lo, hi := math.Inf(1), math.Inf(-1)
 	if bounded && len(items) > 0 {
 		spread = 2 * limit * math.Sqrt(2*float64(len(items)))
-		// Entry bounds: every item's earliest finish bounds hi; on a
-		// work-conserving node the backlog horizon bounds lo, through the
-		// item with the latest deadline.
+		// Entry bound: on a work-conserving node the backlog horizon
+		// bounds lo, through the item with the latest deadline.
 		var backlog float64
 		last := math.Inf(-1)
 		for _, it := range items {
-			if v := n.earliestValue(now, now, it); v > hi {
-				hi = v
-			}
 			backlog += it.believed
 			if it.absDeadline > last {
 				last = it.absDeadline

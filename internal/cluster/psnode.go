@@ -425,11 +425,12 @@ func (n *PSNode) PredictionStable() bool {
 // believed work only falls, at most at the node's speed, so each field
 // bounds the predictor's view at any now ≥ lastT until the version moves.
 //
-// PredictDelaysWithin's entry bounds catch part of what exit (5) proves,
-// but only after an O(slices) pass that projects every slice's believed
-// work. This summary answers in O(1) while the version holds, and it
-// decides about nine in ten of serve_scan's busy nodes, so exit (5) stays
-// in front of the simulation.
+// PredictDelaysWithin folds no earliest-finish floor before its first
+// step: this summary folds it, for the residents that cannot finish by
+// their deadline and for the candidate, in O(1) while the version holds, where the
+// prediction would need an O(slices) pass that projects every slice's
+// believed work. It decides about nine in ten of serve_scan's busy nodes,
+// so exit (5) stays in front of the simulation.
 type riskSummary struct {
 	version uint64
 	valid   bool

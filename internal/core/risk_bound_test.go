@@ -470,24 +470,29 @@ func earliestNode(t *testing.T, strict bool, speed float64, jobs []workload.Job)
 // s cannot retire before b/s, so with deadline 100 its eq. (4) value is at
 // least b/(100·s). Beside it sit on-time items of value 1, the candidate
 // among them, so at SigmaThreshold 0.5 with three items the bound stops the
-// simulation before its first step once b/(100·s) − 1 clears
-// 2·limit·√(2·3) ≈ 2.45:
+// simulation once b/(100·s) − 1 clears 2·limit·√(2·3) ≈ 2.45. The
+// prediction folds that bound at the resident's deadline crossing, the end
+// of the first step; before the first step it folds none, because exit
+// (5), which the policy asks first, proves such a node risky through its
+// doomed-resident floor:
 //
 //   - "beyond" and "inside": the resident's bound 0.01 s beyond and inside
 //     that, at full speed and on a straggler at speed 0.5;
 //   - strict shares, where the node may idle, so no horizon bounds the
 //     on-time items' values and only the lateness half may fire: beyond
 //     the bound it fires only once an on-time item has retired, which an
-//     exhausted resident does at now;
+//     exhausted resident does at now; exit (5) proves neither;
 //   - "crossing", under the paper's zero-σ rule: the candidate is on time
 //     alone but not beside a resident demanding a full processor. Exit (6)
 //     must stop at the end of the first step, its deadline crossing, with
 //     no verdict yet; without the crossing fold the run goes on to the
 //     candidate's retirement, and the retirement rule alone to the
-//     resident's.
+//     resident's. Exit (5) proves it through the overloaded node's first
+//     crossing.
 //
-// Each decision must match the full NodeRisk, and a stop must come at the
-// named step (−1: not before the first step).
+// Each decision must match the full NodeRisk, a stop must come at the
+// named step (−1: not before the first step), and exit (5) must prove
+// exactly the named nodes.
 func TestEarliestFinishExitAtTheBound(t *testing.T) {
 	limit := 0.5 + sigmaTolerance
 	edge := 100 * (1 + 2*limit*math.Sqrt(6))
@@ -504,17 +509,18 @@ func TestEarliestFinishExitAtTheBound(t *testing.T) {
 		thr      float64
 		jobs     []workload.Job
 		cand     *cluster.Candidate
-		stopStep int // step the bounded run stops at; −1: not before the first
-		verdicts int // verdicts produced before a stop
+		stopStep int  // step the bounded run stops at; −1: not before the first
+		verdicts int  // verdicts produced before a stop
+		proven   bool // exit (5) proves the node risky
 	}{
-		{"beyond", false, 1, 0.5, []workload.Job{late(edge + 0.01), onTime}, small, 0, 0},
-		{"inside", false, 1, 0.5, []workload.Job{late(edge - 0.01), onTime}, small, -1, 0},
-		{"straggler beyond", false, 0.5, 0.5, []workload.Job{late((edge + 0.01) / 2), onTime}, small, 0, 0},
-		{"straggler inside", false, 0.5, 0.5, []workload.Job{late((edge - 0.01) / 2), onTime}, small, -1, 0},
-		{"strict beyond", true, 1, 0.5, []workload.Job{late(edge + 0.01), onTime}, small, -1, 0},
-		{"strict beside an exhausted resident", true, 1, 0.5, []workload.Job{late(edge + 0.01), exhausted}, small, 0, 1},
+		{"beyond", false, 1, 0.5, []workload.Job{late(edge + 0.01), onTime}, small, 1, 0, true},
+		{"inside", false, 1, 0.5, []workload.Job{late(edge - 0.01), onTime}, small, -1, 0, false},
+		{"straggler beyond", false, 0.5, 0.5, []workload.Job{late((edge + 0.01) / 2), onTime}, small, 1, 0, true},
+		{"straggler inside", false, 0.5, 0.5, []workload.Job{late((edge - 0.01) / 2), onTime}, small, -1, 0, false},
+		{"strict beyond", true, 1, 0.5, []workload.Job{late(edge + 0.01), onTime}, small, -1, 0, false},
+		{"strict beside an exhausted resident", true, 1, 0.5, []workload.Job{late(edge + 0.01), exhausted}, small, 1, 1, false},
 		{"crossing", false, 1, 0, []workload.Job{{ID: 1, Runtime: 1000, TraceEstimate: 1000, NumProc: 1, Deadline: 1001}},
-			&cluster.Candidate{JobID: 3, RefWork: 0.5, AbsDeadline: 1}, 1, 0},
+			&cluster.Candidate{JobID: 3, RefWork: 0.5, AbsDeadline: 1}, 1, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, node := earliestNode(t, tc.strict, tc.speed, tc.jobs)
@@ -532,8 +538,11 @@ func TestEarliestFinishExitAtTheBound(t *testing.T) {
 			case tc.stopStep >= 0 && len(partial) != tc.verdicts:
 				t.Fatalf("stopped with %d verdicts %+v, want %d", len(partial), partial, tc.verdicts)
 			}
-			if node.ProvablyRisky(0, tc.cand, limit) && wantSigma <= limit {
+			switch proven := node.ProvablyRisky(0, tc.cand, limit); {
+			case proven && wantSigma <= limit:
 				t.Fatalf("exit (5) proved risky by floor %d, but the full σ = %v is suitable", node.ProvenBy(), wantSigma)
+			case proven != tc.proven:
+				t.Fatalf("exit (5) proved risky = %v, want %v", proven, tc.proven)
 			}
 			if _, _, suitable, _ := p.evalNode(0, node, tc.cand, false); suitable != (wantSigma <= limit) {
 				t.Fatalf("evalNode suitable = %v, full σ = %v", suitable, wantSigma)

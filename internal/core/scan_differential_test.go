@@ -117,9 +117,11 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 			t.Errorf("exit (5)'s floor %d decided %.2f %% of busy-node evaluations, want at least %g %%", f, got, floor)
 		}
 	}
-	if pct(stops[stopAtEntry]) < entryFloorPct || pct(stops[stopAtCrossing]) < crossingFloorPct {
-		t.Errorf("exit (6) stopped %.2f %% of busy-node evaluations before the first fluid step and %.2f %% at a crossing, want at least %g %% and %g %%",
-			pct(stops[stopAtEntry]), pct(stops[stopAtCrossing]), entryFloorPct, crossingFloorPct)
+	if stops[stopAtEntry] != 0 {
+		t.Errorf("exit (6) stopped %d busy-node evaluations before the first fluid step, want none: the prediction folds no entry floor", stops[stopAtEntry])
+	}
+	if pct(stops[stopAtCrossing]) < crossingFloorPct {
+		t.Errorf("exit (6) stopped %.2f %% of busy-node evaluations at a crossing, want at least %g %%", pct(stops[stopAtCrossing]), crossingFloorPct)
 	}
 }
 
@@ -130,10 +132,12 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 // first floor that proved a node, in ProvablyRisky's order: an overdue
 // exhausted slice 64.2 %, a doomed resident 0.13 %, the candidate's
 // earliest finish 7.0 % and an overloaded node's first crossing 20.2 %.
-// Exit (6) stops only 0.05 % before the first fluid step and 5.5 % at a
-// deadline crossing, because exit (5) goes first: floors (a) and (b) are
-// exit (6)'s entry floors taken at lastT, and floor (c) proves most of
-// the overloads its crossing fold would stop.
+// Exit (6) stops 5.5 % at a deadline crossing and none before the first
+// fluid step, because exit (5) goes first: floors (a) and (b) are the
+// earliest-finish bound taken at lastT, so the prediction folds no entry
+// floor, and floor (c) proves most of the overloads its crossing fold
+// would stop. The 0.05 % an entry fold once stopped now run past the
+// first step, to the same decisions.
 var provenByFloorPct = [...]float64{
 	cluster.NotProven:      0,
 	cluster.FloorOverdue:   60,
@@ -144,7 +148,6 @@ var provenByFloorPct = [...]float64{
 
 const (
 	provenFloorPct   = 88.0
-	entryFloorPct    = 0.02
 	crossingFloorPct = 4.0
 )
 
@@ -162,10 +165,9 @@ const (
 // earliestFinishStop runs node's bounded prediction for cand and
 // attributes its stop. A stop is exit (6)'s when it came with fewer
 // verdicts than the retirement rule alone needs. Mid-run, before any item
-// has retired late, the large value that decided is an earliest-finish
-// floor: one folded at a deadline crossing, or an entry floor met by an
-// on-time retirement. On this stream the second kind is negligible:
-// without the crossing fold the class is empty.
+// has retired late, the large value that decided is the earliest-finish
+// floor folded at a deadline crossing: without that fold the class is
+// empty.
 func earliestFinishStop(now float64, node *cluster.PSNode, cand *cluster.Candidate, limit float64) stopKind {
 	partial, ok := node.PredictDelaysWithin(now, cand, limit)
 	if ok {
