@@ -32,7 +32,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	o := clustersched.DefaultOptions()
 	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
-	policy := fs.String("policy", string(o.Policy), "admission control: edf | libra | librarisk | fcfs | backfill-easy | backfill-conservative | qops")
+	policy := fs.String("policy", string(o.Policy), "admission control: edf | libra | librarisk | fcfs | backfill-easy | backfill-conservative | backfill-edf | qops")
 	nodes := fs.Int("nodes", o.Nodes, "computation nodes")
 	rating := fs.Float64("rating", o.Rating, "SPEC rating per node")
 	jobs := fs.Int("jobs", o.Jobs, "synthetic workload size")
@@ -67,21 +67,27 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// A flag that only shapes one fault class is refused when that class
-	// is off: the run would drop it without a word.
+	// A flag set explicitly is refused where the run would drop it
+	// without a word: one that shapes a fault class that is off, an
+	// output of a run mode not taken, and anything -report's run ignores.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, dep := range []struct {
-		flag, needs string
-		on          bool
+		flag, when string
+		used       bool
 	}{
-		{"fault-mttr", "-fault-mtbf or -fault-correlated-mtbf", *faultMTBF > 0 || *faultCorrMTBF > 0},
-		{"fault-straggler-duration", "-fault-straggler-mtbf", *faultStragglerMTBF > 0},
-		{"fault-straggler-factor", "-fault-straggler-mtbf", *faultStragglerMTBF > 0},
-		{"fault-correlated-size", "-fault-correlated-mtbf", *faultCorrMTBF > 0},
+		{"fault-mttr", "without a positive -fault-mtbf or -fault-correlated-mtbf", *faultMTBF > 0 || *faultCorrMTBF > 0},
+		{"fault-straggler-duration", "without a positive -fault-straggler-mtbf", *faultStragglerMTBF > 0},
+		{"fault-straggler-factor", "without a positive -fault-straggler-mtbf", *faultStragglerMTBF > 0},
+		{"fault-correlated-size", "without a positive -fault-correlated-mtbf", *faultCorrMTBF > 0},
+		{"last", "without -trace", *trace != ""},
+		{"monitor-csv", "without a positive -monitor", *monitor > 0},
+		{"trace", "with -report", !*report},
+		{"jobs-csv", "with -report", !*report},
+		{"monitor-csv", "with -report", !*report},
 	} {
-		if set[dep.flag] && !dep.on {
-			return fmt.Errorf("-%s is set, but without a positive %s the run ignores it", dep.flag, dep.needs)
+		if set[dep.flag] && !dep.used {
+			return fmt.Errorf("-%s is set, but %s the run ignores it", dep.flag, dep.when)
 		}
 	}
 
@@ -119,7 +125,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	o.CheckInvariants = *checkInv
 	o.MaxEvents = *maxEvents
 
-	if *report && *trace == "" {
+	if *report {
 		out, err := clustersched.Report(o)
 		if err != nil {
 			return err

@@ -23,7 +23,7 @@ func TestRunDefaultScaledDown(t *testing.T) {
 }
 
 func TestRunEveryPolicyFlag(t *testing.T) {
-	for _, pol := range []string{"edf", "libra", "librarisk", "fcfs", "backfill-easy", "backfill-conservative", "qops"} {
+	for _, pol := range []string{"edf", "libra", "librarisk", "fcfs", "backfill-easy", "backfill-conservative", "backfill-edf", "qops"} {
 		var sb strings.Builder
 		if err := run(context.Background(), []string{"-policy", pol, "-nodes", "8", "-jobs", "60"}, &sb); err != nil {
 			t.Fatalf("%s: %v", pol, err)
@@ -115,32 +115,69 @@ func TestRunJobsCSVAndMonitorCSV(t *testing.T) {
 	}
 }
 
-func TestRunTraceReplay(t *testing.T) {
-	// Build a small trace with tracegen's library path, then replay it.
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "t.swf")
-	var gen strings.Builder
-	if err := run(context.Background(), []string{"-nodes", "8", "-jobs", "50"}, &gen); err != nil {
-		t.Fatal(err)
-	}
-	// Use the public API via the facade through a fresh trace file: easiest
-	// is to reuse -trace after writing with tracegen logic; emulate by
-	// writing a minimal SWF here.
+// writeTrace writes a 20-job SWF trace for an 8-node cluster and returns
+// its path.
+func writeTrace(t *testing.T) string {
+	t.Helper()
 	content := "; MaxNodes: 8\n"
 	for i := 1; i <= 20; i++ {
 		content += strings.ReplaceAll("ID 0 -1 600 2 -1 -1 2 1200 -1 1 1 1 -1 1 -1 -1 -1\n", "ID 0",
 			// job id and staggered submit times
 			itoa(i)+" "+itoa(i*500))
 	}
-	if err := os.WriteFile(tracePath, []byte(content), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "t.swf")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+func TestRunTraceReplay(t *testing.T) {
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-nodes", "8", "-trace", tracePath, "-last", "10"}, &sb); err != nil {
+	if err := run(context.Background(), []string{"-nodes", "8", "-trace", writeTrace(t), "-last", "10"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "submitted              10") {
 		t.Fatalf("trace replay output:\n%s", sb.String())
+	}
+}
+
+// TestRunRefusesFlagsItsRunWouldDrop pins that a flag combination whose
+// run would ignore one of its flags is refused, naming both flags, and
+// that each flag is accepted where its run uses it.
+func TestRunRefusesFlagsItsRunWouldDrop(t *testing.T) {
+	trace := writeTrace(t)
+	out := func(name string) string { return filepath.Join(t.TempDir(), name) }
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		names []string // flags the error must name; none when the run must succeed
+	}{
+		{"report with trace", []string{"-report", "-trace", trace}, []string{"-report", "-trace"}},
+		{"report with jobs-csv", []string{"-report", "-jobs-csv", out("jobs.csv")}, []string{"-report", "-jobs-csv"}},
+		{"report with monitor-csv", []string{"-report", "-monitor", "3600", "-monitor-csv", out("mon.csv")}, []string{"-report", "-monitor-csv"}},
+		{"last without trace", []string{"-last", "10"}, []string{"-last", "-trace"}},
+		{"monitor-csv without monitor", []string{"-monitor-csv", out("mon.csv")}, []string{"-monitor-csv", "-monitor"}},
+		{"monitor-csv with monitor 0", []string{"-monitor", "0", "-monitor-csv", out("mon.csv")}, []string{"-monitor-csv", "-monitor"}},
+		{"trace with last and jobs-csv", []string{"-trace", trace, "-last", "10", "-jobs-csv", out("jobs.csv")}, nil},
+		{"monitor-csv with monitor", []string{"-monitor", "3600", "-monitor-csv", out("mon.csv")}, nil},
+		{"report with monitor", []string{"-report", "-monitor", "3600"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			err := run(context.Background(), append([]string{"-jobs", "50", "-nodes", "8"}, tc.args...), &sb)
+			switch {
+			case tc.names == nil && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.names != nil && err == nil:
+				t.Fatalf("accepted a combination whose run ignores a flag; output:\n%s", sb.String())
+			}
+			for _, name := range tc.names {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q, want it to name %s", err, name)
+				}
+			}
+		})
 	}
 }
 
