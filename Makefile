@@ -283,6 +283,7 @@ examples:
 	$(GO) run ./examples/riskpolicy
 	$(GO) run ./examples/capacityplan
 	$(GO) run ./examples/riskmonitor
+	$(GO) run ./examples/sitestudy
 
 clean:
 	$(GO) clean ./...

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"clustersched"
 )
@@ -35,16 +34,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		path = filepath.Join(os.TempDir(), "site-trace.swf")
-		f, err := os.Create(path)
+		f, err := os.CreateTemp("", "site-trace-*.swf")
 		if err != nil {
 			log.Fatal(err)
 		}
+		path = f.Name()
+		defer os.Remove(path)
 		if err := clustersched.SaveSWF(f, ws, opts.Nodes); err != nil {
 			log.Fatal(err)
 		}
 		f.Close()
-		fmt.Println("using stand-in site trace:", path)
+		fmt.Println("using a stand-in site trace")
 	}
 
 	// Step 1+2: calibrate and clone.
