@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzReplayCheckpoint$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzPredictWithinMatchesNaive$$' -fuzztime 30s ./internal/cluster/
 	$(GO) test -run xxx -fuzz 'FuzzProvablyRisky$$' -fuzztime 30s ./internal/cluster/
+	$(GO) test -run xxx -fuzz 'FuzzProvablySafe$$' -fuzztime 30s ./internal/cluster/
 	$(GO) test -run xxx -fuzz 'FuzzWALRecover$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime 10s ./cmd/servetrace/
 

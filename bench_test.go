@@ -341,10 +341,76 @@ func BenchmarkExtensionPolicies(b *testing.B) {
 // BenchmarkPredictorScaling isolates the cost of LibraRisk's per-node
 // fluid predictor as concurrent slices grow, on the scratch-buffer fast
 // path the admission control actually uses (zero allocations in steady
-// state).
+// state). The sigma0 rows time LibraRisk's whole test of one node in the
+// σ = 0 shape (see underloadedOp), where the fluid run would take one
+// step per slice, each O(slices), and the early accept takes none.
 func BenchmarkPredictorScaling(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("slices=%d", n), func(b *testing.B) { benchOp(b, predictorOp(n)) })
+	}
+	for _, n := range underloadedSizes {
+		b.Run(fmt.Sprintf("sigma0/slices=%d", n), func(b *testing.B) { benchOp(b, underloadedOp(n)) })
+	}
+}
+
+// underloadedSizes are the slice counts of the σ = 0 rows.
+var underloadedSizes = []int{256, 1024, 4096}
+
+// underloadedNode builds a LibraRisk policy on two nodes, node 1 down and
+// node 0 holding n slices placed directly at time 0, with works of 1-97 s
+// and distinct deadlines from 1e7 s, 1000 s apart. Every slice retires
+// before its deadline, so σ = 0, and a fluid run takes O(n) per step and
+// more steps as n grows (7, 10 and 16 at 256, 1024 and 4096 slices); the
+// slices' Libra weights b/r sum to under 0.02, far below the node's speed.
+func underloadedNode(tb testing.TB, n int) (*sim.Engine, *cluster.TimeShared, *core.LibraRisk) {
+	tb.Helper()
+	c, err := cluster.NewTimeShared(2, 168, cluster.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := sim.NewEngine()
+	c.SetNodeDown(e, 1, true)
+	for i := 1; i <= n; i++ {
+		work := float64(1 + i*37%97)
+		j := workload.Job{ID: i, Runtime: work, TraceEstimate: work, NumProc: 1, Deadline: 1e7 + 1000*float64(i)}
+		if _, err := c.Submit(e, j, work, []int{0}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e, c, core.NewLibraRisk(c, metrics.NewRecorder())
+}
+
+// underloadedOp is one LibraRisk Submit that tests node 0 of
+// underloadedNode(n) and finds it suitable, then rejects the job because
+// it asks for both nodes, so every call sees the same node.
+func underloadedOp(n int) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		e, _, p := underloadedNode(tb, n)
+		id := 1_000_000
+		return func() {
+			j := workload.Job{ID: id, Runtime: 50, TraceEstimate: 50, NumProc: 2, Deadline: 1e7}
+			id++
+			if ok, reason := p.Submit(e, j, 50); ok || reason != "only 1 of 2 required nodes have zero risk" {
+				tb.Fatalf("job %d: accepted %v, %q; want node 0 suitable and the job rejected", j.ID, ok, reason)
+			}
+		}
+	}
+}
+
+// TestUnderloadedNodeTakesNoFluidStep pins the early accept on the σ = 0
+// shape: a LibraRisk Submit on a node of underloadedNode decides with no
+// fluid step at every size, where a fluid run would take one step per
+// slice. PredictSteps counts steps, not time, so the test cannot flake.
+func TestUnderloadedNodeTakesNoFluidStep(t *testing.T) {
+	for _, n := range underloadedSizes {
+		e, c, p := underloadedNode(t, n)
+		j := workload.Job{ID: n + 1, Runtime: 50, TraceEstimate: 50, NumProc: 1, Deadline: 1e7}
+		if ok, reason := p.Submit(e, j, 50); !ok {
+			t.Fatalf("%d slices: rejected (%s)", n, reason)
+		}
+		if steps := c.Node(0).PredictSteps(); steps != 0 {
+			t.Errorf("%d slices: the Submit took %d fluid steps, want 0", n, steps)
+		}
 	}
 }
 

@@ -51,6 +51,9 @@ func TestAllocationBudgets(t *testing.T) {
 		{"PredictorScaling/slices=4", predictorOp(4), 100, 0, exact, false},
 		{"PredictorScaling/slices=16", predictorOp(16), 100, 0, exact, false},
 		{"PredictorScaling/slices=64", predictorOp(64), 100, 0, exact, false},
+		{"PredictorScaling/sigma0/slices=256", underloadedOp(256), 100, 1, exact, true},
+		{"PredictorScaling/sigma0/slices=1024", underloadedOp(1024), 100, 1, exact, true},
+		{"PredictorScaling/sigma0/slices=4096", underloadedOp(4096), 100, 1, exact, true},
 		{"AdmissionRiskScan2", riskScanOp(2), 100, 0, exact, false},
 		{"AdmissionRiskScan8", riskScanOp(8), 100, 0, exact, false},
 		{"AdmissionSubmitReject", submitRejectOp(128, 4, false), 100, 1, exact, true},
@@ -59,8 +62,8 @@ func TestAllocationBudgets(t *testing.T) {
 		{"AdmissionLibraShareScan", libraShareScanOp, 100, 0, exact, false},
 		{"AdmissionFirstFitAccept", firstFitAcceptOp, 100, 0, exact, false},
 		{"PolicyLibraFullScale", runOp(experiment.DefaultBase(), experiment.Libra), 2, 2812, slack, true},
-		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 3480, slack, true},
-		{"LibraRisk512x10k", runOp(scaledBase(512, 10_000), experiment.LibraRisk), 1, 12873, slack, false},
+		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 2952, slack, true},
+		{"LibraRisk512x10k", runOp(scaledBase(512, 10_000), experiment.LibraRisk), 1, 10842, slack, false},
 		{"ServeAdmit", serveAdmitOp(inMemory, false), 200, 41, exact, true},
 		{"ServeAdmitCheckpoint", serveAdmitOp(drainCheckpoint, false), 200, 41, exact, true},
 		{"ServeAdmitDurable", serveAdmitOp(durableWAL, false), 200, 45, exact, true},

@@ -69,7 +69,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	// A flag set explicitly is refused where the run would drop it
 	// without a word: one that shapes a fault class that is off, an
-	// output of a run mode not taken, and anything -report's run ignores.
+	// output of a run mode not taken, anything -report's run ignores, and
+	// -monitor under a policy on the space-shared cluster, which the
+	// utilization monitor cannot sample.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, dep := range []struct {
@@ -85,6 +87,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		{"trace", "with -report", !*report},
 		{"jobs-csv", "with -report", !*report},
 		{"monitor-csv", "with -report", !*report},
+		{"monitor", "with -policy " + *policy, *policy == string(clustersched.PolicyLibra) || *policy == string(clustersched.PolicyLibraRisk)},
 	} {
 		if set[dep.flag] && !dep.used {
 			return fmt.Errorf("-%s is set, but %s the run ignores it", dep.flag, dep.when)

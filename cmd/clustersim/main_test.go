@@ -162,6 +162,9 @@ func TestRunRefusesFlagsItsRunWouldDrop(t *testing.T) {
 		{"trace with last and jobs-csv", []string{"-trace", trace, "-last", "10", "-jobs-csv", out("jobs.csv")}, nil},
 		{"monitor-csv with monitor", []string{"-monitor", "3600", "-monitor-csv", out("mon.csv")}, nil},
 		{"report with monitor", []string{"-report", "-monitor", "3600"}, nil},
+		{"monitor with edf", []string{"-policy", "edf", "-monitor", "3600", "-monitor-csv", out("mon.csv")}, []string{"-monitor", "-policy edf"}},
+		{"monitor with backfill-easy", []string{"-policy", "backfill-easy", "-monitor", "3600"}, []string{"-monitor", "-policy backfill-easy"}},
+		{"monitor with libra", []string{"-policy", "libra", "-monitor", "3600", "-monitor-csv", out("mon.csv")}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var sb strings.Builder

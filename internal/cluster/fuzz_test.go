@@ -89,6 +89,38 @@ func FuzzProvablyRisky(f *testing.F) {
 	})
 }
 
+// FuzzProvablySafe holds exit (7) to the naive reference: on a fuzzed
+// node carrying a fuzzed bulk of slices beside the fuzzNode ones, with a
+// fuzzed candidate, whenever ProvablySafe says safe every eq. (4) value
+// of the naive predictor must be 1 to within 1e-12, so its σ is within
+// any limit the σ rule uses. The bulk reaches the slice counts and the
+// epoch-scale origin where rounding, not the model, would break the proof.
+func FuzzProvablySafe(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(40), int32(80000), false, uint8(0))
+	f.Add([]byte{50, 16, 40, 0, 75, 70, 20, 10}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(300), uint16(200), int32(900000), false, uint8(0))
+	f.Add([]byte{10, 64, 16, 0, 10, 64, 16, 0}, uint16(3), uint8(60), uint8(80), uint8(0), uint16(50), uint16(40), int32(40000), false, uint8(3))
+	// At k ≥ 256, from origin 0 and from 1.7e9: a light load; the bulk's
+	// weights just under the margin (load 174) and just over the node's
+	// speed (176), at 1024 slices; a degraded node with a weight cap.
+	f.Add([]byte{}, uint16(256), uint8(40), uint8(0), uint8(0), uint16(0), uint16(97), int32(20000000), false, uint8(0))
+	f.Add([]byte{}, uint16(256), uint8(40), uint8(0), uint8(0), uint16(0), uint16(97), int32(20000000), false, uint8(3))
+	f.Add([]byte{}, uint16(1024), uint8(174), uint8(0), uint8(0), uint16(600), uint16(40), int32(5000000), false, uint8(3))
+	f.Add([]byte{}, uint16(1024), uint8(176), uint8(0), uint8(0), uint16(600), uint16(40), int32(5000000), false, uint8(3))
+	f.Add([]byte{30, 8, 60, 5}, uint16(700), uint8(100), uint8(70), uint8(60), uint16(100), uint16(25), int32(3000000), false, uint8(3))
+	f.Fuzz(func(t *testing.T, jobs []byte, bulk uint16, load, speedPct, maxWeightPct uint8, elapsed, candWork uint16, candOffset int32, strict bool, origin uint8) {
+		n, now := fuzzNodeBulk(t, jobs, int(bulk%1025), load, speedPct, maxWeightPct, elapsed, strict, origin)
+		cand := &Candidate{JobID: 1_000_000, RefWork: float64(candWork) / 4, AbsDeadline: now + float64(candOffset)/8}
+		if !n.ProvablySafe(now, cand) {
+			return
+		}
+		for _, pd := range n.predictDelaysNaive(now, cand) {
+			if v := DeadlineDelay(pd.Delay, pd.AbsDeadline-now); !(v <= 1+1e-12) {
+				t.Fatalf("ProvablySafe with %d slices, but the naive value of job %d is %v (finish %v, deadline %v)", n.NumSlices(), pd.JobID, v, pd.Finish, pd.AbsDeadline)
+			}
+		}
+	})
+}
+
 // fuzzOrigins are the instants a fuzzed node's clock may start at: zero,
 // and epoch-scale values where a float64 instant has a coarse ulp
 // (2.4e-7 s at 1.7e9), so both early exits' margins are checked where
@@ -102,6 +134,15 @@ var fuzzOrigins = [...]float64{0, 1 << 20, 1 << 30, 1.7e9}
 // until elapsed seconds after the last arrival, which is the instant it
 // returns.
 func fuzzNode(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed uint16, strict bool, origin uint8) (n *PSNode, now float64) {
+	t.Helper()
+	return fuzzNodeBulk(t, jobs, 0, 0, speedPct, maxWeightPct, elapsed, strict, origin)
+}
+
+// fuzzNodeBulk is fuzzNode with bulk more slices placed at the origin,
+// before the fuzzed ones arrive: slice i has work 1 + (37·i mod 97)
+// seconds and a relative deadline such that the bulk's Libra weights sum
+// to about (load+1)/128·0.73 at the origin, spread over i mod 7.
+func fuzzNodeBulk(t *testing.T, jobs []byte, bulk int, load, speedPct, maxWeightPct uint8, elapsed uint16, strict bool, origin uint8) (n *PSNode, now float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.WorkConserving = !strict
@@ -125,6 +166,16 @@ func fuzzNode(t *testing.T, jobs []byte, speedPct, maxWeightPct uint8, elapsed u
 	runTo(now)
 	if speedPct > 0 {
 		c.SetNodeSpeed(e, 0, float64(speedPct)/100)
+	}
+	for i := 1; i <= bulk; i++ {
+		work := float64(1 + 37*i%97)
+		j := workload.Job{
+			ID: 100 + i, Submit: now, Runtime: work, TraceEstimate: work, NumProc: 1,
+			Deadline: work * float64(bulk) * 128 / float64(int(load)+1) * float64(7+i%7) / 7,
+		}
+		if _, err := c.Submit(e, j, work, []int{0}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(jobs) > 48 {
 		jobs = jobs[:48] // 12 slices: past that the predictor's per-node cost is all the fuzzer would measure

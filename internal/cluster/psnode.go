@@ -272,18 +272,25 @@ func (n *PSNode) nextChange(now float64) float64 {
 	return next
 }
 
-// reschedule cancels any pending update event and schedules the next one.
+// reschedule moves the pending update event to the next change, or
+// schedules one, or cancels it when nothing is pending. Retiming the
+// pending event gives it the key cancel-and-schedule would, so the event
+// order is the same.
 func (n *PSNode) reschedule(e *sim.Engine) {
-	if n.update != nil {
-		n.update.Cancel()
-		n.update = nil
-	}
 	next := n.nextChange(e.Now())
 	if math.IsInf(next, 1) {
+		if n.update != nil {
+			n.update.Cancel()
+			n.update = nil
+		}
 		return
 	}
 	if next < 1e-6 {
 		next = 1e-6 // guarantee forward progress despite float noise
+	}
+	if n.update != nil {
+		e.Retime(n.update, e.Now()+next)
+		return
 	}
 	if n.updateH == nil {
 		n.updateH = n.onUpdate
@@ -586,6 +593,129 @@ func (n *PSNode) crossingValue(now float64, c fluidItem) float64 {
 	b := j.believed
 	j.believed = b - n.speed*math.Min(b, n.cfg.MaxWeight*(j.absDeadline-now))/w - 1e-12*b
 	return n.earliestValue(now, j.absDeadline, j)
+}
+
+// safeMargin is exit (7)'s relative margin: ProvablySafe accepts only
+// when the kept items' Libra weights sum to at most speed·(1 − safeMargin).
+const safeMargin = 1e-3
+
+// ProvablySafe reports, without simulating, that every eq. (4) value
+// PredictDelaysScratch(now, cand) would yield is 1: no item is predicted
+// late, so σ = 0 and µ = 1, and the node is suitable for cand under the σ
+// rule at any limit. It is exit (7), the early accept, and its argument is
+// Libra's own admission test (PAPERS.md, Libra, eqs. 1-2).
+//
+// The items are the slices, their believed work projected to now, and the
+// candidate. An item with believed work b ≤ epsWork is retired at now,
+// with value exactly 1 when its deadline d has not passed (now ≤ d); the
+// others are kept. Let r_i = d_i − now, w_i = b_i/r_i the Libra weight of
+// kept item i and W the sum. ProvablySafe requires a work-conserving node,
+// no retired item past its deadline, every kept item with a finite
+// r_i > epsTime and w_i ≤ MaxWeight, and W ≤ speed·(1 − safeMargin).
+// Then, in exact arithmetic:
+//
+//   - Rates never fall below b/r. With every kept weight uncapped, the
+//     predictor serves item i at ρ_i = speed·w_i/W = σ·b_i/r_i, where
+//     σ = speed/W > 1, so at that rate it would drain in r_i/σ < r_i. The
+//     earliest completion is that of the item u with the earliest
+//     deadline, r_u/σ, before the earliest deadline crossing r_u: a step
+//     ends at t' = t + r_u/σ < d_u ≤ d_i, and u retires before its
+//     deadline. Items retire in deadline order.
+//   - Weights never rise. Any other item i is left with
+//     b_i − ρ_i·r_u/σ = w_i·(r_i − r_u) of work and r_i' ≥ r_i − r_u of
+//     deadline, so w_i' ≤ w_i: it stays uncapped, W falls by at least
+//     u's weight, σ > 1 holds at the next step, and by induction every
+//     item retires before its deadline. An item left with r_i' ≤ epsTime
+//     holds at most w_i·epsTime ≤ MaxWeight·epsTime ≤ epsWork (MaxWeight
+//     ≤ 1, epsWork = epsTime), so it retires at t' too and no kept item
+//     ever crosses its deadline.
+//   - The epsWork retirement only brings a finish earlier.
+//   - The epsTime step floor. A step lengthened to epsTime still ends by
+//     d_u, because r_u > epsTime, and a step of any length Δ < r_i leaves
+//     w_i' = w_i·(r_i − σΔ)/(r_i − Δ) ≤ w_i, because σ ≥ 1.
+//
+// So every kept item finishes by its deadline: delay 0, value exactly 1.
+// Rounding enters as relative errors of a few ulps in the weights, rates
+// and step lengths, not as an absolute error that grows with |t|: a step
+// ends at the rounded t + Δ, with Δ computed below r_u by the margin,
+// and rounding is monotone with d_u itself a float, so the instant is at
+// most d_u also at an epoch-scale now (about 1.7e9, where one ulp of t is
+// 2.4e-7 s); the weight argument needs only t' ≤ d_u, so a t rounded up
+// raises no weight. What rounding can leave is a residue of a few ulps of
+// b where the argument gives 0 (an item due beside u); the margin, some
+// 1e12 times those relative errors, keeps σ > 1 for the rest, and such a
+// residue finishes late by under 1e-12 of its remaining deadline, so its
+// value is within 1e-12 of 1, far inside the σ rule's tolerance.
+//
+// An O(1) test on the version-keyed summary decides most calls. With
+// dt = now − lastT and A, B, urgent as in riskSummary, W is at least
+// A − dt·B while no working slice can have exhausted (see ProvablyRisky's
+// floor (c)), which proves the exit cannot fire, and at most
+// A·r_u/(r_u − dt), r_u = urgent − lastT, because each working slice's
+// believed work only falls and r/(r − dt) is largest at the smallest r;
+// that bound under both speed·(1 − safeMargin) and MaxWeight proves the
+// exit fires. Otherwise one O(slices) pass sums the weights as the
+// predictor derives them.
+//
+// False means only "not proven". Strict shares (the node may idle), a nil
+// candidate and now before the node's last accrual point never prove
+// anything.
+func (n *PSNode) ProvablySafe(now float64, cand *Candidate) bool {
+	if cand == nil || !n.cfg.WorkConserving || now < n.lastT {
+		return false
+	}
+	if !n.risk.valid || n.risk.version != n.version {
+		n.summarizeRisk()
+	}
+	s := &n.risk
+	wc, ok := n.safeWeight(clampNonNegative(n.WorkToNodeSeconds(cand.RefWork)), cand.AbsDeadline, now)
+	if !ok || s.exhausted < now || !(s.urgent-now > epsTime) {
+		return false
+	}
+	limit := n.speed * (1 - safeMargin)
+	dt := now - n.lastT
+	if dt <= s.steady {
+		lower := s.share - dt*s.drift + wc
+		if lower-1e-9*(s.share+dt*s.drift+wc) > limit {
+			return false
+		}
+	}
+	if !math.IsInf(s.last, 1) {
+		upper := wc
+		if !math.IsInf(s.urgent, 1) {
+			ru := s.urgent - n.lastT
+			upper += s.share * ru / (ru - dt)
+		}
+		upper += 1e-9 * upper
+		if upper <= limit && upper <= n.cfg.MaxWeight {
+			return true
+		}
+	}
+	w := wc
+	for _, sl := range n.slices {
+		wi, ok := n.safeWeight(clampNonNegative(n.projectedBelieved(sl, now)), sl.job.Job.AbsDeadline(), now)
+		w += wi
+		if !ok || !(w <= limit) {
+			return false
+		}
+	}
+	return true
+}
+
+// safeWeight is ProvablySafe's test of one item with believed work b and
+// deadline d at now: its Libra weight, 0 for an item the predictor retires
+// at now, and whether the item meets the exit's premises. An infinite
+// deadline fails them either way (its eq. (4) value is NaN).
+func (n *PSNode) safeWeight(b, d, now float64) (float64, bool) {
+	r := d - now
+	if !(r < math.Inf(1)) {
+		return 0, false
+	}
+	if b <= epsWork {
+		return 0, r >= 0
+	}
+	w := b / r
+	return w, r > epsTime && w <= n.cfg.MaxWeight
 }
 
 // summarizeRisk rebuilds the risk summary at the current version.

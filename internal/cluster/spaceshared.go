@@ -355,9 +355,8 @@ func (c *SpaceShared) SetNodeSpeed(e *sim.Engine, id int, factor float64) {
 	}
 	c.speed[id] = factor
 	for _, r := range affected {
-		r.ev.Cancel()
 		duration := c.gangRuntime(math.Max(0, r.remaining), r.rj.NodeIDs)
-		r.ev = e.After(duration, sim.PriorityCompletion, r.h)
+		e.Retime(r.ev, now+duration)
 	}
 }
 

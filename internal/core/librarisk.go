@@ -78,9 +78,9 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 // evalNode applies Algorithm 1's suitability test to one node, returning
 // whether it is suitable and, when computed is true, the node's µ/σ.
 //
-// Four fast paths skip work without changing the decision; all apply only
+// Five fast paths skip work without changing the decision; all apply only
 // under the σ rule with fast paths enabled, and none when forceRisk
-// (audit mode) wants the real µ/σ. The last three are also off while
+// (audit mode) wants the real µ/σ. The last four are also off while
 // per-decision sim metrics observe every computed σ:
 //
 //   - An empty node is always suitable without running the fluid
@@ -93,6 +93,12 @@ func nodeRiskWithin(now float64, n *cluster.PSNode, cand *cluster.Candidate, lim
 //     summary (an overdue exhausted slice, a doomed resident, the
 //     candidate's earliest finish, or an overloaded node's first deadline
 //     crossing), and the node is unsuitable without a simulation.
+//   - The early accept: cluster.PSNode.ProvablySafe proves every item
+//     would finish by its deadline, because the Libra weights b/r of the
+//     node's items and the candidate sum to less than the node's speed
+//     (Libra's own share test, with a margin), so every value is 1: µ = 1
+//     and σ = 0, and the node is suitable without a simulation. Strict
+//     shares never prove it.
 //   - The σ bound: the simulation stops as soon as its verdicts prove
 //     σ > SigmaThreshold + sigmaTolerance (see
 //     cluster.PSNode.PredictDelaysWithin), and the node is unsuitable.
@@ -113,6 +119,9 @@ func (p *LibraRisk) evalNode(now float64, n *cluster.PSNode, cand *cluster.Candi
 	if fast && p.Sim == nil {
 		if n.ProvablyRisky(now, cand, limit) {
 			return 0, 0, false, false
+		}
+		if n.ProvablySafe(now, cand) {
+			return 1, 0, true, true
 		}
 		stop = limit
 	}

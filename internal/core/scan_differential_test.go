@@ -22,10 +22,11 @@ import (
 // node at every arrival. Exit (5) must prove most of them risky, and each
 // of its floors must decide a floor share (see provenByFloorPct): at this
 // shape most busy nodes are overloaded or hold an overdue exhausted
-// slice. The busy nodes it does not prove go through PredictDelaysWithin,
-// and exit (6), the earliest-finish bound, must stop a floor share of
-// them at a deadline crossing sooner than the retirement rule alone could
-// (see retirementStopped).
+// slice. Of the busy nodes it does not prove, exit (7), the early accept,
+// must prove a floor share safe (see safeFloorPct). The rest go through
+// PredictDelaysWithin, and exit (6), the earliest-finish bound, must stop
+// a floor share of them at a deadline crossing sooner than the retirement
+// rule alone could (see retirementStopped).
 func TestServeScanFastPathsMatchReference(t *testing.T) {
 	const (
 		nodes   = 512
@@ -49,7 +50,7 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 		accepted bool
 		reason   string
 	}
-	var busy, proven int
+	var busy, proven, safe int
 	var floors [len(provenByFloorPct)]int
 	var stops [stopKinds]int
 	run := func(disable bool) []decision {
@@ -81,6 +82,10 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 							floors[node.ProvenBy()]++
 							continue
 						}
+						if node.ProvablySafe(e.Now(), cand) {
+							safe++
+							continue
+						}
 						stops[earliestFinishStop(e.Now(), node, cand, limit)]++
 					}
 				}
@@ -106,6 +111,7 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 	t.Logf("%d of %d accepted; of %d busy-node evaluations exit (5) proved %d risky (%.2f %%): %.2f %% by an overdue exhausted slice, %.2f %% by a doomed resident, %.2f %% by the candidate's earliest finish and %.2f %% by an overloaded node's first crossing",
 		accepted, len(jobs), busy, proven, pct(proven), pct(floors[cluster.FloorOverdue]), pct(floors[cluster.FloorDoomed]),
 		pct(floors[cluster.FloorCandidate]), pct(floors[cluster.FloorCrossing]))
+	t.Logf("exit (7) proved %d of the rest safe (%.2f %% of busy-node evaluations)", safe, pct(safe))
 	t.Logf("exit (6) stopped %d before the first fluid step (%.2f %%), %d at a deadline crossing (%.2f %%) and %d at a late retirement (%.2f %%)",
 		stops[stopAtEntry], pct(stops[stopAtEntry]), stops[stopAtCrossing], pct(stops[stopAtCrossing]),
 		stops[stopAtLateRetirement], pct(stops[stopAtLateRetirement]))
@@ -116,6 +122,9 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 		if got := pct(floors[f]); got < floor {
 			t.Errorf("exit (5)'s floor %d decided %.2f %% of busy-node evaluations, want at least %g %%", f, got, floor)
 		}
+	}
+	if got := pct(safe); got < safeFloorPct {
+		t.Errorf("exit (7) proved %.2f %% of busy-node evaluations safe, want at least %g %%", got, safeFloorPct)
 	}
 	if stops[stopAtEntry] != 0 {
 		t.Errorf("exit (6) stopped %d busy-node evaluations before the first fluid step, want none: the prediction folds no entry floor", stops[stopAtEntry])
@@ -137,7 +146,9 @@ func TestServeScanFastPathsMatchReference(t *testing.T) {
 // earliest-finish bound taken at lastT, so the prediction folds no entry
 // floor, and floor (c) proves most of the overloads its crossing fold
 // would stop. The 0.05 % an entry fold once stopped now run past the
-// first step, to the same decisions.
+// first step, to the same decisions. Of the busy nodes exit (5) leaves,
+// exit (7) proves 2.41 % of all busy-node evaluations safe (18 470, 28 %
+// of the 64 919 left) with no fluid run.
 var provenByFloorPct = [...]float64{
 	cluster.NotProven:      0,
 	cluster.FloorOverdue:   60,
@@ -149,6 +160,7 @@ var provenByFloorPct = [...]float64{
 const (
 	provenFloorPct   = 88.0
 	crossingFloorPct = 4.0
+	safeFloorPct     = 2.0
 )
 
 // stopKind attributes a bounded prediction's stop.

@@ -62,8 +62,8 @@ func RunReplicated(base BaseConfig, spec RunSpec, seeds []uint64) (Replicated, e
 		s.Seed = seed                    // stamp the cell identity for error messages
 		specs[i] = s
 	}
-	// Replications are independent simulations; run them through the same
-	// worker pool the sweeps use, one result per seed.
+	// Replications are independent simulations, run here one after
+	// another on the caller's goroutine, one result per seed.
 	results := make([]metrics.Summary, len(seeds))
 	for i := range seeds {
 		s, err := Run(base, bases[i], specs[i])

@@ -178,16 +178,6 @@ func (a *AuditLog) Drain() []Decision {
 	return d
 }
 
-// Reset empties the log and restarts its sequence numbering for a new
-// run, keeping the grown storage.
-func (a *AuditLog) Reset(run, policy string) {
-	a.run, a.policy = run, policy
-	a.seq = 0
-	a.cur = Decision{}
-	a.open = false
-	a.decisions = a.decisions[:0]
-}
-
 // WriteAuditJSONL writes decisions as line-delimited JSON.
 func WriteAuditJSONL(w io.Writer, decisions []Decision) error {
 	bw := bufio.NewWriter(w)

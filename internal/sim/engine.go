@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -118,8 +117,29 @@ func (e *Engine) At(t float64, p Priority, fn Handler) *Event {
 		// index -1: the zero value would read as "queued at the head".
 		ev = &Event{Time: t, Priority: p, seq: e.seq, fn: fn, eng: e, index: -1}
 	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
+}
+
+// Retime moves the pending event ev to absolute time t, keeping its
+// priority and handler. It gives ev a fresh sequence number, so ev takes
+// exactly the key that Cancel followed by At(t, ev.Priority, fn) would
+// give it (the freelist hands the cancelled event straight back), and the
+// event order is the same; the one O(log n) sift replaces a removal and a
+// push. Retiming an event that is not pending on e panics, as does a time
+// before now or NaN.
+func (e *Engine) Retime(ev *Event, t float64) {
+	if ev.eng != e || ev.index < 0 {
+		panic("sim: Retime of an event that is not pending on this engine")
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: retiming event to %.9g before now %.9g", t, e.now))
+	}
+	if math.IsNaN(t) {
+		panic("sim: retiming event to NaN time")
+	}
+	e.seq++
+	e.queue.retime(ev, t, e.seq)
 }
 
 // After schedules fn at now+d.
@@ -162,10 +182,10 @@ func (e *Engine) recycle(ev *Event) {
 
 // cancelEvent is Cancel's engine-side half: detach the queued event from
 // the heap in O(log n) and recycle it, so long simulations with heavy
-// Cancel traffic (every PSNode reschedule cancels its previous update
-// event) cannot grow the heap with dead entries.
+// Cancel traffic (a space-shared cluster cancels the completion of every
+// job a crash kills) cannot grow the heap with dead entries.
 func (e *Engine) cancelEvent(ev *Event) {
-	heap.Remove(&e.queue, ev.index)
+	e.queue.remove(ev)
 	e.recycle(ev)
 }
 
@@ -234,7 +254,7 @@ func (e *Engine) next() *Event {
 	if len(e.queue.events) == 0 || e.queue.events[0].Time > e.horizon {
 		return nil
 	}
-	return heap.Pop(&e.queue).(*Event)
+	return e.queue.pop()
 }
 
 // fire advances the clock to a popped event, charges it to the event

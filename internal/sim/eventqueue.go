@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Priority orders events that share the same timestamp. Lower values run
 // first. Using explicit priorities keeps simultaneous events (for example a
 // job completion freeing processors and a job arrival wanting them)
@@ -70,17 +68,17 @@ func (ev *Event) Cancel() {
 // Canceled reports whether Cancel has been called on the event.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
-// eventQueue is a binary heap of events ordered by (Time, Priority, seq).
+// eventQueue is a binary min-heap of events ordered by (Time, Priority,
+// seq), typed on []*Event: container/heap's interface call per comparison
+// and per swap showed in the event loop's profile. seq is unique, so the
+// order is total and the pop order does not depend on the heap's layout
+// or on how an operation sifts.
 type eventQueue struct {
 	events []*Event
 }
 
-var _ heap.Interface = (*eventQueue)(nil)
-
-func (q *eventQueue) Len() int { return len(q.events) }
-
-func (q *eventQueue) Less(i, j int) bool {
-	a, b := q.events[i], q.events[j]
+// eventLess is the (Time, Priority, seq) order.
+func eventLess(a, b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
@@ -90,24 +88,85 @@ func (q *eventQueue) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) Swap(i, j int) {
-	q.events[i], q.events[j] = q.events[j], q.events[i]
-	q.events[i].index = i
-	q.events[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(q.events)
+// push queues ev.
+func (q *eventQueue) push(ev *Event) {
 	q.events = append(q.events, ev)
+	q.up(len(q.events)-1, ev)
 }
 
-func (q *eventQueue) Pop() any {
-	old := q.events
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	q.events = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	head := q.events[0]
+	q.detach(0)
+	return head
+}
+
+// remove detaches the queued event ev.
+func (q *eventQueue) remove(ev *Event) { q.detach(ev.index) }
+
+// retime moves the queued event ev to time t with sequence number seq and
+// restores the heap order around it, in one O(log n) sift.
+func (q *eventQueue) retime(ev *Event, t float64, seq uint64) {
+	ev.Time, ev.seq = t, seq
+	if !q.down(ev.index, ev) {
+		q.up(ev.index, ev)
+	}
+}
+
+// detach removes the event at position i, moving the last event into the
+// hole and sifting it into place, and marks the removed event unqueued.
+func (q *eventQueue) detach(i int) {
+	n := len(q.events) - 1
+	gone, last := q.events[i], q.events[n]
+	q.events[n] = nil
+	q.events = q.events[:n]
+	gone.index = -1
+	if i == n {
+		return
+	}
+	if !q.down(i, last) {
+		q.up(i, last)
+	}
+}
+
+// up places ev, which belongs at position i or above, by moving the
+// later parents down into the hole.
+func (q *eventQueue) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q.events[p]
+		if !eventLess(ev, parent) {
+			break
+		}
+		q.events[i] = parent
+		parent.index = i
+		i = p
+	}
+	q.events[i] = ev
+	ev.index = i
+}
+
+// down places ev, which belongs at position i or below, by moving the
+// earlier children up into the hole. It reports whether ev moved.
+func (q *eventQueue) down(i int, ev *Event) bool {
+	start, n := i, len(q.events)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && eventLess(q.events[r], q.events[c]) {
+			c = r
+		}
+		child := q.events[c]
+		if !eventLess(child, ev) {
+			break
+		}
+		q.events[i] = child
+		child.index = i
+		i = c
+	}
+	q.events[i] = ev
+	ev.index = i
+	return i > start
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 	"testing"
@@ -9,7 +8,7 @@ import (
 )
 
 // TestEngineFiresInKeyOrderProperty drives the engine through seeded random
-// interleavings of At, Cancel, SetHorizon, PeekNext, Step
+// interleavings of At, Cancel, Retime, SetHorizon, PeekNext, Step
 // and Run, with handlers that schedule and cancel further events, against
 // a reference slice of the live events. Every fired event must be the
 // reference's (time, priority, seq) minimum, and after every operation
@@ -81,11 +80,11 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 			en := entry{time: at, prio: randPrio(), seq: seq}
 			en.ev = e.At(at, en.prio, func(e *Engine) {
 				h := head()
-				if h < 0 || live[h].seq != en.seq {
-					t.Fatalf("seed %d: fired (%g, %d, %d) but the reference head index is %d", seed, en.time, en.prio, en.seq, h)
+				if h < 0 || live[h].ev != en.ev {
+					t.Fatalf("seed %d: fired the event first scheduled at (%g, %d, %d) but the reference head index is %d", seed, en.time, en.prio, en.seq, h)
 				}
-				if e.Now() != en.time {
-					t.Fatalf("seed %d: handler for t=%g ran at Now = %g", seed, en.time, e.Now())
+				if e.Now() != live[h].time {
+					t.Fatalf("seed %d: handler for t=%g ran at Now = %g", seed, live[h].time, e.Now())
 				}
 				remove(h)
 				for n := r.Intn(3); n > 0 && seq < maxScheduled; n-- {
@@ -99,8 +98,20 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 			live = append(live, en)
 		}
 
+		// retimeOne moves a random pending event, which must then take the
+		// key a cancel and a fresh At would give it.
+		retimeOne := func() {
+			if len(live) == 0 {
+				return
+			}
+			seq++
+			en := &live[r.Intn(len(live))]
+			en.time, en.seq = e.Now()+float64(r.Intn(6)), seq
+			e.Retime(en.ev, en.time)
+		}
+
 		for op := 0; op < 200; op++ {
-			switch r.Intn(7) {
+			switch r.Intn(8) {
 			case 0, 1:
 				if seq < maxScheduled {
 					schedule(e.Now() + float64(r.Intn(6)))
@@ -121,6 +132,9 @@ func TestEngineFiresInKeyOrderProperty(t *testing.T) {
 					t.Fatalf("seed %d: Step = %v, %v, want %v, nil", seed, got, err, want)
 				}
 				check("Step")
+			case 7:
+				retimeOne()
+				check("Retime")
 			case 6:
 				if err := e.Run(); err != nil {
 					t.Fatalf("seed %d: Run: %v", seed, err)
@@ -167,19 +181,19 @@ func TestCalendarQueueMatchesHeapOrderProperty(t *testing.T) {
 		// Integer times make equal-time and equal-key ties common.
 		for i := 0; i < n; i++ {
 			ev := &Event{Time: float64(r.Intn(100)), Priority: Priority(r.Intn(3) - 1), seq: uint64(i)}
-			heap.Push(q, ev)
+			q.push(ev)
 			want = append(want, ev)
 		}
 		sort.Slice(want, func(i, j int) bool { return eventKeyLess(want[i], want[j]) })
 		for i := range want {
-			if q.Len() != n-i {
+			if len(q.events) != n-i {
 				return false
 			}
-			if got := heap.Pop(q).(*Event); got != want[i] || got.index != -1 {
+			if got := q.pop(); got != want[i] || got.index != -1 {
 				return false
 			}
 		}
-		return q.Len() == 0
+		return len(q.events) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -187,51 +201,77 @@ func TestCalendarQueueMatchesHeapOrderProperty(t *testing.T) {
 }
 
 // TestCalendarQueueInterleavedPushPopProperty interleaves pushes at or after
-// the last popped time (the discrete-event discipline) with pops, and checks
-// every pop against the minimum of a reference slice of the queued events.
-// The name predates the removal of the calendar queue.
+// the last popped time (the discrete-event discipline), retimes of queued
+// events and pops, and checks every pop against the minimum of a reference
+// slice of the queued events. A retime must give the event the key a
+// cancel and a fresh push would: its new time and a fresh seq, so that
+// among equal (time, priority) keys it now fires after every event queued
+// before it. Integer times make those ties common. The name predates the
+// removal of the calendar queue.
 func TestCalendarQueueInterleavedPushPopProperty(t *testing.T) {
+	type entry struct {
+		ev   *Event
+		time float64
+		prio Priority
+		seq  uint64
+	}
+	less := func(a, b entry) bool {
+		if a.time != b.time {
+			return a.time < b.time
+		}
+		if a.prio != b.prio {
+			return a.prio < b.prio
+		}
+		return a.seq < b.seq
+	}
 	g := func(seed uint64) bool {
 		r := NewRNG(seed)
 		q := &eventQueue{}
-		var live []*Event
+		var live []entry
 		now := 0.0
 		seq := uint64(0)
 		popMin := func() *Event {
 			m := 0
 			for i := range live {
-				if eventKeyLess(live[i], live[m]) {
+				if less(live[i], live[m]) {
 					m = i
 				}
 			}
-			ev := live[m]
+			ev := live[m].ev
 			live[m] = live[len(live)-1]
 			live = live[:len(live)-1]
 			return ev
 		}
 		for step := 0; step < 400; step++ {
-			if r.Bool(0.6) || q.Len() == 0 {
+			switch u := r.Float64(); {
+			case u < 0.45 || len(q.events) == 0:
 				seq++
-				ev := &Event{Time: now + float64(r.Intn(8)), Priority: Priority(r.Intn(3) - 1), seq: seq}
-				heap.Push(q, ev)
-				live = append(live, ev)
-			} else {
-				got := heap.Pop(q).(*Event)
+				en := entry{time: now + float64(r.Intn(8)), prio: Priority(r.Intn(3) - 1), seq: seq}
+				en.ev = &Event{Time: en.time, Priority: en.prio, seq: en.seq}
+				q.push(en.ev)
+				live = append(live, en)
+			case u < 0.7:
+				seq++
+				en := &live[r.Intn(len(live))]
+				en.time, en.seq = now+float64(r.Intn(8)), seq
+				q.retime(en.ev, en.time, seq)
+			default:
+				got := q.pop()
 				if got != popMin() {
 					return false
 				}
 				now = got.Time
 			}
-			if q.Len() != len(live) {
+			if len(q.events) != len(live) {
 				return false
 			}
 		}
 		for len(live) > 0 {
-			if heap.Pop(q).(*Event) != popMin() {
+			if q.pop() != popMin() {
 				return false
 			}
 		}
-		return q.Len() == 0
+		return len(q.events) == 0
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -246,12 +286,12 @@ func BenchmarkEventQueueHeap(b *testing.B) {
 	q := &eventQueue{}
 	const pop = 4096
 	for i := 0; i < pop; i++ {
-		heap.Push(q, &Event{Time: r.Float64() * 100, seq: uint64(i)})
+		q.push(&Event{Time: r.Float64() * 100, seq: uint64(i)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := heap.Pop(q).(*Event)
+		ev := q.pop()
 		ev.Time += r.Exp(50)
-		heap.Push(q, ev)
+		q.push(ev)
 	}
 }

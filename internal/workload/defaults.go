@@ -24,9 +24,6 @@ const (
 	TraceMeanRuntime = 2.7 * 3600
 	// TraceMeanProcs is the subset's average processor requirement. [paper]
 	TraceMeanProcs = 17.0
-	// TraceUtilization is the resource utilization of the full SDSC SP2
-	// trace, the highest among archive traces. [paper: 83.2 %]
-	TraceUtilization = 0.832
 
 	// DefaultHighUrgencyFraction: by default 20 % of jobs are high
 	// urgency. [companion]
