@@ -40,16 +40,17 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzProvablySafe$$' -fuzztime 30s ./internal/cluster/
 	$(GO) test -run xxx -fuzz 'FuzzWALRecover$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime 10s ./cmd/servetrace/
+	$(GO) test -run xxx -fuzz 'FuzzEarliestSlot$$' -fuzztime 10s ./internal/sched/
 
 experiments:
 	$(GO) run ./cmd/experiments -csv results -svg results | tee results/experiments_full.txt
 	$(GO) run ./cmd/experiments -exp extensions -csv results -svg results | tee results/extensions_full.txt
 	$(GO) run ./cmd/experiments -replicate 5 | tee results/replication.txt
 
-# results-check regenerates the committed artifacts into a temp dir and
-# compares them with results/: the table and figures 1-4, chaos, predict,
-# hetero, -replicate 5 and economics (allpolicies takes about a minute and
-# is left out). Every CSV and SVG must be cmp-identical, and every stdout
+# results-check regenerates every committed artifact into a temp dir and
+# compares it with results/: the table and figures 1-4, the extensions
+# (allpolicies, hetero, prediction, chaos), the chaos sweep, -replicate 5
+# and economics. Every CSV and SVG must be cmp-identical, and every stdout
 # transcript diff-identical apart from the wall-clock "[... regenerated
 # in ...]" lines. The figures run inside the temp dir with -csv results,
 # so their "[wrote results/...]" lines read as in the archive.
@@ -58,20 +59,19 @@ results-check:
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments; \
 	(cd $$tmp && ./experiments -csv results -svg results) > $$tmp/experiments_full.txt; \
-	(cd $$tmp && ./experiments -exp predict -csv results -svg results) > /dev/null; \
-	(cd $$tmp && ./experiments -exp hetero -csv results -svg results) > /dev/null; \
+	(cd $$tmp && ./experiments -exp extensions -csv results -svg results) > $$tmp/extensions_full.txt; \
 	$$tmp/experiments -exp chaos > $$tmp/chaos_full.txt; \
 	$$tmp/experiments -replicate 5 > $$tmp/replication.txt; \
 	$$tmp/experiments -exp economics > $$tmp/economics.txt; \
 	for f in $$tmp/results/*; do \
 		cmp $$f results/$${f##*/} || { echo "results-check: $${f##*/} differs from results/"; exit 1; }; \
 	done; \
-	for f in experiments_full chaos_full replication economics; do \
+	for f in experiments_full extensions_full chaos_full replication economics; do \
 		grep -v ' regenerated in ' results/$$f.txt > $$tmp/want.txt; \
 		grep -v ' regenerated in ' $$tmp/$$f.txt > $$tmp/got.txt; \
 		diff -u $$tmp/want.txt $$tmp/got.txt || { echo "results-check: $$f.txt differs from results/"; exit 1; }; \
 	done; \
-	echo "results-check: ok ($$(ls $$tmp/results | wc -l) CSV/SVG files, 4 transcripts)"
+	echo "results-check: ok ($$(ls $$tmp/results | wc -l) CSV/SVG files, 5 transcripts)"
 
 # chaos-smoke is a fast end-to-end fault-injection run with the invariant
 # checker armed: crashes, stragglers and a correlated outage process over a

@@ -341,7 +341,7 @@ func TestLibraShareWithLimitMatches(t *testing.T) {
 			const limit = 1 + 1e-9
 			work, absDL := 50.0, sc.now+200
 			if sc.cand != nil {
-				work, absDL = n.WorkToNodeSeconds(sc.cand.RefWork), sc.cand.AbsDeadline
+				work, absDL = sc.cand.RefWork, sc.cand.AbsDeadline
 			}
 			full := n.LibraShareWith(sc.now, work, absDL)
 			got, ok := n.LibraShareWithLimit(sc.now, work, absDL, limit)

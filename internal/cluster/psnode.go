@@ -382,9 +382,11 @@ func (n *PSNode) LibraShare(now float64) float64 {
 }
 
 // LibraShareWith returns LibraShare plus the share a candidate job slice
-// (work in node-seconds, absolute deadline) would add.
-func (n *PSNode) LibraShareWith(now, work, absDeadline float64) float64 {
-	return n.LibraShare(now) + libraShare(work, absDeadline-now)
+// would add. refWork is the candidate's work in reference-seconds, as in
+// Candidate.RefWork; the share term uses its runtime on this node, in the
+// node-seconds the residents' terms use.
+func (n *PSNode) LibraShareWith(now, refWork, absDeadline float64) float64 {
+	return n.LibraShare(now) + libraShare(n.WorkToNodeSeconds(refWork), absDeadline-now)
 }
 
 // LibraShareWithLimit is LibraShareWith with an early exit: because every
@@ -393,7 +395,7 @@ func (n *PSNode) LibraShareWith(now, work, absDeadline float64) float64 {
 // the exact overshoot is irrelevant. When the returned ok is true the
 // share is the exact same float64 LibraShareWith computes (identical
 // accumulation order); when false the share is a partial sum > limit.
-func (n *PSNode) LibraShareWithLimit(now, work, absDeadline, limit float64) (share float64, ok bool) {
+func (n *PSNode) LibraShareWithLimit(now, refWork, absDeadline, limit float64) (share float64, ok bool) {
 	var total float64
 	for _, sl := range n.slices {
 		total += libraShare(n.projectedBelieved(sl, now), sl.job.Job.AbsDeadline()-now)
@@ -401,7 +403,7 @@ func (n *PSNode) LibraShareWithLimit(now, work, absDeadline, limit float64) (sha
 			return total, false
 		}
 	}
-	total += libraShare(work, absDeadline-now)
+	total += libraShare(n.WorkToNodeSeconds(refWork), absDeadline-now)
 	return total, total <= limit
 }
 

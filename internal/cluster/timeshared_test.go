@@ -348,6 +348,27 @@ func TestLibraShareConventions(t *testing.T) {
 	}
 }
 
+// TestLibraShareWithCountsCandidateOnTheNode: on a node rated twice the
+// reference, the candidate runs its reference work in half the time, so
+// its share term is half of RefWork over the remaining deadline, in the
+// node-seconds the residents' terms use.
+func TestLibraShareWithCountsCandidateOnTheNode(t *testing.T) {
+	cfg := DefaultConfig()
+	c, err := NewTimeSharedHetero([]float64{2 * cfg.RefRating}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Node(0)
+	const refWork, remaining = 50.0, 100.0
+	want := refWork / remaining / 2
+	if s := n.LibraShareWith(0, refWork, remaining); s != want {
+		t.Fatalf("share with candidate = %v, want %v", s, want)
+	}
+	if s, ok := n.LibraShareWithLimit(0, refWork, remaining, 1); !ok || s != want {
+		t.Fatalf("limited share = %v, %v, want %v, true", s, ok, want)
+	}
+}
+
 func TestLibraShareIgnoresOverrunSlices(t *testing.T) {
 	e := sim.NewEngine()
 	c := newTS(t, 1)

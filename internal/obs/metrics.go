@@ -22,6 +22,11 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds d, which must be non-negative.
 func (c *Counter) Add(d float64) { c.v += d }
 
+// Set replaces the count with v, a cumulative total kept elsewhere (an
+// atomic, a log's own metrics). Such a total never falls, so the counter
+// stays monotone.
+func (c *Counter) Set(v float64) { c.v = v }
+
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v }
 

@@ -362,3 +362,19 @@ func TestAuditLogDrainKeepsSequence(t *testing.T) {
 		t.Fatalf("empty Drain returned %d decisions", len(got))
 	}
 }
+
+// TestCounterSet: a counter set from a cumulative source reads the
+// source's total, however often it is set, as the same counter fed the
+// growth since its last read would.
+func TestCounterSet(t *testing.T) {
+	var set, added Counter
+	last := 0.0
+	for _, total := range []float64{0, 3, 3, 10, 1 << 40} {
+		set.Set(total)
+		added.Add(total - last)
+		last = total
+		if set.Value() != total || added.Value() != total {
+			t.Fatalf("total %v: Set gives %v, Add of deltas %v", total, set.Value(), added.Value())
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"clustersched/internal/cluster"
@@ -74,12 +75,13 @@ func (p *Backfill) QueueLen() int { return len(p.queue) }
 // Submit implements core.Policy.
 func (p *Backfill) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, string) {
 	if p.arr.begin(p.Recorder, job, p.Cluster.Len()) {
-		p.queue = append(p.queue, queued{job: job, estimate: estimate})
+		at := len(p.queue)
 		if p.DeadlineOrdered {
-			sort.SliceStable(p.queue, func(a, b int) bool {
-				return p.queue[a].job.AbsDeadline() < p.queue[b].job.AbsDeadline()
-			})
+			// After every job of no later deadline: the queue stays
+			// sorted, because jobs only leave it.
+			at = sort.Search(at, func(i int) bool { return p.queue[i].job.AbsDeadline() > job.AbsDeadline() })
 		}
+		p.queue = slices.Insert(p.queue, at, queued{job: job, estimate: estimate})
 		p.dispatch(e)
 	}
 	return p.arr.decision()
@@ -128,15 +130,16 @@ func (p *Backfill) startOne(e *sim.Engine) bool {
 			if canStartNow {
 				// Backfill only if finishing (per estimate) by the head's
 				// reserved start, or using processors the head's
-				// reservation leaves idle. The profile encodes the head's
-				// reservation, so re-check against it.
-				if now+dur <= headReservedStart+1e-9 || prof.fits(now, now+dur, q.job.NumProc) {
+				// reservation leaves idle: the profile encodes that
+				// reservation, and start is now exactly when the window
+				// at now fits it.
+				if now+dur <= headReservedStart+1e-9 || start == now {
 					return p.startAt(e, i)
 				}
 			}
 			// Not backfillable; it does not reserve under EASY.
 		case ConservativeBackfill:
-			if canStartNow && prof.fits(now, now+dur, q.job.NumProc) {
+			if canStartNow && start == now {
 				return p.startAt(e, i)
 			}
 			// Reserve its planned slot so later jobs cannot delay it.

@@ -18,10 +18,6 @@ import (
 type FCFS struct {
 	Cluster  *cluster.SpaceShared
 	Recorder *metrics.Recorder
-	// DeadlineAware, when false, skips the lazy admission check and runs
-	// every job (pure throughput FCFS; deadline misses then show up in
-	// the metrics instead of rejections).
-	DeadlineAware bool
 
 	queue []queued
 	arr   arrival
@@ -67,7 +63,7 @@ func (a *arrival) decision() (bool, string) { return a.reason == "", a.reason }
 
 // NewFCFS wires an FCFS policy to a space-shared cluster.
 func NewFCFS(c *cluster.SpaceShared, rec *metrics.Recorder) *FCFS {
-	p := &FCFS{Cluster: c, Recorder: rec, DeadlineAware: true}
+	p := &FCFS{Cluster: c, Recorder: rec}
 	c.OnJobDone = func(e *sim.Engine, rj *cluster.RunningJob) {
 		rec.Complete(rj.Job, rj.Finish, c.MinRuntime(rj))
 		p.dispatch(e)
@@ -98,15 +94,13 @@ func (p *FCFS) dispatch(e *sim.Engine) {
 			return
 		}
 		p.queue = p.queue[1:]
-		if p.DeadlineAware {
-			if now >= head.job.AbsDeadline() {
-				p.arr.reject(p.Recorder, head.job, "deadline expired while queued")
-				continue
-			}
-			if rt, ok := p.Cluster.RuntimeOn(head.estimate, head.job.NumProc); ok && now+rt > head.job.AbsDeadline() {
-				p.arr.reject(p.Recorder, head.job, "deadline unreachable per runtime estimate")
-				continue
-			}
+		if now >= head.job.AbsDeadline() {
+			p.arr.reject(p.Recorder, head.job, "deadline expired while queued")
+			continue
+		}
+		if rt, ok := p.Cluster.RuntimeOn(head.estimate, head.job.NumProc); ok && now+rt > head.job.AbsDeadline() {
+			p.arr.reject(p.Recorder, head.job, "deadline unreachable per runtime estimate")
+			continue
 		}
 		if _, err := p.Cluster.Start(e, head.job, head.estimate); err != nil {
 			p.arr.reject(p.Recorder, head.job, "start failed: "+err.Error())

@@ -45,19 +45,6 @@ func NewProfile(total int) *Profile {
 // Total returns the cluster size the profile covers.
 func (p *Profile) Total() int { return p.total }
 
-// FreeAt returns the number of free processors at time t under the
-// current plan.
-func (p *Profile) FreeAt(t float64) int {
-	free := p.total
-	for _, s := range p.steps {
-		if s.t > t {
-			break
-		}
-		free = s.free
-	}
-	return free
-}
-
 // Reserve blocks procs processors during [start, end). It panics if the
 // interval is invalid; it is the caller's job to query EarliestSlot first,
 // so over-reservation indicates a planner bug and must not pass silently.
@@ -96,6 +83,13 @@ func (p *Profile) ensureStep(t float64) {
 // EarliestSlot returns the earliest time >= after at which procs
 // processors stay free for duration. Returns +Inf when procs exceeds the
 // cluster size.
+//
+// It is one forward sweep over the steps. The candidates are after and
+// every later step boundary. When the window of candidate start meets a
+// step with fewer than procs free (the step in force at start included),
+// every candidate up to that step fails too, so the next candidate is the
+// step after it. The last step returns every processor, so the sweep
+// always ends on a start that fits.
 func (p *Profile) EarliestSlot(after, duration float64, procs int) float64 {
 	if procs > p.total {
 		return math.Inf(1)
@@ -103,37 +97,18 @@ func (p *Profile) EarliestSlot(after, duration float64, procs int) float64 {
 	if duration <= 0 {
 		duration = 0
 	}
-	// Candidate start times: `after` and every step boundary beyond it.
-	candidates := []float64{after}
+	start, ok := after, true // ok: no step met so far lacks procs free
 	for _, s := range p.steps {
-		if s.t > after {
-			candidates = append(candidates, s.t)
-		}
-	}
-	for _, start := range candidates {
-		if p.fits(start, start+duration, procs) {
+		switch {
+		case s.t <= after: // in force at after
+			ok = s.free >= procs
+		case !ok: // the previous candidate failed: s is the next
+			start, ok = s.t, s.free >= procs
+		case s.t >= start+duration: // the window ended before s
 			return start
+		default:
+			ok = s.free >= procs
 		}
 	}
-	// Beyond the last step everything is as free as the final state, which
-	// fits because procs <= total and the last step's free must return to
-	// total once all reservations expire. Defensive fallback:
-	last := after
-	if n := len(p.steps); n > 0 {
-		last = math.Max(after, p.steps[n-1].t)
-	}
-	return last
-}
-
-// fits reports whether procs processors are free throughout [start, end).
-func (p *Profile) fits(start, end float64, procs int) bool {
-	if p.FreeAt(start) < procs {
-		return false
-	}
-	for _, s := range p.steps {
-		if s.t > start && s.t < end && s.free < procs {
-			return false
-		}
-	}
-	return true
+	return start
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"clustersched/internal/cluster"
@@ -53,11 +54,16 @@ func (p *QoPS) Submit(e *sim.Engine, job workload.Job, estimate float64) (bool, 
 	if !p.arr.begin(p.Recorder, job, p.Cluster.Len()) {
 		return p.arr.decision()
 	}
-	trial := append(append([]queued(nil), p.queue...), queued{job: job, estimate: estimate})
-	if p.feasible(e.Now(), trial) {
-		p.queue = trial
+	// The queue is in earliest-slacked-deadline order and only its head
+	// leaves, so inserting after every job of no later slacked deadline
+	// keeps it sorted.
+	q := queued{job: job, estimate: estimate}
+	at := sort.Search(len(p.queue), func(i int) bool { return p.slackedDeadline(p.queue[i]) > p.slackedDeadline(q) })
+	p.queue = slices.Insert(p.queue, at, q)
+	if p.feasible(e.Now()) {
 		p.dispatch(e)
 	} else {
+		p.queue = slices.Delete(p.queue, at, at+1)
 		p.arr.reject(p.Recorder, job, "no slack-feasible schedule admits the job")
 	}
 	return p.arr.decision()
@@ -68,16 +74,12 @@ func (p *QoPS) slackedDeadline(q queued) float64 {
 	return q.job.AbsDeadline() + p.SlackFactor*q.estimate
 }
 
-// feasible plans the given queue in earliest-slacked-deadline order over
+// feasible plans the queue in its (earliest-slacked-deadline) order over
 // the current availability profile and reports whether every job's planned
 // finish meets its slacked deadline.
-func (p *QoPS) feasible(now float64, jobs []queued) bool {
+func (p *QoPS) feasible(now float64) bool {
 	prof := runningProfile(p.Cluster, now)
-	order := append([]queued(nil), jobs...)
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.slackedDeadline(order[a]) < p.slackedDeadline(order[b])
-	})
-	for _, q := range order {
+	for _, q := range p.queue {
 		dur, ok := p.Cluster.BestPossibleRuntime(q.estimate, q.job.NumProc)
 		if !ok {
 			return false
@@ -97,9 +99,6 @@ func (p *QoPS) feasible(now float64, jobs []queued) bool {
 func (p *QoPS) dispatch(e *sim.Engine) {
 	now := e.Now()
 	for len(p.queue) > 0 {
-		sort.SliceStable(p.queue, func(a, b int) bool {
-			return p.slackedDeadline(p.queue[a]) < p.slackedDeadline(p.queue[b])
-		})
 		head := p.queue[0]
 		if now >= p.slackedDeadline(head) {
 			p.queue = p.queue[1:]

@@ -1,8 +1,8 @@
 package sched
 
 // Validation of the simulation substrate against closed-form queueing
-// theory: a deadline-unaware FCFS cluster fed Poisson arrivals with
-// exponential service is an M/M/c queue, whose mean response time is
+// theory: an FCFS cluster fed Poisson arrivals with exponential service
+// and deadlines that never bind is an M/M/c queue, whose mean response time is
 // exact. Agreement here validates the event engine, the space-shared
 // cluster, and the FCFS queue discipline end to end.
 
@@ -65,8 +65,9 @@ func expJobs(seed uint64, n int, lambda, mu float64) []workload.Job {
 	return jobs
 }
 
-// meanResponse runs the jobs through deadline-unaware FCFS on c nodes and
-// returns the measured mean response time.
+// meanResponse runs the jobs through FCFS on c nodes and returns the
+// measured mean response time. Their 1e12 s deadlines never bind, so
+// FCFS's lazy admission rejects nothing.
 func meanResponse(t *testing.T, jobs []workload.Job, c int) float64 {
 	t.Helper()
 	cl, err := cluster.NewSpaceShared(c, 168, cluster.DefaultConfig())
@@ -75,7 +76,6 @@ func meanResponse(t *testing.T, jobs []workload.Job, c int) float64 {
 	}
 	rec := metrics.NewRecorder()
 	p := NewFCFS(cl, rec)
-	p.DeadlineAware = false
 	e := sim.NewEngine()
 	if err := core.RunSimulation(e, p, rec, jobs, 0); err != nil {
 		t.Fatal(err)

@@ -88,22 +88,6 @@ func TestFCFSDeadlineAwareRejectsExpired(t *testing.T) {
 	}
 }
 
-func TestFCFSDeadlineUnawareRunsEverything(t *testing.T) {
-	e, c, rec := newSS(t, 1)
-	p := NewFCFS(c, rec)
-	p.DeadlineAware = false
-	p.Submit(e, sjob(1, 0, 100, 500, 1), 100)
-	p.Submit(e, sjob(2, 0, 10, 50, 1), 10)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rec.Flush()
-	s := rec.Summarize()
-	if s.Rejected != 0 || s.Completed != 2 || s.Missed != 1 {
-		t.Fatalf("summary = %+v, want both run with one miss", s)
-	}
-}
-
 func TestFCFSRejectsOversized(t *testing.T) {
 	e, c, rec := newSS(t, 2)
 	p := NewFCFS(c, rec)

@@ -477,10 +477,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// syncRegistryLocked folds the HTTP-side atomic counters and the gauges
-// into the registry. Callers hold the
-// write lock (the registry is not goroutine-safe by design — it lives
-// inside the state partition).
+// syncRegistryLocked sets the registry's counters from their cumulative
+// sources (the HTTP-side atomics, the WAL's metrics, the shed ladder's
+// transitions, the per-tenant cells) and its gauges from the state.
+// Callers hold the write lock (the registry is not goroutine-safe by
+// design — it lives inside the state partition).
 func (s *Server) syncRegistryLocked(draining bool) {
 	r := s.reg
 	s.cRequests.syncTo(r.Counter("serve_requests_total", "Admission/node requests received."))
@@ -503,8 +504,7 @@ func (s *Server) syncRegistryLocked(draining bool) {
 	// transition log by the next scrape.
 	r.Gauge("serve_shed_level", "Current load-shedding ladder level (0-3).").Set(float64(s.shedLevel()))
 	_, transTotal := s.shed.transitions()
-	r.Counter("serve_shed_transitions_total", "Shed-ladder level transitions (up or down).").Add(float64(transTotal - s.shedTransExported))
-	s.shedTransExported = transTotal
+	r.Counter("serve_shed_transitions_total", "Shed-ladder level transitions (up or down).").Set(float64(transTotal))
 	s.tenants.syncTo(r)
 	s.stages.drainTo(r)
 	if s.spans != nil {
@@ -531,13 +531,11 @@ func (s *Server) syncRegistryLocked(draining bool) {
 
 	if s.wal != nil {
 		m := s.wal.Metrics()
-		r.Counter("serve_wal_appends_total", "Records appended to the write-ahead log.").Add(float64(m.Appends - s.walAppends))
-		r.Counter("serve_wal_appended_bytes_total", "Bytes appended to the write-ahead log.").Add(float64(m.AppendedBytes - s.walAppendedBytes))
-		r.Counter("serve_wal_commits_total", "WAL group-commit fsync barriers.").Add(float64(m.Commits - s.walCommits))
-		r.Counter("serve_wal_rotations_total", "WAL segment rotations.").Add(float64(m.Rotations - s.walRotations))
-		r.Counter("serve_wal_compactions_total", "Sealed WAL segments folded into the compacted prefix.").Add(float64(m.Compactions - s.walCompactions))
-		s.walAppends, s.walAppendedBytes = m.Appends, m.AppendedBytes
-		s.walCommits, s.walRotations, s.walCompactions = m.Commits, m.Rotations, m.Compactions
+		r.Counter("serve_wal_appends_total", "Records appended to the write-ahead log.").Set(float64(m.Appends))
+		r.Counter("serve_wal_appended_bytes_total", "Bytes appended to the write-ahead log.").Set(float64(m.AppendedBytes))
+		r.Counter("serve_wal_commits_total", "WAL group-commit fsync barriers.").Set(float64(m.Commits))
+		r.Counter("serve_wal_rotations_total", "WAL segment rotations.").Set(float64(m.Rotations))
+		r.Counter("serve_wal_compactions_total", "Sealed WAL segments folded into the compacted prefix.").Set(float64(m.Compactions))
 		r.Gauge("serve_wal_dirty_bytes", "Appended-but-uncommitted WAL bytes (unacknowledged loss window).").Set(float64(m.DirtyBytes))
 		r.Gauge("serve_wal_last_index", "Index of the newest WAL record.").Set(float64(m.LastIndex))
 		r.Gauge("serve_wal_recovered_records", "Records replayed from the WAL at boot.").Set(float64(m.RecoveredRecords))
@@ -561,8 +559,7 @@ func (s *Server) syncProcessLocked() {
 	r := s.reg
 	r.Gauge("serve_heap_inuse_bytes", "Bytes in in-use heap spans: live and unswept objects plus their spans' free space.").
 		Set(float64(samples[0].Value.Uint64() + samples[1].Value.Uint64()))
-	gc := r.Counter("serve_gc_cycles_total", "Completed garbage-collection cycles.")
-	gc.Add(float64(samples[2].Value.Uint64()) - gc.Value())
+	r.Counter("serve_gc_cycles_total", "Completed garbage-collection cycles.").Set(float64(samples[2].Value.Uint64()))
 	r.Gauge("serve_goroutines", "Live goroutines.").Set(float64(samples[3].Value.Uint64()))
 }
 

@@ -53,9 +53,16 @@ func (d *decisionLog) Submit(e *sim.Engine, job workload.Job, estimate float64) 
 // submit order, and the final summary.
 func batchRun(t *testing.T, policy string, jobs []workload.Job, pct float64) ([]bool, metrics.Summary) {
 	t.Helper()
+	return batchRunRated(t, policy, jobs, pct, workload.SDSCSP2Rating)
+}
+
+// batchRunRated is batchRun on nodes of the given rating, with the
+// paper's rating as the reference.
+func batchRunRated(t *testing.T, policy string, jobs []workload.Job, pct, rating float64) ([]bool, metrics.Summary) {
+	t.Helper()
 	ratings := make([]float64, workload.SDSCSP2Nodes)
 	for i := range ratings {
-		ratings[i] = workload.SDSCSP2Rating
+		ratings[i] = rating
 	}
 	ccfg := cluster.DefaultConfig()
 	ccfg.RefRating = workload.SDSCSP2Rating
@@ -73,6 +80,39 @@ func batchRun(t *testing.T, policy string, jobs []workload.Job, pct float64) ([]
 		answers[i] = log.accepted[j.ID]
 	}
 	return answers, rec.Summarize()
+}
+
+// TestNodeSpeedSymmetry: doubling every node's rating at a fixed
+// RefRating halves every job's node-seconds, and so does halving every
+// runtime and estimate. Both scale by a power of two, which is exact, so
+// every policy must give the same per-job answers. Libra's share broke
+// this while it charged the candidate in reference-seconds and the
+// residents in node-seconds.
+func TestNodeSpeedSymmetry(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		jobs := paperJobs(t, seed)
+		halved := make([]workload.Job, len(jobs))
+		for i, j := range jobs {
+			j.Runtime /= 2
+			j.TraceEstimate /= 2
+			halved[i] = j
+		}
+		for _, policy := range []string{"edf", "libra", "librarisk"} {
+			for _, pct := range []float64{0, 100} {
+				fast, _ := batchRunRated(t, policy, jobs, pct, 2*workload.SDSCSP2Rating)
+				short, _ := batchRunRated(t, policy, halved, pct, workload.SDSCSP2Rating)
+				flips := 0
+				for i := range fast {
+					if fast[i] != short[i] {
+						flips++
+					}
+				}
+				if flips > 0 {
+					t.Errorf("seed %d %s pct %g: %d of %d answers differ between 2x nodes and halved jobs", seed, policy, pct, flips, len(jobs))
+				}
+			}
+		}
+	}
 }
 
 // persistence is how a serveRun daemon keeps its ops across the drain:

@@ -284,22 +284,16 @@ type applied struct {
 }
 
 // exportedCounter is a goroutine-safe cumulative counter whose total is
-// folded into an obs.Counter at scrape time (the registry itself is not
+// copied into an obs.Counter at scrape time (the registry itself is not
 // synchronized; it lives under the state lock).
 type exportedCounter struct {
-	v        atomic.Uint64
-	exported uint64
+	v atomic.Uint64
 }
 
 func (c *exportedCounter) Inc() { c.v.Add(1) }
 
-// syncTo adds the growth since the last sync to ctr. Callers hold the
-// state lock.
-func (c *exportedCounter) syncTo(ctr *obs.Counter) {
-	cur := c.v.Load()
-	ctr.Add(float64(cur - c.exported))
-	c.exported = cur
-}
+// syncTo sets ctr to the total. Callers hold the state lock.
+func (c *exportedCounter) syncTo(ctr *obs.Counter) { ctr.Set(float64(c.v.Load())) }
 
 // Server is an online admission service around one simulated cluster.
 type Server struct {
@@ -337,10 +331,6 @@ type Server struct {
 	// applied, so the audit file can never run ahead of what a crash
 	// recovery would regenerate.
 	auditPending []obs.Decision
-	// wal counter export state (delta pattern: the total exported so far).
-	walAppends, walAppendedBytes uint64
-	walCommits, walRotations     uint64
-	walCompactions               uint64
 	// latHist is the admission-latency histogram (seconds).
 	latHist *obs.Histogram
 	// spans/stages are non-nil with Config.Spans: the recent-spans ring
@@ -355,8 +345,6 @@ type Server struct {
 
 	quotas *quotaTable
 	shed   *shedder
-	// shedTransExported is the transition-counter scrape watermark.
-	shedTransExported uint64
 
 	// vnowBits/nextFinishBits cache the virtual clock and the next
 	// believed completion time for lock-free Retry-After computation.

@@ -175,11 +175,9 @@ func tenantLabel(tenant string) string {
 	return tenant
 }
 
-// tenantCell is one tenant's outcome counts plus the exported watermark
-// per counter (delta pattern, like exportedCounter).
+// tenantCell is one tenant's cumulative outcome counts.
 type tenantCell struct {
-	admits, rejects, quota    uint64
-	expAdmit, expRej, expQuot uint64
+	admits, rejects, quota uint64
 }
 
 // tenantStats counts per-tenant outcomes under its own lock, capped: at
@@ -234,8 +232,7 @@ func (t *tenantStats) quotaDenied(tenant string) {
 	t.cellLocked(tenant).quota++
 }
 
-// syncTo exports the growth since the last scrape into the labeled
-// counter families. Callers hold the state lock (the registry is not
+// syncTo sets the labeled counter families to the cells' totals. Callers hold the state lock (the registry is not
 // goroutine-safe); tenantStats' own lock orders it against writers.
 func (t *tenantStats) syncTo(reg *obs.Registry) {
 	t.mu.Lock()
@@ -253,16 +250,13 @@ func (t *tenantStats) syncTo(reg *obs.Registry) {
 		// A series appears only once its count is nonzero, so idle
 		// tenants never inflate the exposition.
 		if c.admits > 0 {
-			admits.With(n).Add(float64(c.admits - c.expAdmit))
-			c.expAdmit = c.admits
+			admits.With(n).Set(float64(c.admits))
 		}
 		if c.rejects > 0 {
-			rejects.With(n).Add(float64(c.rejects - c.expRej))
-			c.expRej = c.rejects
+			rejects.With(n).Set(float64(c.rejects))
 		}
 		if c.quota > 0 {
-			quota.With(n).Add(float64(c.quota - c.expQuot))
-			c.expQuot = c.quota
+			quota.With(n).Set(float64(c.quota))
 		}
 	}
 }
