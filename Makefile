@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzWALRecover$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime 10s ./cmd/servetrace/
 	$(GO) test -run xxx -fuzz 'FuzzEarliestSlot$$' -fuzztime 10s ./internal/sched/
+	$(GO) test -run xxx -fuzz 'FuzzSpaceSharedPick$$' -fuzztime 10s ./internal/cluster/
 
 experiments:
 	$(GO) run ./cmd/experiments -csv results -svg results | tee results/experiments_full.txt

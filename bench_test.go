@@ -331,11 +331,17 @@ func predictionOp(tb testing.TB) func() {
 // estimates for a seven-way comparison row.
 func BenchmarkExtensionPolicies(b *testing.B) {
 	for _, pol := range []Policy{PolicyFCFS, PolicyBackfillEASY, PolicyBackfillConservative, PolicyQoPS} {
-		o := benchOptions()
-		o.Policy = pol
-		o.QoPSSlackFactor = 2
-		b.Run(string(pol), func(b *testing.B) { benchOp(b, simulateOp(o)) })
+		b.Run(string(pol), func(b *testing.B) { benchOp(b, extensionOp(pol)) })
 	}
+}
+
+// extensionOp simulates one related-work scheduler over the benchmark
+// workload.
+func extensionOp(pol Policy) func(testing.TB) func() {
+	o := benchOptions()
+	o.Policy = pol
+	o.QoPSSlackFactor = 2
+	return simulateOp(o)
 }
 
 // BenchmarkPredictorScaling isolates the cost of LibraRisk's per-node

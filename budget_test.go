@@ -64,6 +64,10 @@ func TestAllocationBudgets(t *testing.T) {
 		{"PolicyLibraFullScale", runOp(experiment.DefaultBase(), experiment.Libra), 2, 2812, slack, true},
 		{"PolicyLibraRiskFullScale", runOp(experiment.DefaultBase(), experiment.LibraRisk), 2, 2952, slack, true},
 		{"LibraRisk512x10k", runOp(scaledBase(512, 10_000), experiment.LibraRisk), 1, 10842, slack, false},
+		{"ExtensionPolicies/fcfs", extensionOp(PolicyFCFS), 2, 143, exact, false},
+		{"ExtensionPolicies/backfill-easy", extensionOp(PolicyBackfillEASY), 2, 8041, slack, false},
+		{"ExtensionPolicies/backfill-conservative", extensionOp(PolicyBackfillConservative), 2, 9736, slack, false},
+		{"ExtensionPolicies/qops", extensionOp(PolicyQoPS), 2, 4104, slack, false},
 		{"ServeAdmit", serveAdmitOp(inMemory, false), 200, 41, exact, true},
 		{"ServeAdmitCheckpoint", serveAdmitOp(drainCheckpoint, false), 200, 41, exact, true},
 		{"ServeAdmitDurable", serveAdmitOp(durableWAL, false), 200, 45, exact, true},

@@ -80,7 +80,13 @@ type SpaceShared struct {
 	runArena    arena[ssRunning]
 	idArena     intArena
 	pickScratch []int
-	bestScratch []float64
+
+	// order holds every node id, fastest effective rating first, ties by
+	// ascending id. Ratings are fixed, so only a speed change can reorder
+	// it: SetNodeSpeed and Reset mark it stale and the next query
+	// re-sorts. Down and busy nodes stay in it and are skipped by walks.
+	order      []int
+	orderStale bool
 }
 
 // NewSpaceShared builds a homogeneous dedicated cluster.
@@ -109,14 +115,20 @@ func NewSpaceSharedHetero(ratings []float64, cfg Config) (*SpaceShared, error) {
 	for i := range speed {
 		speed[i] = 1
 	}
-	return &SpaceShared{
-		cfg:     cfg,
-		ratings: append([]float64(nil), ratings...),
-		busy:    make([]bool, len(ratings)),
-		down:    make([]bool, len(ratings)),
-		speed:   speed,
-		free:    len(ratings),
-	}, nil
+	c := &SpaceShared{
+		cfg:        cfg,
+		ratings:    append([]float64(nil), ratings...),
+		busy:       make([]bool, len(ratings)),
+		down:       make([]bool, len(ratings)),
+		speed:      speed,
+		free:       len(ratings),
+		order:      make([]int, len(ratings)),
+		orderStale: true,
+	}
+	for i := range c.order {
+		c.order[i] = i
+	}
+	return c, nil
 }
 
 // Reset returns the cluster to its freshly constructed state in place:
@@ -130,7 +142,10 @@ func (c *SpaceShared) Reset() {
 	for i := range c.busy {
 		c.busy[i] = false
 		c.down[i] = false
-		c.speed[i] = 1
+		if c.speed[i] != 1 {
+			c.speed[i] = 1
+			c.orderStale = true
+		}
 	}
 	c.free = len(c.ratings)
 	c.running, c.killed = 0, 0
@@ -189,21 +204,33 @@ func (c *SpaceShared) RuntimeOn(refSeconds float64, numproc int) (float64, bool)
 
 // BestPossibleRuntime returns the dedicated runtime on the fastest numproc
 // up nodes regardless of their current occupancy — the most optimistic
-// finish a queued job could hope for.
+// finish a queued job could hope for. The gang's slowest member is the
+// numproc-th up node in speed order.
 func (c *SpaceShared) BestPossibleRuntime(refSeconds float64, numproc int) (float64, bool) {
-	sorted := c.bestScratch[:0]
-	for i := range c.ratings {
-		if !c.down[i] {
-			sorted = append(sorted, c.effRating(i))
+	for _, id := range c.speedOrder() {
+		if c.down[id] {
+			continue
+		}
+		if numproc--; numproc == 0 {
+			return refSeconds * c.cfg.RefRating / c.effRating(id), true
 		}
 	}
-	c.bestScratch = sorted
-	if numproc > len(sorted) {
-		return 0, false
+	return 0, false
+}
+
+// speedOrder returns order, re-sorting it first if a speed changed since
+// the last sort.
+func (c *SpaceShared) speedOrder() []int {
+	if c.orderStale {
+		slices.SortFunc(c.order, func(a, b int) int {
+			if ra, rb := c.effRating(a), c.effRating(b); ra != rb {
+				return cmp.Compare(rb, ra)
+			}
+			return a - b
+		})
+		c.orderStale = false
 	}
-	slices.SortFunc(sorted, func(a, b float64) int { return cmp.Compare(b, a) })
-	slowest := sorted[numproc-1]
-	return refSeconds * c.cfg.RefRating / slowest, true
+	return c.order
 }
 
 // Start runs the job on the fastest numproc idle nodes. The caller must
@@ -345,6 +372,7 @@ func (c *SpaceShared) SetNodeSpeed(e *sim.Engine, id int, factor float64) {
 	if c.Metrics != nil && factor != 1 {
 		c.Metrics.NodeSlowdowns.Inc()
 	}
+	c.orderStale = true
 	now := e.Now()
 	affected := make([]*ssRunning, 0, 1)
 	for _, r := range c.runs {
@@ -483,27 +511,24 @@ func gangContains(ids []int, id int) bool {
 	return false
 }
 
-// pickFree returns the ids of the fastest numproc idle up nodes, or nil.
-// The returned slice aliases pickScratch and is only valid until the next
-// pickFree call; Start copies it into the job's node-ID storage.
+// pickFree returns the ids of the fastest numproc idle up nodes, fastest
+// first, ties by ascending id, or nil. The returned slice aliases
+// pickScratch and is only valid until the next pickFree call; Start
+// copies it into the job's node-ID storage.
 func (c *SpaceShared) pickFree(numproc int) []int {
 	if numproc <= 0 || numproc > c.free {
 		return nil
 	}
 	ids := c.pickScratch[:0]
-	for i, b := range c.busy {
-		if !b && !c.down[i] {
-			ids = append(ids, i)
+	for _, id := range c.speedOrder() {
+		if !c.busy[id] && !c.down[id] {
+			if ids = append(ids, id); len(ids) == numproc {
+				break
+			}
 		}
 	}
 	c.pickScratch = ids
-	slices.SortFunc(ids, func(a, b int) int {
-		if ra, rb := c.effRating(a), c.effRating(b); ra != rb {
-			return cmp.Compare(rb, ra)
-		}
-		return a - b
-	})
-	return ids[:numproc]
+	return ids
 }
 
 // gangRuntime is the dedicated runtime of refSeconds of reference work on

@@ -66,8 +66,9 @@ func (c EstimateConfig) Validate() error {
 }
 
 // sampleEstimate draws one user estimate for a job with the given real
-// runtime.
-func sampleEstimate(r *sim.RNG, runtime float64, c EstimateConfig, maxRuntime float64) float64 {
+// runtime; over is the over-estimate factor's distribution,
+// newLognormal(c.OverFactorMean, c.OverFactorCV).
+func sampleEstimate(r *sim.RNG, runtime float64, c EstimateConfig, over lognormal, maxRuntime float64) float64 {
 	u := r.Float64()
 	switch {
 	case u < c.ExactFraction:
@@ -76,7 +77,7 @@ func sampleEstimate(r *sim.RNG, runtime float64, c EstimateConfig, maxRuntime fl
 		f := c.UnderLo + r.Float64()*(c.UnderHi-c.UnderLo)
 		return math.Max(1, runtime*f)
 	default:
-		f := clamp(r.LognormalMeanCV(c.OverFactorMean, c.OverFactorCV), c.OverMin, c.OverMax)
+		f := clamp(over.sample(r), c.OverMin, c.OverMax)
 		est := runtime * f
 		if c.RoundTo > 0 {
 			est = math.Ceil(est/c.RoundTo) * c.RoundTo

@@ -84,6 +84,10 @@ func (c GeneratorConfig) Validate() error {
 		return fmt.Errorf("workload: MaxProcs = %d, want > 0", c.MaxProcs)
 	case c.NonPowerFraction < 0 || c.NonPowerFraction > 1:
 		return fmt.Errorf("workload: NonPowerFraction = %g, want in [0,1]", c.NonPowerFraction)
+	case !finite(c.InterarrivalCV):
+		return fmt.Errorf("workload: InterarrivalCV = %g, want finite", c.InterarrivalCV)
+	case !finite(c.RuntimeCV):
+		return fmt.Errorf("workload: RuntimeCV = %g, want finite", c.RuntimeCV)
 	}
 	if err := c.Users.Validate(); err != nil {
 		return err
@@ -125,11 +129,17 @@ func Generate(cfg GeneratorConfig) ([]Job, error) {
 		weights = weights[:maxPow+1]
 	}
 
+	// The distributions do not change during a call: solve their
+	// parameters once, not per job.
+	arrivals := newArrivalDist(cfg)
+	runtimes := newLognormal(cfg.MeanRuntime, cfg.RuntimeCV)
+	overFactors := newLognormal(cfg.Estimates.OverFactorMean, cfg.Estimates.OverFactorCV)
+
 	jobs := make([]Job, cfg.Jobs)
 	t := 0.0
 	for i := range jobs {
 		if i > 0 {
-			t += interarrival(arrivalRNG, cfg)
+			t += arrivals.sample(arrivalRNG)
 		}
 		procs := sampleProcs(procRNG, weights, cfg)
 		jobs[i] = Job{
@@ -144,25 +154,68 @@ func Generate(cfg GeneratorConfig) ([]Job, error) {
 			jobs[i].Runtime = runtime
 			jobs[i].TraceEstimate = sampleUserEstimate(estRNG, runtime, userStyles[user], cfg.Users, cfg.Estimates, cfg.MaxRuntime)
 		} else {
-			runtime := clamp(runtimeRNG.LognormalMeanCV(cfg.MeanRuntime, cfg.RuntimeCV), cfg.MinRuntime, cfg.MaxRuntime)
+			runtime := clamp(runtimes.sample(runtimeRNG), cfg.MinRuntime, cfg.MaxRuntime)
 			jobs[i].Runtime = runtime
-			jobs[i].TraceEstimate = sampleEstimate(estRNG, runtime, cfg.Estimates, cfg.MaxRuntime)
+			jobs[i].TraceEstimate = sampleEstimate(estRNG, runtime, cfg.Estimates, overFactors, cfg.MaxRuntime)
 		}
 	}
 	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Submit < jobs[b].Submit })
 	return jobs, nil
 }
 
-func interarrival(r *sim.RNG, cfg GeneratorConfig) float64 {
+// arrivalDist is the inter-arrival distribution with its parameters
+// solved once: exponential when InterarrivalCV <= 1, else a Weibull.
+type arrivalDist struct {
+	weibull      bool
+	mean         float64 // exponential mean
+	scale, shape float64 // Weibull parameters
+}
+
+func newArrivalDist(cfg GeneratorConfig) arrivalDist {
 	if cfg.InterarrivalCV <= 1 {
-		return r.Exp(cfg.MeanInterarrival)
+		return arrivalDist{mean: cfg.MeanInterarrival}
 	}
 	// Weibull with shape < 1 gives CV > 1 (bursty). Solve shape from CV
 	// approximately: CV² = Γ(1+2/k)/Γ(1+1/k)² − 1. A two-term fit is
 	// sufficient for workload modelling.
 	k := weibullShapeForCV(cfg.InterarrivalCV)
 	scale := cfg.MeanInterarrival / math.Gamma(1+1/k)
-	return r.Weibull(scale, k)
+	return arrivalDist{weibull: true, scale: scale, shape: k}
+}
+
+func (d arrivalDist) sample(r *sim.RNG) float64 {
+	if !d.weibull {
+		return r.Exp(d.mean)
+	}
+	return r.Weibull(d.scale, d.shape)
+}
+
+// lognormal is sim.RNG.LognormalMeanCV(mean, cv) with µ and σ solved once:
+// sample draws the same variates, and none where LognormalMeanCV returns
+// a constant (mean <= 0 gives 0, cv <= 0 gives mean).
+type lognormal struct {
+	draw      bool
+	constant  float64
+	mu, sigma float64
+}
+
+func newLognormal(mean, cv float64) lognormal {
+	if mean <= 0 {
+		return lognormal{}
+	}
+	if cv <= 0 {
+		return lognormal{constant: mean}
+	}
+	sigma2 := math.Log(1 + cv*cv)
+	mu := math.Log(mean) - sigma2/2
+	return lognormal{draw: true, mu: mu, sigma: math.Sqrt(sigma2)}
+}
+
+func (d lognormal) sample(r *sim.RNG) float64 {
+	if !d.draw {
+		return d.constant
+	}
+	return r.Lognormal(d.mu, d.sigma)
 }
 
 // weibullShapeForCV inverts the Weibull CV relation by bisection.
@@ -202,3 +255,5 @@ func sampleProcs(r *sim.RNG, weights []float64, cfg GeneratorConfig) int {
 }
 
 func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
